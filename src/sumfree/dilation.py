@@ -3,21 +3,36 @@ certified sum-free subset extraction.
 
 For a set A and an arc system O, x -> |{n in A : n*x mod 1 in O}| is a step
 function whose breakpoints are the points (e + j)/n for endpoints e of O.
-Everything here is exact rational arithmetic; maximization happens at piece
-midpoints, where the function is constant, so the results are exact.
+Breakpoints are integer pairs p/q and levels are integers, both in numpy
+arrays, and the breakpoints are ordered exactly; maximization happens at
+piece midpoints, where the function is constant, so every result is exact.
+
+Memory budget: MEMORY_BUDGET = 4 GiB for a sweep and an exact L1 norm of its
+result.  The measured peak is BYTES_PER_BREAKPOINT = 80 bytes per int64
+breakpoint (BREAKPOINT_CAP, about 53.7M, counts 2*sum(A) per arc), and at
+most 256 plus one byte per bit of the largest denominator on the Python ints
+used where n*d exceeds INT64_DEN.  A sweep over the budget raises
+BreakpointCapError before allocating.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import isqrt, lcm
+
+import numpy as np
 
 from .arcs import ArcSet, canonical_omega, pullback, is_arc_kl_sumfree, OMEGA_21
 from .sets import IntegerSet, is_kl_sumfree
 
-BREAKPOINT_CAP = 50_000_000
+MEMORY_BUDGET = 2**32
+BYTES_PER_BREAKPOINT = 80
+BREAKPOINT_CAP = MEMORY_BUDGET // BYTES_PER_BREAKPOINT
+# denominators <= INT64_DEN keep the cross products p1*q2 below 2**63
+INT64_DEN = isqrt(2**63 - 1)
 
 
 class BreakpointCapError(RuntimeError):
@@ -28,93 +43,99 @@ class CertificationError(RuntimeError):
     """An extracted subset failed its sum-freeness re-verification."""
 
 
-@dataclass(frozen=True)
-class PiecewiseConstantFn:
-    """Step function on [0,1): values[i] on (breakpoints[i], breakpoints[i+1])
-    cyclically (the last piece wraps around to breakpoints[0])."""
+def _exact_order(p: np.ndarray, q: np.ndarray):
+    """(order, p[order], q[order]) with p/q in exact ascending order.
 
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
+    The float keys are p/q correctly rounded (int64 entries are exact
+    doubles, as q <= INT64_DEN < 2**53; Python ints divide with one rounding),
+    and correct rounding is monotone: only a run of equal keys can be out of
+    order after the float sort, and each such run is re-sorted exactly.
+    """
+    key = np.asarray(p / q, dtype=np.float64)
+    order = np.argsort(key)
+    key, p, q = key[order], p[order], q[order]
+    bad = np.flatnonzero(p[:-1] * q[1:] > p[1:] * q[:-1])
+    for s in np.unique(np.searchsorted(key, key[bad])):
+        e = np.searchsorted(key, key[s], side="right")
+        run = sorted(range(s, e), key=lambda i: Fraction(int(p[i]), int(q[i])))
+        order[s:e], p[s:e], q[s:e] = order[run], p[run], q[run]
+    return order, p, q
+
+
+@dataclass(frozen=True, eq=False)
+class PiecewiseConstantFn:
+    """Step function on [0,1): scale*levels[i] + shift on the open piece from
+    breakpoints[i] to breakpoints[i+1], the last piece ending at 1.
+
+    `breakpoints` holds one (numerator, denominator) row per piece, strictly
+    ascending from 0; `levels` holds one integer per piece.  Both are int64,
+    or Python ints where int64 could overflow.  `scale` is positive.
+    """
+
+    breakpoints: np.ndarray
+    levels: np.ndarray
+    scale: Fraction = Fraction(1)
+    shift: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if len(self.breakpoints) != len(self.values):
-            raise ValueError("need one value per breakpoint")
-        if len(self.breakpoints) == 0:
-            raise ValueError("need at least one piece")
+        if len(self.levels) == 0 or self.breakpoints.shape != (len(self.levels), 2):
+            raise ValueError("need one (numerator, denominator) row per piece")
 
-    def piece_lengths(self) -> list[Fraction]:
-        bp = self.breakpoints
-        n = len(bp)
-        return [
-            (bp[(i + 1) % n] - bp[i]) % 1 if n > 1 else Fraction(1)
-            for i in range(n)
-        ]
+    def _point(self, i: int) -> Fraction:
+        """Breakpoint i, or 1 for i = len(levels), where the last piece ends."""
+        return Fraction(*map(int, self.breakpoints[i])) if i < len(self.levels) else Fraction(1)
+
+    def _value(self, i: int) -> Fraction:
+        return self.scale * int(self.levels[i]) + self.shift
+
+    def _integrate(self, absolute: bool) -> Fraction:
+        """Exact integral of the values, or of their absolute values.
+
+        With value u_i/D on piece i and breakpoints b_0 = 0 < b_1 < ... the
+        integral telescopes to (u_last + sum_{i>0} (u_{i-1} - u_i) b_i) / D;
+        the b_i terms are summed in integers per denominator, then over the
+        lcm of the denominators.
+        """
+        D = lcm(self.scale.denominator, self.shift.denominator)
+        a, b = int(self.scale * D), int(self.shift * D)
+        p, q = self.breakpoints[1:, 0], self.breakpoints[1:, 1]
+        u_max = abs(a) * int(np.abs(self.levels).max()) + abs(b)
+        wide = 2 * u_max * int(self.breakpoints[:, 1].max()) * len(self.levels) >= 2**63
+        u = self.levels.astype(object if wide else np.int64) * a + b
+        u = np.abs(u) if absolute else u
+        c = u[:-1] - u[1:]
+        nz = np.flatnonzero(c)
+        by_q = nz[np.argsort(q[nz])]
+        q = q[by_q]
+        starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]]) if len(q) else by_q
+        sums = np.add.reduceat(c[by_q] * p[by_q], starts)
+        dens = [int(d) for d in q[starts]]
+        L = lcm(*dens)
+        total = int(u[-1]) * L + sum(int(s) * (L // d) for s, d in zip(sums, dens))
+        return Fraction(total, L * D)
 
     def integral(self) -> Fraction:
-        return sum(
-            (v * L for v, L in zip(self.values, self.piece_lengths())), Fraction(0)
-        )
+        return self._integrate(absolute=False)
 
     def eval(self, x) -> Fraction:
         """Value at x mod 1; x must not be a breakpoint."""
         x = Fraction(x) % 1
-        bp = self.breakpoints
-        if x in bp:
+        i = bisect_right(range(len(self.levels)), x, key=self._point) - 1
+        if self._point(i) == x:
             raise ValueError(f"{x} is a breakpoint")
-        import bisect
-
-        i = bisect.bisect_left(bp, x) - 1
-        return self.values[i % len(bp)]
-
-    def __add__(self, other: "PiecewiseConstantFn") -> "PiecewiseConstantFn":
-        return _merge(self, other, lambda a, b: a + b)
-
-    def __sub__(self, other: "PiecewiseConstantFn") -> "PiecewiseConstantFn":
-        return _merge(self, other, lambda a, b: a - b)
+        return self._value(i)
 
     def shift_const(self, c: Fraction) -> "PiecewiseConstantFn":
-        return PiecewiseConstantFn(
-            self.breakpoints, tuple(v + c for v in self.values)
-        )
+        return replace(self, shift=self.shift + c)
 
     def max_with_witness(self) -> tuple[Fraction, Fraction]:
         """(max value, lowest midpoint of a maximizing piece)."""
-        best = max(self.values)
-        bp = self.breakpoints
-        n = len(bp)
-        witnesses = []
-        for i, v in enumerate(self.values):
-            if v != best:
-                continue
-            lo = bp[i]
-            hi = bp[(i + 1) % n]
-            if n == 1:
-                mid = (lo + Fraction(1, 2)) % 1
-            elif i == n - 1:
-                mid = ((lo + hi + 1) / 2) % 1
-            else:
-                mid = (lo + hi) / 2
-            witnesses.append(mid)
-        return best, min(witnesses)
-
-
-def _merge(f: PiecewiseConstantFn, g: PiecewiseConstantFn, op) -> PiecewiseConstantFn:
-    bp = sorted(set(f.breakpoints) | set(g.breakpoints))
-    import bisect
-
-    vals = []
-    for i, x in enumerate(bp):
-        # value on the piece starting at x: sample just after x
-        fi = bisect.bisect_right(f.breakpoints, x) - 1
-        gi = bisect.bisect_right(g.breakpoints, x) - 1
-        vals.append(op(f.values[fi % len(f.values)], g.values[gi % len(g.values)]))
-    return PiecewiseConstantFn(tuple(bp), tuple(vals))
+        i = int(np.argmax(self.levels))
+        return self._value(i), (self._point(i) + self._point(i + 1)) / 2
 
 
 def exact_l1(g: PiecewiseConstantFn) -> Fraction:
-    return sum(
-        (abs(v) * L for v, L in zip(g.values, g.piece_lengths())), Fraction(0)
-    )
+    return g._integrate(absolute=True)
 
 
 def orbit_subset(A: IntegerSet, O: ArcSet, x) -> IntegerSet:
@@ -124,70 +145,46 @@ def orbit_subset(A: IntegerSet, O: ArcSet, x) -> IntegerSet:
     return IntegerSet(tuple(members))
 
 
-def _reduced_fraction(num: int, den: int) -> Fraction:
-    # num/den already in lowest terms with den > 0; skip the gcd in
-    # Fraction.__new__, which dominates the sweep otherwise
-    f = Fraction.__new__(Fraction)
-    f._numerator = num
-    f._denominator = den
-    return f
-
-
-def _sweep_events(A: IntegerSet, weighted_arcs) -> dict:
-    """Exact level deltas keyed by reduced (num, den) breakpoint position."""
-    deltas: dict = {}
-    total = 0
-    for lo, hi, weight in weighted_arcs:
-        lo, hi = Fraction(lo), Fraction(hi)
-        for n in A:
-            total += 2 * n
-            if total > BREAKPOINT_CAP:
-                raise BreakpointCapError(
-                    f"breakpoint count exceeds cap {BREAKPOINT_CAP}"
-                )
-            for sign, e in ((weight, lo), (-weight, hi)):
-                en, ed = e.numerator, e.denominator
-                den = n * ed
-                for j in range(n):
-                    num = en + j * ed
-                    g = gcd(num, den)
-                    key = (num // g, den // g)
-                    deltas[key] = deltas.get(key, 0) + sign
-    return deltas
-
-
 def weighted_count_function(A: IntegerSet, weighted_arcs) -> PiecewiseConstantFn:
-    """Exact step function sum_{n in A} sum_{arcs} weight * 1_arc(n*x)."""
-    deltas = _sweep_events(A, weighted_arcs)
-    if not deltas:
-        return PiecewiseConstantFn((Fraction(0),), (Fraction(0),))
-    # distinct reduced positions here are separated by at least 1/(d1*d2),
-    # far above float error at these denominators, so the float sort is
-    # exact; the integer pair breaks any residual tie deterministically
-    order = sorted(deltas, key=lambda nd: (nd[0] / nd[1], nd))
-    breakpoints = []
-    values = []
-    level = 0
-    for key in order:
-        delta = deltas[key]
-        level = level + delta
-        if delta == 0 and breakpoints:
-            continue  # opening and closing edges cancelled exactly
-        breakpoints.append(_reduced_fraction(*key))
-        values.append(level)
-    if breakpoints[0] != 0:
-        # value on the wrap-around piece (after the last breakpoint) is 0,
-        # matching the level before the first event.
-        breakpoints.insert(0, Fraction(0))
-        values.insert(0, Fraction(0))
-    return PiecewiseConstantFn(tuple(breakpoints), tuple(values))
+    """Exact step function sum_{n in A} sum_{arcs} weight * 1_arc(n*x).
+
+    Arc edge e = a/d pulled back by n gives the breakpoints (a + j*d)/(n*d),
+    j < n, each carrying the edge's signed weight.  Equal breakpoints merge,
+    but stay a piece boundary when their weights cancel: the function dips
+    there, so no witness midpoint may land on one.
+    """
+    arcs = [(Fraction(lo), Fraction(hi), Fraction(w)) for lo, hi, w in weighted_arcs]
+    edges = [e for lo, hi, _ in arcs for e in (lo, hi)]
+    total = len(edges) * sum(A)
+    q_max = max(A, default=1) * max((e.denominator for e in edges), default=1)
+    wide = q_max > INT64_DEN
+    if total * (256 + q_max.bit_length() if wide else BYTES_PER_BREAKPOINT) > MEMORY_BUDGET:
+        raise BreakpointCapError(f"{total} breakpoints exceed the {MEMORY_BUDGET}-byte budget")
+    D = lcm(*(w.denominator for *_, w in arcs))
+    weights = [int(s * w * D) for *_, w in arcs for s in (1, -1)]
+    sizes, kind = np.array(A.elements, dtype=np.int64), object if wide else np.int64
+    n = np.repeat(sizes, sizes).astype(kind, copy=False)
+    j = (np.arange(len(n)) - np.repeat(np.cumsum(sizes) - sizes, sizes)).astype(kind, copy=False)
+    # a zero-weight event at 0 makes 0 the first breakpoint
+    p = np.concatenate([[0]] + [e.numerator + j * e.denominator for e in edges])
+    q = np.concatenate([[1]] + [n * e.denominator for e in edges])
+    level_type = np.int64 if A.N * sum(map(abs, weights)) < 2**62 else object
+    w = np.repeat(np.array([0] + weights, level_type), [1] + [len(n)] * len(edges))
+    del n, j
+    # an edge at 1 sits at 0 of the circle; the level entering 0 from the
+    # left is the weight the edges at 1 close
+    at_one = np.flatnonzero(p == q)
+    entering = -w[at_one].sum()
+    p[at_one] = 0
+    order, p, q = _exact_order(p, q)
+    starts = np.flatnonzero(np.r_[True, p[1:] * q[:-1] != p[:-1] * q[1:]])
+    levels = entering + np.cumsum(np.add.reduceat(w[order], starts))
+    return PiecewiseConstantFn(np.stack([p[starts], q[starts]], axis=1), levels, Fraction(1, D))
 
 
 def count_function(A: IntegerSet, O: ArcSet) -> PiecewiseConstantFn:
     """x -> |A_x| as an exact step function."""
-    return weighted_count_function(
-        A, [(lo, hi, 1) for lo, hi in O.arcs]
-    )
+    return weighted_count_function(A, [(lo, hi, 1) for lo, hi in O.arcs])
 
 
 def maximize_count(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
@@ -279,6 +276,8 @@ def extract_certified(
     """Best certified (k,l)-sum-free subset over the candidate arc systems."""
     if arcs is None:
         arcs = candidate_arcs(include_lacunary_route, k, l)
+    elif not all(is_arc_kl_sumfree(O, k, l) for O in arcs):
+        raise ValueError(f"a supplied arc system is not ({k},{l})-sum-free")
     if not arcs:
         raise ValueError("no candidate arc systems")
     best = None

@@ -1,17 +1,24 @@
 """Dilation counting, exact L1 norms, and certified extraction."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
-from sumfree.arcs import OMEGA_21, pullback
+import numpy as np
+import pytest
+
+from sumfree.arcs import OMEGA_21, ArcSet, pullback
 from sumfree.dilation import (
+    BreakpointCapError,
     ExtractionCertificate,
+    PiecewiseConstantFn,
     balanced_function,
     count_function,
     exact_l1,
     extract_certified,
     maximize_count,
     orbit_subset,
+    weighted_count_function,
 )
 from sumfree.sets import IntegerSet, is_kl_sumfree
 
@@ -54,6 +61,72 @@ def test_count_function_matches_orbit():
     for _ in range(200):
         x = F(rng.randrange(1, 10**6), 10**6)
         assert g.eval(x) == orbit_subset(A, OMEGA_21, x).N
+
+
+def test_count_function_float_ties():
+    # denominators n*10^12 overflow the int64 sweep; a float order with a
+    # (numerator, denominator) tie-break misplaced 2992 breakpoints here and
+    # integrated to 2992.67 instead of 2/3 - 2*10^-12
+    A = IntegerSet.of([10000, 20000])
+    O = ArcSet.of([(F(1, 10**12), F(1, 3))])
+    assert count_function(A, O).integral() == A.N * O.measure
+
+
+def test_weighted_count_exact_on_every_piece():
+    # breakpoints that differ but share a double: x lies about 10^-33 below
+    # 1/3 (Python-int sweep); u < v are Farey neighbours 1/(9*10^18) apart
+    # with denominators near 3*10^9 (int64 sweep, edges listed out of order)
+    x = F(10**16, 3 * 10**16 + 1)
+    u, v = F(999999999, 2999999998), F(10**9, 3 * 10**9 + 1)
+    assert float(x) == 1 / 3 and float(u) == float(v)
+    cases = [
+        (range(1, 20), [(x, F(1, 3), 1)]),
+        (range(1, 20), [(F(1, 7), x, F(1, 2)), (F(1, 3), F(1, 2), -2)]),
+        ([1], [(v, F(1, 2), 1), (F(1, 7), u, 1)]),
+    ]
+    for elems, arcs in cases:
+        A = IntegerSet.of(elems)
+        g = weighted_count_function(A, arcs).shift_const(F(-1, 3))
+        ends = [F(int(p), int(q)) for p, q in g.breakpoints] + [F(1)]
+        integral = l1 = 0
+        for lo, hi in zip(ends, ends[1:]):
+            mid = (lo + hi) / 2
+            value = sum(w for n in A for a, b, w in arcs if a < n * mid % 1 < b) - F(1, 3)
+            assert g.eval(mid) == value
+            integral += value * (hi - lo)
+            l1 += abs(value) * (hi - lo)
+        assert g.integral() == integral
+        assert integral == A.N * sum(w * (b - a) for a, b, w in arcs) - F(1, 3)
+        assert exact_l1(g) == l1
+
+
+def test_count_function_edges_at_zero_and_one():
+    A = IntegerSet.of([1, 2, 5])
+    for O in (ArcSet.of([(F(1, 2), F(1))]), ArcSet.of([(F(0), F(1, 4))]),
+              ArcSet.of([(F(0), F(1))])):
+        g = count_function(A, O)
+        assert g.integral() == A.N * O.measure
+        for x in (F(1, 100), F(1, 7), F(2, 3), F(99, 100)):
+            assert g.eval(x) == orbit_subset(A, O, x).N
+
+
+def test_piecewise_constant_needs_one_row_per_piece():
+    with pytest.raises(ValueError):
+        PiecewiseConstantFn(np.array([[0, 1], [1, 2]]), np.array([0, 1, 2]))
+    with pytest.raises(ValueError):
+        PiecewiseConstantFn(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def test_breakpoint_cap_raises_before_allocating():
+    A = IntegerSet.of([10**9])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BreakpointCapError):
+            count_function(A, OMEGA_21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_maximize_count():
@@ -127,3 +200,21 @@ def test_certificate_round_trip():
     assert back.count == cert.count
     assert back.surplus == cert.surplus
     assert back.reverify(A)
+
+
+def test_extract_21_triadic_chains():
+    # for starts {2, 4} and {5, 10} the maximizing piece used to straddle a
+    # point where an opening and a closing edge cancel, and its midpoint
+    # landed on that point
+    for starts in ((1, 2), (2, 4), (5, 10)):
+        A = IntegerSet.of(s * 3**j for s in starts for j in range(9) if s * 3**j <= 10**4)
+        cert = extract_certified(A, 2, 1)
+        assert ExtractionCertificate.from_json(cert.to_json()).reverify(A)
+
+
+def test_extract_rejects_arcs_that_are_not_sumfree():
+    A = IntegerSet.of(range(1, 31))
+    with pytest.raises(ValueError):
+        extract_certified(A, 2, 1, arcs=[ArcSet.of([(F(1, 5), F(4, 5))])])
+    cert = extract_certified(A, 2, 1, arcs=[OMEGA_21])
+    assert cert.reverify(A)

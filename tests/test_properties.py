@@ -2,9 +2,9 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from sumfree.arcs import OMEGA_1, OMEGA_21, pullback
+from sumfree.arcs import OMEGA_1, OMEGA_21, ArcSet, pullback
 from sumfree.arith import SieveContext, chi3, gamma4, mobius
 from sumfree.dilation import balanced_function, count_function, orbit_subset
 from sumfree.sets import IntegerSet, structure
@@ -32,12 +32,22 @@ def test_balanced_integral_zero(elems):
     assert count_function(A, OMEGA_21).integral() == Fraction(A.N, 3)
 
 
-@given(small_sets, st.integers(1, 10**6))
+# Denominators up to 10^15 push n*d past the int64 bound of the sweep, so
+# both its int64 and its Python-int arrays are drawn.
+endpoints = st.fractions(min_value=0, max_value=1, max_denominator=10**15)
+
+
+@given(small_sets, st.integers(1, 10**6), endpoints, endpoints)
 @settings(max_examples=50, deadline=None)
-def test_count_matches_orbit(elems, num):
+def test_count_matches_orbit(elems, num, e1, e2):
+    assume(e1 != e2)
     A = IntegerSet.of(elems)
+    O = ArcSet.of([(min(e1, e2), max(e1, e2))])
     x = Fraction(num, 10**6 + 1)
-    assert count_function(A, OMEGA_21).eval(x) == orbit_subset(A, OMEGA_21, x).N
+    assume(all((n * x - e).denominator > 1 for n in A for e in (e1, e2)))
+    f = count_function(A, O)
+    assert f.eval(x) == orbit_subset(A, O, x).N
+    assert f.integral() == A.N * O.measure
 
 
 @given(small_sets)

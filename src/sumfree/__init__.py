@@ -19,7 +19,7 @@ from .dilation import (
 )
 from .fourier import TrigPoly, eval_exact, fhat, fhat_t, grid_norms, series_truncated
 from .lp import decompose, lacunary_l1_diagnostic, square_function_lp
-from .mps import build_phi, corollary_check, fejer, hilbert, pairing, proj_diagnostic
+from .mps import build_phi, fejer, hilbert, pairing
 from .oracle import OracleResult, compare, max_sumfree_exact
 from .sets import IntegerSet, generate, is_kl_sumfree, load_set, structure
 from .sieve import inner_sum_decomposition, l1_lower_report, verify_identity
@@ -36,7 +36,6 @@ __all__ = [
     "build_phi",
     "canonical_omega",
     "compare",
-    "corollary_check",
     "count_function",
     "decompose",
     "eval_exact",
@@ -58,7 +57,6 @@ __all__ = [
     "maximize_count",
     "orbit_subset",
     "pairing",
-    "proj_diagnostic",
     "pullback",
     "series_truncated",
     "square_function_lp",

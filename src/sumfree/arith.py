@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 
 def is_prime(n: int) -> bool:
@@ -43,8 +44,6 @@ class SieveContext:
 
     Q: int = 5
     P: int = 101
-    N1_limit: int = 10**6
-    N2_limit: int = 10**6
 
     def __post_init__(self):
         if self.Q < 3 or not is_prime(self.Q):
@@ -131,13 +130,6 @@ def sec2_sieve_set(ctx: SieveContext, limit: int) -> list[int]:
     return squarefree_smooth([p for p in primes_upto(ctx.P) if p < ctx.P], limit)
 
 
-def is_rough(n: int, ctx: SieveContext) -> bool:
-    """True iff every prime factor of n is >= Q; vacuously true for n = 1."""
-    if n < 1:
-        raise ValueError(f"positive integer required, got {n}")
-    return all(p >= ctx.Q for p, _ in factorize(n))
-
-
 def is_strictly_rough(n: int, ctx: SieveContext) -> bool:
     """True iff every prime factor of n is > Q (the sieve-complement set N1)."""
     if n < 1:
@@ -145,21 +137,19 @@ def is_strictly_rough(n: int, ctx: SieveContext) -> bool:
     return all(p > ctx.Q for p, _ in factorize(n))
 
 
-def rough_integers(ctx: SieveContext, limit: int) -> list[int]:
-    """N1 intersected with [1, limit]: all prime factors > Q.
+def rough_integers(limit: int, bound: int) -> list[int]:
+    """Integers in [1, limit] all of whose prime factors exceed `bound`.
 
-    This is exactly the set of frequencies surviving the Mobius sieve over
-    N2, so 1 is a member and N1 meets the Q-smooth numbers only in {1}.
+    With bound = Q this is N1 up to limit: exactly the frequencies surviving
+    the Mobius sieve over N2, so 1 is a member and N1 meets the Q-smooth
+    numbers only in {1}.
     """
-    limit = min(limit, ctx.N1_limit)
     if limit < 1:
         return []
     sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = 0
-    for p in primes_upto(ctx.Q):
+    for p in primes_upto(min(bound, limit)):
         sieve[p::p] = bytearray(len(sieve[p::p]))
-    sieve[1] = 1
-    return [i for i in range(1, limit + 1) if sieve[i]]
+    return list(compress(range(1, limit + 1), sieve[1:]))
 
 
 def eta(n: int, ctx: SieveContext) -> Fraction:

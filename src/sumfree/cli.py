@@ -21,15 +21,12 @@ from fractions import Fraction
 from . import __version__
 from .arith import SieveContext, next_prime_at_least
 from .dilation import extract_certified
+from .fourier import sample_grid
 from .lp import lacunary_l1_diagnostic
 from .mps import build_phi
 from .oracle import compare
 from .sets import IntegerSet, ParseError, generate, load_set, structure
 from .sieve import IDENTITY_IDS, l1_lower_report, verify_identity
-
-
-class MissingStageError(KeyError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -83,16 +80,13 @@ def _structure_stage(A: IntegerSet, config: RunConfig) -> dict:
     }
 
 
-def _extract_stage(A: IntegerSet, config: RunConfig) -> dict:
-    rep = structure(A, Fraction(config.threshold_exp).limit_denominator(1000))
-    cert = extract_certified(
-        A, config.k, config.l, include_lacunary_route=rep.geometric
-    )
+def _extract_stage(A: IntegerSet, config: RunConfig, geometric: bool) -> dict:
+    cert = extract_certified(A, config.k, config.l)
     return {
         "certificate": cert.to_json(),
         "count": cert.count,
         "baseline": _frac(Fraction(A.N, config.k + config.l)),
-        "route": "lacunary" if rep.geometric else "balanced-arcs",
+        "route": "lacunary" if geometric else "balanced-arcs",
     }
 
 
@@ -167,12 +161,9 @@ def _surplus_stage(config: RunConfig) -> list[dict]:
 
 
 def _phi_profile_stage(config: RunConfig, points: int = 2048) -> list[dict]:
-    import numpy as np
-    from .mps import _sample
-
     B = generate("interval", n=config.size)
     coeffs, _ = build_phi(B, {m: 1.0 for m in B}, config.base, config.grid)
-    samples = _sample(coeffs, config.grid)
+    samples = sample_grid(coeffs, config.grid).samples
     step = max(1, config.grid // points)
     return [
         {"x": j / config.grid, "abs_phi": float(abs(samples[j]))}
@@ -189,7 +180,9 @@ def run(config: RunConfig) -> dict:
     elif config.command == "extract":
         A = _load_input(config)
         stages["structure"] = _structure_stage(A, config)
-        stages["extraction"] = _extract_stage(A, config)
+        stages["extraction"] = _extract_stage(
+            A, config, stages["structure"]["geometric"]
+        )
     elif config.command == "verify":
         stages["verify"] = _verify_stage(_load_input(config), config)
     elif config.command == "phi":
@@ -219,9 +212,7 @@ def run(config: RunConfig) -> dict:
 
 def emit_plotdata(report: dict, kind: str) -> str:
     """Headered CSV for a stage of a finished report."""
-    stage = report.get("stages", {}).get(kind)
-    if stage is None:
-        raise MissingStageError(kind)
+    stage = report["stages"][kind]
     if isinstance(stage, dict) and "rows" in stage:
         rows = stage["rows"]
     else:
@@ -233,6 +224,48 @@ def emit_plotdata(report: dict, kind: str) -> str:
     return buf.getvalue()
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
+def _positive_ints(text: str) -> tuple[int, ...]:
+    return tuple(_positive_int(t) for t in text.split(",") if t)
+
+
+# add_argument keywords per flag; every default is RunConfig's
+_FLAGS = {
+    "input": dict(help="set file, or - for stdin"),
+    "format": dict(choices=("lines", "json")),
+    "k": dict(type=int),
+    "l": dict(type=int),
+    "q": dict(type=int),
+    "p": dict(type=int),
+    "cutoff": dict(type=int),
+    "grid": dict(type=int),
+    "base": dict(type=int),
+    "size": dict(type=_positive_int),
+    "weights": dict(choices=("unit", "random")),
+    "threshold_exp": dict(type=float),
+    "seed": dict(type=int),
+    "sizes": dict(type=_positive_ints, help="comma-separated positive integers"),
+    "kind": dict(choices=("l1_growth", "surplus_vs_N", "phi_profile"), required=True),
+    "out": dict(help="write the output here instead of stdout"),
+}
+
+# the flags each subcommand's stages read
+_COMMAND_FLAGS = {
+    "analyze": ("input", "format", "threshold_exp", "out"),
+    "extract": ("input", "format", "k", "l", "threshold_exp", "out"),
+    "verify": ("input", "format", "q", "p", "cutoff", "out"),
+    "phi": ("size", "base", "grid", "weights", "seed", "out"),
+    "lp": ("sizes", "seed", "out"),
+    "oracle": ("input", "format", "k", "l", "out"),
+    "report": ("kind", "sizes", "k", "l", "q", "p", "size", "base", "grid", "out"),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sumfree",
@@ -240,56 +273,22 @@ def _parser() -> argparse.ArgumentParser:
         "Fourier/sieve toolkit behind it",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "extract", "verify", "phi", "lp", "oracle", "report"):
+    for name, flags in _COMMAND_FLAGS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--input", help="set file, or - for stdin")
-        sp.add_argument("--format", choices=("lines", "json"), default="lines")
-        sp.add_argument("--k", type=int, default=2)
-        sp.add_argument("--l", type=int, default=1)
-        sp.add_argument("--q", type=int, default=5)
-        sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--cutoff", type=int, default=2000)
-        sp.add_argument("--grid", type=int, default=1 << 17)
-        sp.add_argument("--base", type=int, default=100)
-        sp.add_argument("--size", type=int, default=10101)
-        sp.add_argument("--weights", choices=("unit", "random"), default="unit")
-        sp.add_argument("--threshold-exp", type=float, default=0.5)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--sizes", type=str, default="")
-        sp.add_argument(
-            "--kind",
-            choices=("l1_growth", "surplus_vs_N", "phi_profile"),
-            default=None,
-        )
-        sp.add_argument("--out", default=None)
+        for flag in flags:
+            sp.add_argument(
+                "--" + flag.replace("_", "-"),
+                default=getattr(RunConfig, flag),
+                **_FLAGS[flag],
+            )
     return ap
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    sizes = tuple(int(s) for s in args.sizes.split(",") if s) if args.sizes else ()
-    config = RunConfig(
-        command=args.command,
-        input=args.input,
-        format=args.format,
-        k=args.k,
-        l=args.l,
-        q=args.q,
-        p=args.p,
-        cutoff=args.cutoff,
-        grid=args.grid,
-        base=args.base,
-        size=args.size,
-        weights=args.weights,
-        threshold_exp=args.threshold_exp,
-        seed=args.seed,
-        sizes=sizes,
-        kind=args.kind,
-        out=args.out,
-    )
+    config = RunConfig(**vars(_parser().parse_args(argv)))
     try:
         report = run(config)
-    except (ParseError, FileNotFoundError, MissingStageError) as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # invariant violations from the pipeline
@@ -298,7 +297,7 @@ def main(argv=None) -> int:
     if config.command == "verify" and not report["stages"]["verify"]["all_equal"]:
         print("identity verification failed", file=sys.stderr)
         return 1
-    if config.command == "report" and config.kind:
+    if config.command == "report":
         payload = emit_plotdata(report, config.kind)
     else:
         payload = json.dumps(report, indent=2, default=str)

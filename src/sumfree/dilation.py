@@ -25,7 +25,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .arcs import ArcSet, canonical_omega, pullback, is_arc_kl_sumfree, OMEGA_21
+from .arcs import ArcSet, canonical_omega, is_arc_kl_sumfree, OMEGA_21
 from .sets import IntegerSet, is_kl_sumfree
 
 MEMORY_BUDGET = 2**32
@@ -119,10 +119,17 @@ class PiecewiseConstantFn:
 
     def eval(self, x) -> Fraction:
         """Value at x mod 1; x must not be a breakpoint."""
-        x = Fraction(x) % 1
-        i = bisect_right(range(len(self.levels)), x, key=self._point) - 1
-        if self._point(i) == x:
-            raise ValueError(f"{x} is a breakpoint")
+        x = Fraction(x)
+        a, b = x.numerator % x.denominator, x.denominator
+
+        def side(i: int) -> int:
+            # sign of breakpoint i minus a/b, by an integer cross product
+            d = int(self.breakpoints[i, 0]) * b - a * int(self.breakpoints[i, 1])
+            return (d > 0) - (d < 0)
+
+        i = bisect_right(range(len(self.levels)), 0, key=side) - 1
+        if side(i) == 0:
+            raise ValueError(f"{Fraction(a, b)} is a breakpoint")
         return self._value(i)
 
     def shift_const(self, c: Fraction) -> "PiecewiseConstantFn":
@@ -247,22 +254,21 @@ class ExtractionCertificate:
         )
 
 
-def candidate_arcs(A_geometric: bool, k: int, l: int) -> list[ArcSet]:
+def candidate_arcs(k: int, l: int) -> list[ArcSet]:
     """Single-interval candidates for extraction.
 
     For (2,1) this is the arc (1/3, 2/3).  For (2m,4m) the candidates are the
     individual intervals of the two canonical pullback systems; each interval
     is (2m,4m)-sum-free on its own (the union of a system generally is not).
-    For geometric host sets the intervals of the (1/3,2/3)-arc pullback under
-    x -> 2m*x join the pool, realizing the rescaling route.
+    Pulling (1/3, 2/3) back by 2m gives the same intervals as pulling
+    Omega_1 u Omega_2 back by m, so the rescaling route through the (2,1) arc
+    adds no candidate.
     """
     if (k, l) == (2, 1):
         return [OMEGA_21]
     candidates = []
     for variant in (1, 2):
         candidates.extend(canonical_omega(k, l, variant).singletons())
-    if A_geometric and k % 2 == 0 and l == 2 * k:
-        candidates.extend(pullback(OMEGA_21, k).singletons())
     return candidates
 
 
@@ -271,11 +277,10 @@ def extract_certified(
     k: int,
     l: int,
     arcs: list[ArcSet] | None = None,
-    include_lacunary_route: bool = False,
 ) -> ExtractionCertificate:
     """Best certified (k,l)-sum-free subset over the candidate arc systems."""
     if arcs is None:
-        arcs = candidate_arcs(include_lacunary_route, k, l)
+        arcs = candidate_arcs(k, l)
     elif not all(is_arc_kl_sumfree(O, k, l) for O in arcs):
         raise ValueError(f"a supplied arc system is not ({k},{l})-sum-free")
     if not arcs:

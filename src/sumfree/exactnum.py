@@ -68,14 +68,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)
 
-    def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not a plain rational: {self}")
-        return self.a
-
     def to_complex(self) -> complex:
         return complex(
             float(self.a) + _SQRT3 * float(self.c),
@@ -186,6 +178,3 @@ class PrefactorMismatch(TypeError):
 
 PF_ONE = Prefactor()
 PF_PI_INV = Prefactor(Fraction(1), 0, -1)
-PF_SQRT3_PI = Prefactor(Fraction(1), 1, -1)
-PF_SQRT3_2PI = Prefactor(Fraction(1, 2), 1, -1)
-PF_2_PI = Prefactor(Fraction(2), 0, -1)

@@ -26,7 +26,6 @@ from .arcs import OMEGA_21, OMEGA_1, OMEGA_2
 from .exactnum import (
     ExactScalar,
     Prefactor,
-    PrefactorMismatch,
     PF_ONE,
     PF_PI_INV,
     ZERO,
@@ -76,12 +75,6 @@ class TrigPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_real(self) -> bool:
-        return all(
-            (self.coeff(-n) - c.conjugate()).is_zero()
-            for n, c in self.coeffs.items()
-        )
-
     def _aligned(self, other: "TrigPoly") -> "TrigPoly":
         """other rebased onto self's prefactor (exact, or a type error)."""
         if other.prefactor == self.prefactor:
@@ -106,11 +99,6 @@ class TrigPoly:
             s = ExactScalar.of(Fraction(s))
         return TrigPoly.of(
             {n: c * s for n, c in self.coeffs.items()}, self.prefactor
-        )
-
-    def shift_frequencies(self, d: int) -> "TrigPoly":
-        return TrigPoly.of(
-            {n + d: c for n, c in self.coeffs.items()}, self.prefactor
         )
 
     def defect(self, other: "TrigPoly") -> tuple[ExactScalar, int | None]:
@@ -254,19 +242,23 @@ class GridFn:
         return np.fft.fft(self.samples) / self.M
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(2, (n - 1).bit_length())
-
-
-def sample_grid(p: TrigPoly, M: int | None = None) -> GridFn:
-    """Evaluate p at the M-point grid via an inverse FFT (alias-free)."""
-    d = p.degree
+def grid_size(degree: int, M: int | None = None) -> int:
+    """M checked against the 8x-degree rule of the certified norms, or by
+    default the least power of two >= max(8 * degree, 256)."""
     if M is None:
-        M = _next_pow2(max(8 * d, 256))
-    if M < 8 * max(d, 1):
-        raise ResolutionError(f"grid {M} too coarse for degree {d}")
+        return 1 << max(8, (8 * degree - 1).bit_length())
+    if M < 8 * max(degree, 1):
+        raise ResolutionError(f"grid {M} too coarse for degree {degree}")
+    return M
+
+
+def sample_grid(p, M: int) -> GridFn:
+    """Samples of a TrigPoly or an {n: complex} table on the M-point grid,
+    via an inverse FFT.  Frequencies fold mod M, so the samples are exact
+    only when M exceeds the spread of the spectrum."""
+    coeffs = p.to_complex_coeffs() if isinstance(p, TrigPoly) else p
     spec = np.zeros(M, dtype=complex)
-    for n, c in p.to_complex_coeffs().items():
+    for n, c in coeffs.items():
         spec[n % M] += c
     return GridFn(np.fft.ifft(spec) * M)
 
@@ -295,16 +287,13 @@ def grid_norms(p, which: str, M: int | None = None) -> tuple[float, float]:
     cc = p.to_complex_coeffs()
     if which == "L2":
         return math.sqrt(sum(abs(c) ** 2 for c in cc.values())), 0.0
-    g = sample_grid(p, M)
-    M = g.M
-    vals = np.abs(g.samples)
+    M = grid_size(d, M)
+    vals = np.abs(sample_grid(cc, M).samples)
     if which == "L1":
         deriv_l2 = math.sqrt(
             sum((2 * math.pi * abs(n) * abs(c)) ** 2 for n, c in cc.items())
         )
         return float(vals.mean()), deriv_l2 / M
     gmax = float(vals.max())
-    if math.pi * d / M >= 1:
-        raise ResolutionError("grid too coarse to certify a sup bound")
     upper = gmax / (1 - math.pi * d / M)
     return gmax, upper - gmax

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import TrigPoly, grid_norms
+from .fourier import TrigPoly, grid_norms, grid_size, sample_grid
 from .sets import IntegerSet, triadic_index
 
 GRID_DEGREE_LIMIT = 1 << 20
@@ -65,25 +65,19 @@ def square_function_lp(d: BlockDecomposition, p: float, M: int | None = None) ->
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    from .fourier import sample_grid, _next_pow2
-
     deg = max(b.degree for b in d.blocks.values())
     if p == 2:
         total = 0.0
         for b in d.blocks.values():
             total += sum(abs(c) ** 2 for c in b.to_complex_coeffs().values())
         return math.sqrt(total), 0.0
-    if M is None:
-        M = _next_pow2(max(8 * deg, 256))
+    M = grid_size(deg, M)
     sq = np.zeros(M)
     deriv_sq = 0.0
     for b in d.blocks.values():
-        samples = sample_grid(b, M).samples
-        sq += np.abs(samples) ** 2
-        deriv_sq += sum(
-            (2 * math.pi * abs(n) * abs(c)) ** 2
-            for n, c in b.to_complex_coeffs().items()
-        )
+        cc = b.to_complex_coeffs()
+        sq += np.abs(sample_grid(cc, M).samples) ** 2
+        deriv_sq += sum((2 * math.pi * abs(n) * abs(c)) ** 2 for n, c in cc.items())
     S = np.sqrt(sq)
     value = float((S**p).mean()) ** (1 / p)
     var_bound = math.sqrt(deriv_sq)

@@ -28,13 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SieveContext, rough_integers
 from .exactnum import ExactScalar, PF_ONE
-from .fourier import GridFn, TrigPoly
+from .fourier import GridFn, TrigPoly, sample_grid
 from .sets import IntegerSet
-
-SUP_SLACK = 1e-3
-DELTA_NUM = 1e-6
 
 
 class ResourceError(RuntimeError):
@@ -142,23 +138,15 @@ def build_pk(part: BlockPartition, k: int, tau) -> dict[int, complex]:
     }
 
 
-def _pk_tilde_samples(part: BlockPartition, k: int, tau, M: int) -> np.ndarray:
-    spec = np.zeros(M, dtype=complex)
-    blk = part.blocks[k]
-    for m in blk:
-        spec[m % M] += tau(m) / len(blk)
-    return np.fft.ifft(spec) * M
-
-
 def build_qk(part: BlockPartition, k: int, tau, M: int) -> dict[int, complex]:
     """Coefficient table of Q_k, supported exactly in [-w_k, 0]."""
     a, b = part.interval(k)
     if M < 4 * (b + part.width(k)):
         raise ResourceError("grid too coarse for the block spectrum")
-    u = np.abs(_pk_tilde_samples(part, k, tau, M))
+    blk = part.blocks[k]
+    u = np.abs(sample_grid({m: tau(m) / len(blk) for m in blk}, M).samples)
     v = hilbert(u).real
-    q = np.exp(-(u - 1j * v))
-    spec = np.fft.fft(q) / M
+    spec = GridFn(np.exp(-(u - 1j * v))).coefficients()
     C = part.width(k) + 1
     out = {}
     for d in range(C):
@@ -166,17 +154,6 @@ def build_qk(part: BlockPartition, k: int, tau, M: int) -> dict[int, complex]:
         if c != 0:
             out[-d] = complex(c)
     return out
-
-
-def _sample(coeffs: dict[int, complex], M: int) -> np.ndarray:
-    spec = np.zeros(M, dtype=complex)
-    for n, c in coeffs.items():
-        spec[n % M] += c
-    return np.fft.ifft(spec) * M
-
-
-def _to_coeffs(samples: np.ndarray) -> np.ndarray:
-    return np.fft.fft(samples) / len(samples)
 
 
 def _unimodular_tau(w) -> callable:
@@ -236,20 +213,20 @@ def build_phi(B: IntegerSet, w, b: int = 100, M: int = 1 << 17):
     qks = [build_qk(part, k, tau, M) for k in range(part.k0 + 1)]
 
     # Recursion on the grid: Phi_k = Q_k * Phi_{k-1} + P_k.
-    phi = _sample(pks[0], M)
+    phi = sample_grid(pks[0], M).samples
     for k in range(1, part.k0 + 1):
-        phi = _sample(qks[k], M) * phi + _sample(pks[k], M)
-    spec = _to_coeffs(phi)
+        phi = sample_grid(qks[k], M).samples * phi + sample_grid(pks[k], M).samples
+    spec = GridFn(phi).coefficients()
 
     # Explicit expansion: Phi = sum_k (prod_{j>k} Q_j) P_k.
     explicit = np.zeros(M, dtype=complex)
     for k in range(part.k0 + 1):
-        term = _sample(pks[k], M)
+        term = sample_grid(pks[k], M).samples
         for j in range(k + 1, part.k0 + 1):
-            term = term * _sample(qks[j], M)
+            term = term * sample_grid(qks[j], M).samples
         explicit += term
     explicit_agreement = float(
-        np.max(np.abs(_to_coeffs(explicit) - spec))
+        np.max(np.abs(GridFn(explicit).coefficients() - spec))
     )
 
     coeff_table = {m: complex(spec[m % M]) for m in B}
@@ -265,11 +242,8 @@ def build_phi(B: IntegerSet, w, b: int = 100, M: int = 1 << 17):
         ratios = [
             abs(coeff_table[m] - pks[k][m]) / abs(pks[k][m]) for m in blk
         ]
-        pq_sup = float(
-            np.max(
-                np.abs(_sample(pks[k], M)) / 10 + np.abs(_sample(qks[k], M))
-            )
-        )
+        p_abs = np.abs(sample_grid(pks[k], M).samples)
+        pq_sup = float(np.max(p_abs / 10 + np.abs(sample_grid(qks[k], M).samples)))
         per_block.append(
             {
                 "k": k,
@@ -290,7 +264,7 @@ def build_phi(B: IntegerSet, w, b: int = 100, M: int = 1 << 17):
         M2 *= 2
     nz = {int(n if n < M // 2 else n - M): complex(c)
           for n, c in enumerate(spec) if abs(c) > 1e-14}
-    sup_grid = float(np.max(np.abs(_sample(nz, M2))))
+    sup_grid = float(np.max(np.abs(sample_grid(nz, M2).samples)))
     sup_bound = sup_grid / (1 - math.pi * degree / M2)
 
     elems = list(B.elements)
@@ -315,69 +289,3 @@ def build_phi(B: IntegerSet, w, b: int = 100, M: int = 1 << 17):
 def pairing(f_coeffs: dict[int, complex], phi_coeffs: dict[int, complex]) -> complex:
     """S = sum_m w(m) Phi-hat(m) = integral f(x) Phi(-x) dx."""
     return sum(c * phi_coeffs.get(m, 0) for m, c in f_coeffs.items())
-
-
-def proj_diagnostic(A: IntegerSet, a, ctx: SieveContext, R: int) -> dict:
-    """Exact l2 mass of the truncated rough-dilate sum against the
-    Q^{-1/15} |A_R|^{1/2} yardstick."""
-    coeffs: dict[int, complex] = {}
-    for m in A:
-        for n in rough_integers(ctx, R // m if m else 0):
-            an = a(n) if callable(a) else (a.get(n, 1) if a else 1)
-            if abs(an) > 1:
-                raise ValueError("coefficients must satisfy |a_n| <= 1")
-            coeffs[n * m] = coeffs.get(n * m, 0) + an / n
-    norm = math.sqrt(sum(abs(c) ** 2 for c in coeffs.values()))
-    A_R = len([m for m in A if m < R])
-    yardstick = ctx.Q ** (-1 / 15) * math.sqrt(A_R) if A_R else 0.0
-    return {
-        "R": R,
-        "Q": ctx.Q,
-        "l2": norm,
-        "A_R": A_R,
-        "yardstick": yardstick,
-        "ratio": norm / yardstick if yardstick else math.inf if norm else 0.0,
-    }
-
-
-def corollary_check(
-    B: IntegerSet,
-    w,
-    beta_set,
-    a,
-    ctx: SieveContext,
-    b: int = 100,
-    M: int = 1 << 17,
-    R: int | None = None,
-) -> dict:
-    """Both sides of the perturbed L1 lower bound: the pairing chain
-    |S| - sum_beta |cross(beta)| <= ||g||_1 ||Phi||_inf, with the rough
-    dilates truncated to the alias-free window."""
-    phi_coeffs, cert = build_phi(B, w, b, M)
-    wt = lambda m: (w(m) if callable(w) else w.get(m, 0))
-    g_coeffs = {m: complex(wt(m)) for m in B}
-    if R is None:
-        R = M // (2 * max(abs(int(beta)) for beta in beta_set) + 2) if beta_set else M // 2
-    cross_terms = []
-    for beta in beta_set:
-        cross = 0.0 + 0j
-        for m in B:
-            for n in rough_integers(ctx, R // m):
-                an = a(n) if callable(a) else (a.get(n, 1) if a else 1)
-                freq = int(beta) * m * n
-                g_coeffs[freq] = g_coeffs.get(freq, 0) + an / n
-                cross += (an / n) * phi_coeffs.get(freq, 0)
-        cross_terms.append(abs(cross))
-    S = pairing({m: complex(wt(m)) for m in B}, phi_coeffs)
-    samples = _sample(g_coeffs, M)
-    l1_grid = float(np.mean(np.abs(samples)))
-    lower = (abs(S) - sum(cross_terms)) / cert.sup_bound
-    return {
-        "pairing": abs(S),
-        "cross_terms": cross_terms,
-        "sup_bound": cert.sup_bound,
-        "l1_grid": l1_grid,
-        "chain_lower_bound": lower,
-        "target": cert.pairing_constant * cert.pairing_target,
-        "ok": l1_grid + DELTA_NUM >= lower,
-    }

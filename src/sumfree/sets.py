@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,7 +44,8 @@ class IntegerSet:
         return len(self.elements)
 
     def __contains__(self, x):
-        return x in set(self.elements)
+        i = bisect_left(self.elements, x)
+        return i < len(self.elements) and self.elements[i] == x
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,9 @@ N1 and N2 meet only in 1 and the divisor sums telescope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arcs import OMEGA_21, OMEGA_1, OMEGA_2
+from .arcs import OMEGA_1, OMEGA_2
 from .arith import (
     SieveContext,
     chi3,
@@ -49,28 +48,8 @@ from .sets import IntegerSet, structure
 IDENTITY_IDS = ("sec2_f", "gamma_sieved", "lambda1", "g1", "final")
 
 
-@dataclass(frozen=True)
-class SievedSeries:
-    lhs: TrigPoly
-    rhs: TrigPoly
-    cutoff: int
-    context: SieveContext
-    identity_id: str
-
-
 def _lambda_hat(n: int) -> ExactScalar:
     return fhat_t(n, 1) - fhat_t(n, 2)
-
-
-def _min_lpf_rough(limit: int, P: int) -> list[int]:
-    """Integers in [1, limit] with least prime factor >= P (1 included)."""
-    if limit < 1:
-        return []
-    alive = bytearray([1]) * (limit + 1)
-    for p in primes_upto(min(limit, P - 1)):
-        alive[p::p] = bytearray(len(alive[p::p]))
-    alive[1] = 1
-    return [n for n in range(1, limit + 1) if alive[n]]
 
 
 def _accumulate(coeffs, freq, value: ExactScalar):
@@ -150,13 +129,13 @@ def sieve_rhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> Tri
         return TrigPoly.of({}, PF_ONE if identity_id == "final" else PF_PI_INV)
     if identity_id == "sec2_f":
         for m in A:
-            for n in _min_lpf_rough(X // m, ctx.P):
+            for n in rough_integers(X // m, ctx.P - 1):
                 _accumulate(coeffs, n * m, fhat(n))
                 _accumulate(coeffs, -n * m, fhat(-n))
         return TrigPoly.of(coeffs, PF_PI_INV)
     if identity_id == "gamma_sieved":
         for m in A:
-            for n in rough_integers(ctx, X // (2 * m)):
+            for n in rough_integers(X // (2 * m), ctx.Q):
                 _accumulate(coeffs, 2 * n * m, fhat(n))
                 _accumulate(coeffs, -2 * n * m, fhat(-n))
         return TrigPoly.of(coeffs, PF_PI_INV)
@@ -174,7 +153,7 @@ def sieve_rhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> Tri
     if identity_id == "g1":
         # (2/pi) sum_{m in B} eps(m) sum_{n in N1} (1/n) sin(2 pi n m x)
         for m in B:
-            for n in rough_integers(ctx, X // m):
+            for n in rough_integers(X // m, ctx.Q):
                 c = ExactScalar.imag(Fraction(-eps[m], n))
                 _accumulate(coeffs, n * m, c)
                 _accumulate(coeffs, -n * m, c.conjugate())
@@ -183,7 +162,7 @@ def sieve_rhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> Tri
     for m in B:
         if 2 * m <= X:
             _accumulate(coeffs, 2 * m, ExactScalar.of(eps[m]))
-        for n in rough_integers(ctx, X // (2 * m)):
+        for n in rough_integers(X // (2 * m), ctx.Q):
             if n == 1:
                 continue
             chn = chi3(n)
@@ -198,8 +177,8 @@ def sieve_rhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> Tri
 
 def _eta_support(ctx: SieveContext, limit: int):
     """(n, eta-like weight) pairs: 1/2 on N1, -3/2 on 3*N1, up to limit."""
-    out = [(n, Fraction(1, 2)) for n in rough_integers(ctx, limit)]
-    out += [(3 * n, Fraction(-3, 2)) for n in rough_integers(ctx, limit // 3)]
+    out = [(n, Fraction(1, 2)) for n in rough_integers(limit, ctx.Q)]
+    out += [(3 * n, Fraction(-3, 2)) for n in rough_integers(limit // 3, ctx.Q)]
     out.sort()
     return out
 
@@ -218,16 +197,6 @@ def verify_identity(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) 
         "defect": str(defect),
         "witness": witness,
     }
-
-
-def sieved_series(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> SievedSeries:
-    return SievedSeries(
-        lhs=sieve_lhs(identity_id, A, ctx, X),
-        rhs=sieve_rhs(identity_id, A, ctx, X),
-        cutoff=X,
-        context=ctx,
-        identity_id=identity_id,
-    )
 
 
 def _h(r: int) -> Fraction:
@@ -311,28 +280,3 @@ def l1_lower_report(A: IntegerSet, ctx: SieveContext, mertens_bound: int = 10**4
         "winner_argmax": frac(x_at),
         "max_ge_half_l1": max_val >= norms[winner] / 2,
     }
-
-
-def l2_squared(p: TrigPoly) -> ExactScalar:
-    """Exact sum of |c_n|^2 over the coefficient table (prefactor excluded)."""
-    out = ZERO
-    for c in p.coeffs.values():
-        out = out + c * c.conjugate()
-    return out
-
-
-def sec2_tail_constant(A: IntegerSet, ctx: SieveContext, X: int) -> float:
-    """Measured C in ||tail||_2 <= C |A| P^{-1/2} for the n > 1 survivors."""
-    rhs = sieve_rhs("sec2_f", A, ctx, X)
-    head: dict[int, ExactScalar] = {}
-    for m in A:
-        if m <= X:
-            _accumulate(head, m, fhat(1))
-            _accumulate(head, -m, fhat(-1))
-    tail = rhs - TrigPoly.of(head, PF_PI_INV)
-    import math
-
-    l2 = math.sqrt(l2_squared(tail).to_complex().real) * abs(
-        PF_PI_INV.to_float()
-    )
-    return l2 * math.sqrt(ctx.P) / len(A)

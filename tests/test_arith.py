@@ -9,7 +9,6 @@ from sumfree.arith import (
     chi3,
     eta,
     gamma4,
-    is_rough,
     is_strictly_rough,
     mobius,
     odd_smooth_squarefree,
@@ -64,22 +63,25 @@ def test_odd_smooth_squarefree():
     assert odd_smooth_squarefree(CTX5, 30) == [1, 3, 5, 15]
 
 
-def test_is_rough():
-    assert is_rough(1, CTX5)
-    assert is_rough(35, CTX5)
-    assert not is_rough(10, SieveContext(Q=7, P=101))
-
-
 def test_rough_meets_smooth_only_at_one():
     smooth = set(smooth_squarefree(CTX5, 500))
-    rough = set(rough_integers(CTX5, 500))
+    rough = set(rough_integers(500, CTX5.Q))
     assert smooth & rough == {1}
 
 
 def test_rough_integers_matches_strict_predicate():
-    rough = rough_integers(CTX5, 300)
+    rough = rough_integers(300, CTX5.Q)
     for n in range(1, 301):
         assert (n in rough) == is_strictly_rough(n, CTX5)
+
+
+def test_rough_integers_prime_bound_and_full_range():
+    # bound P - 1 strikes every prime below P, as the sec2_f right side needs
+    rough = rough_integers(20000, 100)
+    ctx97 = SieveContext(Q=97, P=101)
+    assert rough == [n for n in range(1, 20001) if is_strictly_rough(n, ctx97)]
+    # the whole requested range is sieved, with no cap below it
+    assert rough_integers(2 * 10**6, 5)[-1] == 1999999
 
 
 def test_eta_values():

@@ -59,3 +59,31 @@ def test_parse_error_exits_2(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("0\n")
     assert main(["analyze", "--input", str(p)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lp", "--sizes", "a"],
+        ["lp", "--sizes", "16,0"],
+        ["phi", "--size", "0"],
+        ["phi", "--size", "x"],
+    ],
+)
+def test_bad_number_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_flags_belong_to_their_subcommand(set_file, capsys):
+    # --cutoff is read by verify only
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "--input", set_file, "--cutoff", "200"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["lp", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--sizes" in help_text and "--seed" in help_text
+    assert "--input" not in help_text and "--cutoff" not in help_text
+

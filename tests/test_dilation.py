@@ -93,6 +93,8 @@ def test_weighted_count_exact_on_every_piece():
             mid = (lo + hi) / 2
             value = sum(w for n in A for a, b, w in arcs if a < n * mid % 1 < b) - F(1, 3)
             assert g.eval(mid) == value
+            with pytest.raises(ValueError):
+                g.eval(lo + 1)  # a breakpoint, taken mod 1
             integral += value * (hi - lo)
             l1 += abs(value) * (hi - lo)
         assert g.integral() == integral

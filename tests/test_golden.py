@@ -1,0 +1,101 @@
+"""Golden reports: every subcommand on a fixed small input gives the stored
+report, `timings` aside.
+
+Comparisons are exact, except that floats of the numpy-driven reports (phi,
+phi_profile, lp) may differ by a relative 1e-12, so the test survives other
+numpy builds.  Regenerate the files with `python tests/test_golden.py`
+(with `src` on the path) only when a report is meant to change.
+"""
+
+import json
+import math
+import pathlib
+import sys
+
+import pytest
+
+from sumfree.cli import RunConfig, run
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+SETS = {
+    "mixed": (1, 2, 5, 7, 12, 19, 23, 31, 40, 58, 77, 101),
+    "chains": tuple(s * 3**j for s in (1, 2) for j in range(5)),
+    "small": (1, 3, 4, 9, 10),
+}
+
+# name -> (RunConfig fields, input set or None, float tolerance)
+CASES = {
+    "analyze": (dict(command="analyze"), "mixed", 0),
+    "extract_21": (dict(command="extract", k=2, l=1), "mixed", 0),
+    "extract_24": (dict(command="extract", k=2, l=4), "mixed", 0),
+    "extract_24_geometric": (dict(command="extract", k=2, l=4), "chains", 0),
+    "verify": (dict(command="verify", q=5, cutoff=150), "small", 0),
+    "oracle": (dict(command="oracle", k=2, l=1), "mixed", 0),
+    "lp": (dict(command="lp", sizes=(4, 6, 8)), None, 1e-12),
+    "phi": (
+        dict(command="phi", size=120, base=4, grid=4096, weights="random", seed=3),
+        None,
+        1e-12,
+    ),
+    "report_phi_profile": (
+        dict(command="report", kind="phi_profile", size=30, base=4, grid=256),
+        None,
+        1e-12,
+    ),
+    "report_surplus_vs_N": (
+        dict(command="report", kind="surplus_vs_N", sizes=(10, 20)),
+        None,
+        0,
+    ),
+    "report_l1_growth": (
+        dict(command="report", kind="l1_growth", sizes=(30, 40)),
+        None,
+        0,
+    ),
+}
+
+
+def _report(name, tmp_dir):
+    fields, set_name, _ = CASES[name]
+    if set_name is not None:
+        path = pathlib.Path(tmp_dir) / f"{set_name}.txt"
+        path.write_text("".join(f"{n}\n" for n in SETS[set_name]))
+        fields = dict(fields, input=str(path))
+    report = json.loads(json.dumps(run(RunConfig(**fields)), default=str))
+    del report["timings"]
+    if set_name is not None:
+        report["config"]["input"] = f"{set_name}.txt"
+    return report
+
+
+def _assert_same(got, want, rel, where="report"):
+    if isinstance(want, float) and isinstance(got, float) and rel:
+        assert math.isclose(got, want, rel_tol=rel, abs_tol=rel), where
+    elif isinstance(want, dict) and isinstance(got, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_same(got[key], want[key], rel, f"{where}.{key}")
+    elif isinstance(want, list) and isinstance(got, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, rel, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, tmp_path):
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    _assert_same(_report(name, tmp_path), want, CASES[name][2])
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CASES:
+            text = json.dumps(_report(name, tmp), indent=1, sort_keys=True)
+            (GOLDEN / f"{name}.json").write_text(text + "\n")
+            print(name, file=sys.stderr)

@@ -5,14 +5,16 @@ import random
 import pytest
 
 from sumfree.dilation import extract_certified
-from sumfree.oracle import OracleResourceError, compare, max_sumfree_exact
+from sumfree.oracle import OracleResourceError, OracleResult, compare, max_sumfree_exact
 from sumfree.sets import IntegerSet, is_kl_sumfree
 
 
 def test_oracle_small():
     r = max_sumfree_exact(IntegerSet.of([1, 2, 3]), 2, 1)
+    assert isinstance(r, OracleResult)
     assert r.best_size == 2
     assert r.witness.elements == (2, 3)
+    assert r.to_json() == {"best_size": 2, "witness": [2, 3], "explored": r.explored}
 
 
 def test_oracle_interval():

@@ -31,6 +31,13 @@ def test_load_rejects_nonpositive():
         load_set("2\nx\n")
 
 
+def test_membership():
+    A = IntegerSet.of([2, 3, 5, 7, 11])
+    assert all(n in A for n in (2, 3, 5, 7, 11))
+    assert not any(n in A for n in (0, 1, 4, 6, 12, -3))
+    assert 1 not in IntegerSet.of([])
+
+
 def test_structure_geometric():
     r = structure(IntegerSet.of([1, 3, 9]))
     assert r.symdiff == (1, 27)

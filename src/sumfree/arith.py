@@ -127,7 +127,7 @@ def odd_smooth_squarefree(ctx: SieveContext, limit: int) -> list[int]:
 
 def sec2_sieve_set(ctx: SieveContext, limit: int) -> list[int]:
     """Squarefree integers generated by primes strictly below P, up to limit."""
-    return squarefree_smooth([p for p in primes_upto(ctx.P) if p < ctx.P], limit)
+    return squarefree_smooth([p for p in primes_upto(min(ctx.P, limit)) if p < ctx.P], limit)
 
 
 def is_strictly_rough(n: int, ctx: SieveContext) -> bool:

@@ -19,14 +19,14 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import __version__
-from .arith import SieveContext, next_prime_at_least
+from .arith import SieveContext, is_prime, next_prime_at_least
 from .dilation import extract_certified
 from .fourier import sample_grid
 from .lp import lacunary_l1_diagnostic
 from .mps import build_phi
 from .oracle import compare
 from .sets import IntegerSet, ParseError, generate, load_set, structure
-from .sieve import IDENTITY_IDS, l1_lower_report, verify_identity
+from .sieve import IDENTITY_IDS, SIEVE_CUTOFF_CAP, l1_lower_report, verify_identity
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,16 @@ def emit_plotdata(report: dict, kind: str) -> str:
     return buf.getvalue()
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return int(text)
+def _int_type(what: str, ok):
+    """argparse type: an integer v with ok(v), else a usage error."""
+    def parse(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or not ok(int(text)):
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return int(text)
+    return parse
+
+
+_positive_int = _int_type("a positive integer", lambda v: v >= 1)
 
 
 def _positive_ints(text: str) -> tuple[int, ...]:
@@ -240,11 +246,12 @@ _FLAGS = {
     "format": dict(choices=("lines", "json")),
     "k": dict(type=int),
     "l": dict(type=int),
-    "q": dict(type=int),
-    "p": dict(type=int),
-    "cutoff": dict(type=int),
-    "grid": dict(type=int),
-    "base": dict(type=int),
+    "q": dict(type=_int_type("a prime >= 3", lambda v: v >= 3 and is_prime(v))),
+    "p": dict(type=_int_type("a prime", is_prime)),
+    "cutoff": dict(type=_int_type(f"an integer in [1, {SIEVE_CUTOFF_CAP}]",
+                                  lambda v: 1 <= v <= SIEVE_CUTOFF_CAP)),
+    "grid": dict(type=_int_type("a power of two >= 4", lambda v: v >= 4 and not v & (v - 1))),
+    "base": dict(type=_int_type("an integer >= 4", lambda v: v >= 4)),
     "size": dict(type=_positive_int),
     "weights": dict(choices=("unit", "random")),
     "threshold_exp": dict(type=float),

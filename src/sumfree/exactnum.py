@@ -62,9 +62,6 @@ class ExactScalar:
         r = Fraction(r)
         return ExactScalar(self.a * r, self.b * r, self.c * r, self.d * r)
 
-    def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.a, -self.b, self.c, -self.d)
-
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)
 

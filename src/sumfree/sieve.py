@@ -18,6 +18,23 @@ Identity ids:
 All series are truncated to |frequency| <= X; every sum below is finite and
 exact, so equality is decided with defect exactly 0 in the ring Q(i, sqrt3).
 
+Integer tables.  Every coefficient of one identity lies on one line unit*Q,
+so a side is held as integer numerators: the coefficient at the (signed)
+frequency F is unit * num(F) / (2F).  In units of 1/pi,
+    fhat(n)                     = sqrt3 * kappa_f(n) / (2n),  kappa_f = -chi,
+    fhat_t(n,1) - fhat_t(n,2)   = i * kappa_L(n) / (2n),      kappa_L = -4h,
+with h = gamma4(n) sin(n pi/6) (see _h); both kappas are 12-periodic
+integers.  sec2_f and gamma_sieved sum fhat only (unit sqrt3); lambda1 and
+g1 sum the Lambda coefficients only (unit i); final multiplies fhat by
+sqrt3/3 and the Lambda coefficients by i/2, both rational (unit 1).  A
+left-side term c(t)/t * hat(n), c integer, sits at F = scale*t*n*m, and
+1/(t n) = scale*m/F, so its numerator is scale*m*c(t)*kappa(n).  The left
+side is thus one singleton table S[j] = sum_{t | j} c(t) kappa(j/t), an
+integer Dirichlet convolution, scattered onto the frequencies scale*m*j for
+each m in A: the same finite triple sum, regrouped.  The right side is built
+from the rough integers directly, and the sides are equal iff their
+(frequency, numerator) rows are.
+
 The t-sum for Lambda runs over odd members of N2 only: even t would
 contribute at even frequencies where gamma vanishes on the left side as
 written in closed form but not term-by-term, and the eta right side has no
@@ -27,12 +44,15 @@ N1 and N2 meet only in 1 and the divisor sums telescope.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .arcs import OMEGA_1, OMEGA_2
 from .arith import (
     SieveContext,
-    chi3,
+    gamma4,
     mobius,
     odd_smooth_squarefree,
     primes_upto,
@@ -40,151 +60,178 @@ from .arith import (
     sec2_sieve_set,
     smooth_squarefree,
 )
-from .dilation import exact_l1, weighted_count_function
-from .exactnum import ExactScalar, PF_ONE, PF_PI_INV, ZERO
-from .fourier import TrigPoly, fhat, fhat_t
+from .dilation import MEMORY_BUDGET, exact_l1, weighted_count_function
+from .exactnum import ONE, ExactScalar, PF_ONE, PF_PI_INV, Prefactor, ZERO
 from .sets import IntegerSet, structure
 
 IDENTITY_IDS = ("sec2_f", "gamma_sieved", "lambda1", "g1", "final")
 
-
-def _lambda_hat(n: int) -> ExactScalar:
-    return fhat_t(n, 1) - fhat_t(n, 2)
-
-
-def _accumulate(coeffs, freq, value: ExactScalar):
-    cur = coeffs.get(freq, ZERO) + value
-    if cur.is_zero():
-        coeffs.pop(freq, None)
-    else:
-        coeffs[freq] = cur
-
-
-def _sieved_sum(coeffs, A, ts, weights, hat, scale: int, X: int, post=None):
-    """Adds sum_{t, m, n} weight(t) * post * hat(n) e(scale*n*t*m*x) for
-    |freq| <= X.  hat is a real function's coefficient table, so the
-    negative-frequency value is its conjugate; post multiplies both."""
-    for m in A:
-        for t, w in zip(ts, weights):
-            top = X // (scale * t * m)
-            for n in range(1, top + 1):
-                c = hat(n)
-                if c.is_zero():
-                    continue
-                pos, neg = c.scale(w), c.conjugate().scale(w)
-                if post is not None:
-                    pos, neg = pos * post, neg * post
-                _accumulate(coeffs, scale * n * t * m, pos)
-                _accumulate(coeffs, -scale * n * t * m, neg)
+# Peak bytes of a verify_identity call per unit of cutoff X: dense +-F numerator
+# and singleton tables (16 each), rows of both sides (16 per row, at most 2X rows
+# each) and the rough integers; tracemalloc measured 100 at 1.5 rows per unit X.
+BYTES_PER_CUTOFF = 128
+SIEVE_CUTOFF_CAP = MEMORY_BUDGET // BYTES_PER_CUTOFF
+# int64 stays exact under the cap: num(F) gathers at most 3 components of
+# terms scale*m*c(t)*kappa(n) with |c*kappa| <= 4, scale*m | F and
+# t | F/(scale*m), so |num| <= 12*sigma(F)*d(F) on the left, 6*sigma(F) on
+# the right, and below 24*sigma(F)*d(F) for their difference.  For
+# F < 10**9, sigma(F) < 6F and d(F) <= 1344, so |num| < 2*10**14 < 2**63.
 
 
-def sieve_lhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> TrigPoly:
-    """Exact truncation of the sieved sum (the 'hard' side of each identity)."""
+def _h(r: int) -> Fraction:
+    """gamma(r) * sin(r pi / 6); rational because gamma kills even r."""
+    # 2 sin(r pi/6) for odd r: +-1 when 3 does not divide r, +-2 otherwise
+    return gamma4(r) * Fraction((0, 1, 0, 2, 0, 1, 0, -1, 0, -2, 0, -1)[r % 12], 2)
+
+
+_CHI = np.array([0, 1, -1], dtype=np.int64)  # chi by n mod 3
+_KAPPA_F = -_CHI[np.arange(12) % 3]  # fhat(n) = sqrt3 * kappa_f(n) / (2n)
+_KAPPA_L = np.array([int(-4 * _h(r)) for r in range(12)])  # i * kappa_L(n) / (2n)
+_S3, _I = ExactScalar.sqrt3(1), ExactScalar.imag(1)
+_SCALE = {"sec2_f": 1, "gamma_sieved": 2, "lambda1": 1, "g1": 1, "final": 2}
+_UNIT = {"sec2_f": _S3, "gamma_sieved": _S3, "lambda1": _I, "g1": _I, "final": ONE}
+
+
+@dataclass(frozen=True, eq=False)
+class SieveTable:
+    """prefactor * sum_F unit * num(F)/(2F) e(Fx), held as a sorted int64
+    array of (F, num) rows, one per nonzero coefficient."""
+
+    prefactor: Prefactor
+    unit: ExactScalar
+    coeffs: np.ndarray
+
+    def coeff(self, n: int) -> ExactScalar:
+        i = int(np.searchsorted(self.coeffs[:, 0], n))
+        if i == len(self.coeffs) or self.coeffs[i, 0] != n:
+            return ZERO
+        return self.unit.scale(Fraction(int(self.coeffs[i, 1]), 2 * n))
+
+    def defect(self, other: "SieveTable") -> tuple[ExactScalar, int | None]:
+        """(self - other at the witness, witness): the witness is the
+        differing frequency of largest |coefficient|; (0, None) if equal."""
+        if (self.prefactor, self.unit) != (other.prefactor, other.unit):
+            raise ValueError("tables over different prefactors or units")
+        if np.array_equal(self.coeffs, other.coeffs):
+            return ZERO, None
+        diff = dict(self.coeffs.tolist())
+        for F, num in other.coeffs.tolist():
+            diff[F] = diff.get(F, 0) - num
+        witness, worst = None, 0
+        for F, d in sorted(diff.items()):
+            # |d/F| > |worst/witness|, by an integer cross product
+            if d and (witness is None or abs(d * witness) > abs(worst * F)):
+                witness, worst = F, d
+        return (ZERO if witness is None else self.unit.scale(Fraction(worst, 2 * witness))), witness
+
+
+def _check(identity_id: str, X: int) -> None:
     if identity_id not in IDENTITY_IDS:
         raise ValueError(f"unknown identity {identity_id!r}")
-    if X < 1:
-        raise ValueError("cutoff must be >= 1")
-    coeffs: dict[int, ExactScalar] = {}
-    if len(A) == 0:
-        return TrigPoly.of({}, PF_ONE if identity_id == "final" else PF_PI_INV)
-    maxX = X // min(A)
+    if not 1 <= X <= SIEVE_CUTOFF_CAP:
+        raise ValueError(f"cutoff must be in [1, {SIEVE_CUTOFF_CAP}], got {X}")
+
+
+def _table(identity_id: str, num: np.ndarray) -> SieveTable:
+    """Sorted rows of a dense table whose row 0 holds +F and row 1 holds -F."""
+    neg, pos = np.flatnonzero(num[1])[::-1], np.flatnonzero(num[0])
+    rows = np.empty((len(neg) + len(pos), 2), np.int64)
+    rows[: len(neg), 0], rows[: len(neg), 1] = -neg, num[1, neg]
+    rows[len(neg) :, 0], rows[len(neg) :, 1] = pos, num[0, pos]
+    pf = PF_ONE if identity_id == "final" else PF_PI_INV
+    return SieveTable(pf, _UNIT[identity_id], rows)
+
+
+def _signed(ts: list[int], bound: int, chi: bool = True):
+    """Squarefree bound-smooth ts and c(t) = mu(t)chi(t) (or mu(t)), zeros
+    dropped; mu(t) = (-1)^(number of primes <= bound dividing t)."""
+    mu = np.ones(max(ts, default=0) + 1, np.int64)
+    for p in primes_upto(min(bound, len(mu) - 1)):
+        mu[p::p] *= -1
+    ts = np.array(ts, dtype=np.int64)
+    c = mu[ts] * (_CHI[ts % 3] if chi else 1)
+    return ts[c != 0], c[c != 0]
+
+
+def _lhs_terms(identity_id: str, ctx: SieveContext, J: int):
+    """(t, c(t), kappa) per component: terms c(t)/t * unit*kappa(n)/(2n) at
+    scale*t*n*m, for t*n <= J."""
     if identity_id == "sec2_f":
-        ks = sec2_sieve_set(ctx, maxX)
-        ws = [Fraction(mobius(k) * chi3(k), k) for k in ks]
-        _sieved_sum(coeffs, A, ks, ws, fhat, 1, X)
-        return TrigPoly.of(coeffs, PF_PI_INV)
+        return [(*_signed(sec2_sieve_set(ctx, J), ctx.P - 1), _KAPPA_F)]
     if identity_id == "gamma_sieved":
-        ts = smooth_squarefree(ctx, maxX // 2 if maxX >= 2 else 0)
-        ws = [Fraction(mobius(t) * chi3(t), t) for t in ts]
-        _sieved_sum(coeffs, A, ts, ws, fhat, 2, X)
-        return TrigPoly.of(coeffs, PF_PI_INV)
+        return [(*_signed(smooth_squarefree(ctx, J), ctx.Q), _KAPPA_F)]
+    odd = _signed(odd_smooth_squarefree(ctx, J), ctx.Q, chi=False)
     if identity_id in ("lambda1", "g1"):
-        ts = odd_smooth_squarefree(ctx, maxX)
-        ws = [Fraction(mobius(t), t) for t in ts]
-        _sieved_sum(coeffs, A, ts, ws, _lambda_hat, 1, X)
-        return TrigPoly.of(coeffs, PF_PI_INV)
-    # final: -(sqrt3 pi/3) GammaSieve(x) + (sqrt3 pi/3) GammaSieve(3x)
-    #        + (i pi/2) LambdaSieve(2x); the pi factors cancel the 1/pi of
-    #        the series, so the result lives over the unit prefactor.
-    s3_3 = ExactScalar.sqrt3(Fraction(1, 3))
-    half_i = ExactScalar.imag(Fraction(1, 2))
-    ts = smooth_squarefree(ctx, maxX // 2 if maxX >= 2 else 0)
-    for sign, scale in ((-1, 2), (1, 6)):
-        ws = [Fraction(sign * mobius(t) * chi3(t), t) for t in ts]
-        _sieved_sum(coeffs, A, ts, ws, fhat, scale, X, post=s3_3)
-    tso = odd_smooth_squarefree(ctx, maxX // 2 if maxX >= 2 else 0)
-    wso = [Fraction(mobius(t), t) for t in tso]
-    _sieved_sum(coeffs, A, tso, wso, _lambda_hat, 2, X, post=half_i)
-    return TrigPoly.of(coeffs, PF_ONE)
+        return [(*odd, _KAPPA_L)]
+    # final: -(sqrt3 pi/3) GammaSieve(x) + (sqrt3 pi/3) GammaSieve(3x) + (i pi/2)
+    # LambdaSieve(2x), all at scale 2: GammaSieve(3x) takes t -> 3t with c(3t) =
+    # 3 mu(t)chi(t), and (i/2) i kappa_L(n)/(2n) = 2h(n)/(2n).  The pi factors
+    # cancel the 1/pi of the series, so the result lives over the unit prefactor.
+    ts, c = _signed(smooth_squarefree(ctx, J), ctx.Q)
+    third = ts <= J // 3
+    return [(ts, -c, _KAPPA_F), (3 * ts[third], 3 * c[third], _KAPPA_F), (*odd, -_KAPPA_L // 2)]
 
 
-def sieve_rhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> TrigPoly:
-    """Exact truncation of each identity's closed-form (sieved-out) side."""
-    if identity_id not in IDENTITY_IDS:
-        raise ValueError(f"unknown identity {identity_id!r}")
-    if X < 1:
-        raise ValueError("cutoff must be >= 1")
-    coeffs: dict[int, ExactScalar] = {}
-    if len(A) == 0:
-        return TrigPoly.of({}, PF_ONE if identity_id == "final" else PF_PI_INV)
-    if identity_id == "sec2_f":
-        for m in A:
-            for n in rough_integers(X // m, ctx.P - 1):
-                _accumulate(coeffs, n * m, fhat(n))
-                _accumulate(coeffs, -n * m, fhat(-n))
-        return TrigPoly.of(coeffs, PF_PI_INV)
-    if identity_id == "gamma_sieved":
-        for m in A:
-            for n in rough_integers(X // (2 * m), ctx.Q):
-                _accumulate(coeffs, 2 * n * m, fhat(n))
-                _accumulate(coeffs, -2 * n * m, fhat(-n))
-        return TrigPoly.of(coeffs, PF_PI_INV)
+def _singleton(identity_id: str, ctx: SieveContext, J: int) -> np.ndarray:
+    """S[j] = sum_{t | j} c(t) kappa(j/t) over the components, for j <= J;
+    row 0 at +j, row 1 at -j."""
+    S = np.zeros((2, J + 1), np.int64)
+    j = np.arange(J + 1)
+    for ts, cs, kappa in _lhs_terms(identity_id, ctx, J):
+        kap = np.stack([kappa[j % 12], kappa[-j % 12]])
+        for t, c in zip(ts.tolist(), cs.tolist()):
+            S[:, t::t] += c * kap[:, 1 : J // t + 1]
+    return S
+
+
+def sieve_lhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> SieveTable:
+    """Exact truncation of the sieved sum (the 'hard' side of each identity):
+    the singleton table S, built once, dilated onto each m in A."""
+    _check(identity_id, X)
+    scale = _SCALE[identity_id]
+    S = _singleton(identity_id, ctx, X // (scale * min(A)) if len(A) else 0)
+    num = np.zeros((2, X + 1), np.int64)
+    for m in A:
+        d = scale * m
+        num[:, d::d] += d * S[:, 1 : X // d + 1]
+    return _table(identity_id, num)
+
+
+def sieve_rhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> SieveTable:
+    """Exact truncation of each identity's closed-form (sieved-out) side:
+    numerators eps(m)*d*v(n) at +-d*n for d = scale*m and rough n."""
+    _check(identity_id, X)
+    scale = _SCALE[identity_id]
+    if identity_id in ("g1", "final"):
+        rep = structure(A)
+        ms = [(m, rep.epsilon[m]) for m in rep.symdiff]
+    else:
+        ms = [(m, 1) for m in A]
+    limit = X // (scale * ms[0][0]) if ms else 0
+    bound = ctx.P - 1 if identity_id == "sec2_f" else ctx.Q
+    ns = np.array(rough_integers(limit, bound), dtype=np.int64)
+    chi = _CHI[ns % 3]
     if identity_id == "lambda1":
-        # (2/pi)[ (1/2)sin(2 pi m x) - (1/2)sin(6 pi m x)
-        #         + sum_{n in (N1 u 3N1)\{1,3}} eta(n)/n sin(2 pi n m x) ]
-        for m in A:
-            for n, etav in _eta_support(ctx, X // m):
-                c = ExactScalar.imag(Fraction(-2) * etav / n)
-                _accumulate(coeffs, n * m, c)
-                _accumulate(coeffs, -n * m, c.conjugate())
-        return TrigPoly.of(coeffs, PF_PI_INV)
-    rep = structure(A)
-    B, eps = rep.symdiff, rep.epsilon
-    if identity_id == "g1":
-        # (2/pi) sum_{m in B} eps(m) sum_{n in N1} (1/n) sin(2 pi n m x)
-        for m in B:
-            for n in rough_integers(X // m, ctx.Q):
-                c = ExactScalar.imag(Fraction(-eps[m], n))
-                _accumulate(coeffs, n * m, c)
-                _accumulate(coeffs, -n * m, c.conjugate())
-        return TrigPoly.of(coeffs, PF_PI_INV)
-    # final
-    for m in B:
-        if 2 * m <= X:
-            _accumulate(coeffs, 2 * m, ExactScalar.of(eps[m]))
-        for n in rough_integers(X // (2 * m), ctx.Q):
-            if n == 1:
-                continue
-            chn = chi3(n)
-            _accumulate(
-                coeffs, 2 * n * m, ExactScalar.of(Fraction(eps[m] * (chn + 1), 2 * n))
-            )
-            _accumulate(
-                coeffs, -2 * n * m, ExactScalar.of(Fraction(eps[m] * (chn - 1), 2 * n))
-            )
-    return TrigPoly.of(coeffs, PF_ONE)
-
-
-def _eta_support(ctx: SieveContext, limit: int):
-    """(n, eta-like weight) pairs: 1/2 on N1, -3/2 on 3*N1, up to limit."""
-    out = [(n, Fraction(1, 2)) for n in rough_integers(limit, ctx.Q)]
-    out += [(3 * n, Fraction(-3, 2)) for n in rough_integers(limit // 3, ctx.Q)]
-    out.sort()
-    return out
+        # eta = 1/2 on N1, -3/2 on 3*N1; -2i eta/n = i * (-4 eta) / (2n)
+        ns = np.sort(np.concatenate([ns, 3 * ns[ns <= limit // 3]]))
+        vals = np.where(ns % 3 == 0, 6, -2)[None, :].repeat(2, axis=0)
+    elif identity_id == "g1":  # -i/n on N1
+        vals = np.full((2, len(ns)), -2)
+    elif identity_id == "final":  # (chi(n) +- 1)/(2n) at +-2nm
+        vals = np.stack([chi + 1, 1 - chi])
+    else:  # fhat(+-n)
+        vals = np.stack([-chi, chi])
+    num = np.zeros((2, X + 1), np.int64)
+    for m, eps in ms:
+        d = scale * m
+        k = np.searchsorted(ns, X // d, side="right")
+        num[:, d * ns[:k]] += d * eps * vals[:, :k]
+    return _table(identity_id, num)
 
 
 def verify_identity(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> dict:
-    """Exact equality decision between the two sides; defect must be 0."""
+    """Exact equality decision between the two sides: integer equality of
+    their numerator rows; the defect is built only when they differ."""
     lhs = sieve_lhs(identity_id, A, ctx, X)
     rhs = sieve_rhs(identity_id, A, ctx, X)
     defect, witness = lhs.defect(rhs)
@@ -193,21 +240,10 @@ def verify_identity(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) 
         "Q": ctx.Q,
         "P": ctx.P,
         "X": X,
-        "equal": defect.is_zero(),
+        "equal": witness is None,
         "defect": str(defect),
         "witness": witness,
     }
-
-
-def _h(r: int) -> Fraction:
-    """gamma(r) * sin(r pi / 6); rational because gamma kills even r."""
-    if r % 2 == 0:
-        return Fraction(0)
-    sign = 1 if r % 4 == 1 else -1
-    # sin(r pi/6) for odd r: +-1/2 when 3 does not divide r, +-1 otherwise
-    sinv = {1: Fraction(1, 2), 5: Fraction(1, 2), 7: Fraction(-1, 2),
-            11: Fraction(-1, 2), 3: Fraction(1), 9: Fraction(-1)}[r % 12]
-    return sign * sinv
 
 
 def inner_sum_decomposition(n: int, ctx: SieveContext) -> dict:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from sumfree.cli import main
+from sumfree.sieve import SIEVE_CUTOFF_CAP
 
 
 @pytest.fixture()
@@ -68,6 +69,12 @@ def test_parse_error_exits_2(tmp_path):
         ["lp", "--sizes", "16,0"],
         ["phi", "--size", "0"],
         ["phi", "--size", "x"],
+        ["verify", "--cutoff", "0"],
+        ["verify", "--cutoff", str(SIEVE_CUTOFF_CAP + 1)],
+        ["verify", "--q", "4"],
+        ["verify", "--p", "100"],
+        ["phi", "--base", "2"],
+        ["phi", "--grid", "1000"],
     ],
 )
 def test_bad_number_exits_2(argv):

@@ -1,19 +1,34 @@
 """Mobius sieve identities and the inner-sum decomposition."""
 
+import dataclasses
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
+import pytest
+
+from sumfree import sieve
 from sumfree.arith import (
     SieveContext,
+    chi3,
+    eta,
     gamma4,
     is_strictly_rough,
     mobius,
+    next_prime_at_least,
     odd_smooth_squarefree,
+    rough_integers,
+    sec2_sieve_set,
+    smooth_squarefree,
 )
-from sumfree.sets import IntegerSet
+from sumfree.exactnum import ONE, ExactScalar, ZERO
+from sumfree.fourier import fhat, fhat_t
+from sumfree.sets import IntegerSet, structure
 from sumfree.sieve import (
     IDENTITY_IDS,
+    SIEVE_CUTOFF_CAP,
     inner_sum_decomposition,
     l1_lower_report,
     sieve_lhs,
@@ -49,6 +64,140 @@ def test_sides_have_matching_prefactors():
         lhs = sieve_lhs(identity_id, A, CTX, 100)
         rhs = sieve_rhs(identity_id, A, CTX, 100)
         assert lhs.prefactor == rhs.prefactor
+
+
+def _lambda_hat(n):
+    return fhat_t(n, 1) - fhat_t(n, 2)
+
+
+def _reference_lhs(identity_id, A, ctx, X):
+    """The sieved triple sum over (m, t, n), term by term in Q(i, sqrt3)."""
+    out = {}
+
+    def add(ts, weight, hat, scale, post=ONE):
+        for m in A:
+            for t in ts:
+                for n in range(1, X // (scale * t * m) + 1):
+                    for s in (1, -1):
+                        F = s * scale * t * n * m
+                        out[F] = out.get(F, ZERO) + hat(s * n).scale(weight(t)) * post
+
+    mu_chi = lambda t: Fraction(mobius(t) * chi3(t), t)
+    mu = lambda t: Fraction(mobius(t), t)
+    if identity_id == "sec2_f":
+        add(sec2_sieve_set(ctx, X), mu_chi, fhat, 1)
+    elif identity_id == "gamma_sieved":
+        add(smooth_squarefree(ctx, X), mu_chi, fhat, 2)
+    elif identity_id in ("lambda1", "g1"):
+        add(odd_smooth_squarefree(ctx, X), mu, _lambda_hat, 1)
+    else:
+        s3_3 = ExactScalar.sqrt3(Fraction(1, 3))
+        add(smooth_squarefree(ctx, X), lambda t: -mu_chi(t), fhat, 2, s3_3)
+        add(smooth_squarefree(ctx, X), mu_chi, fhat, 6, s3_3)
+        add(odd_smooth_squarefree(ctx, X), mu, _lambda_hat, 2, ExactScalar.imag(Fraction(1, 2)))
+    return out
+
+
+def _reference_rhs(identity_id, A, ctx, X):
+    """Each closed-form side, term by term in Q(i, sqrt3)."""
+    out = {}
+
+    def add(F, c):
+        out[F] = out.get(F, ZERO) + c
+
+    rep = structure(A)
+    for m in A:
+        if identity_id == "sec2_f":
+            for n in rough_integers(X // m, ctx.P - 1):
+                add(n * m, fhat(n)), add(-n * m, fhat(-n))
+        elif identity_id == "gamma_sieved":
+            for n in rough_integers(X // (2 * m), ctx.Q):
+                add(2 * n * m, fhat(n)), add(-2 * n * m, fhat(-n))
+        elif identity_id == "lambda1":
+            for n in range(1, X // m + 1):
+                if is_strictly_rough(n, ctx) or (n % 3 == 0 and is_strictly_rough(n // 3, ctx)):
+                    c = Fraction(-2) * eta(n, ctx) / n
+                    add(n * m, ExactScalar.imag(c)), add(-n * m, ExactScalar.imag(-c))
+    for m in rep.symdiff if identity_id in ("g1", "final") else ():
+        eps = rep.epsilon[m]
+        if identity_id == "g1":
+            for n in rough_integers(X // m, ctx.Q):
+                add(n * m, ExactScalar.imag(Fraction(-eps, n)))
+                add(-n * m, ExactScalar.imag(Fraction(eps, n)))
+        else:
+            for n in rough_integers(X // (2 * m), ctx.Q):
+                add(2 * n * m, ExactScalar.of(Fraction(eps * (chi3(n) + 1), 2 * n)))
+                add(-2 * n * m, ExactScalar.of(Fraction(eps * (chi3(n) - 1), 2 * n)))
+    return out
+
+
+def test_tables_match_term_by_term_reference():
+    rng = random.Random(41)
+    for q in (3, 5, 7):
+        for _ in range(2):
+            A = IntegerSet.of(rng.sample(range(1, 41), rng.randint(1, 7)))
+            ctx = SieveContext(Q=q, P=rng.choice((5, 11, 101)))
+            X = rng.choice((120, 300))
+            for identity_id in IDENTITY_IDS:
+                for build, ref in ((sieve_lhs, _reference_lhs), (sieve_rhs, _reference_rhs)):
+                    table = build(identity_id, A, ctx, X)
+                    expected = ref(identity_id, A, ctx, X)
+                    assert len(table.coeffs) == sum(not c.is_zero() for c in expected.values())
+                    for n in range(-X, X + 1):
+                        assert table.coeff(n) == expected.get(n, ZERO), (identity_id, q, n)
+
+
+def test_kappa_tables_give_the_series_coefficients():
+    # kappa is 12-periodic, so n = 1..240 covers every residue class, both signs
+    for n in range(1, 241):
+        for s in (1, -1):
+            F = s * n
+            assert sieve._S3.scale(Fraction(int(sieve._KAPPA_F[F % 12]), 2 * F)) == fhat(F)
+            assert sieve._I.scale(Fraction(int(sieve._KAPPA_L[F % 12]), 2 * F)) == _lambda_hat(F)
+
+
+def test_mismatch_reports_the_exact_defect(monkeypatch):
+    A = IntegerSet.of([1, 2, 5])
+    rhs = sieve_rhs("lambda1", A, CTX, 300)
+    real = sieve_lhs("lambda1", A, CTX, 300)
+    rows = real.coeffs.copy()
+    rows[7, 1] += 5  # one altered numerator
+    rows[-3, 1] += 1  # a smaller |delta / F| elsewhere
+    altered = dataclasses.replace(real, coeffs=rows)
+    F = int(rows[7, 0])
+    monkeypatch.setattr(sieve, "sieve_lhs", lambda *args: altered)
+    r = sieve.verify_identity("lambda1", A, CTX, 300)
+    assert r["equal"] is False
+    assert r["witness"] == F
+    assert r["defect"] == str(altered.coeff(F) - rhs.coeff(F)) != "0"
+    # a row missing from one side is a difference too
+    dropped = dataclasses.replace(real, coeffs=real.coeffs[1:])
+    G = int(real.coeffs[0, 0])
+    assert dropped.defect(rhs) == (ZERO - rhs.coeff(G), G)
+
+
+def test_cutoff_cap_raises_before_allocating():
+    A = IntegerSet.of([1, 2])
+    tracemalloc.start()
+    try:
+        for identity_id in IDENTITY_IDS:
+            with pytest.raises(ValueError):
+                verify_identity(identity_id, A, CTX, SIEVE_CUTOFF_CAP + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_verify_large_cutoff():
+    A = IntegerSet.of(random.Random(30).sample(range(1, 301), 30))
+    ctx = SieveContext(Q=5, P=next_prime_at_least(A.N**2))
+    assert ctx.P == 907
+    start = time.perf_counter()
+    results = [verify_identity(identity_id, A, ctx, 10**5) for identity_id in IDENTITY_IDS]
+    elapsed = time.perf_counter() - start
+    assert all(r["equal"] and r["defect"] == "0" for r in results), results
+    assert elapsed < 60, elapsed
 
 
 def _inner_sum_numeric(n, ctx):

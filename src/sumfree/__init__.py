@@ -17,6 +17,7 @@ from .dilation import (
     maximize_count,
     orbit_subset,
 )
+from .errors import CertificationError, InputError, ResourceLimitError, SumfreeError
 from .fourier import TrigPoly, eval_exact, fhat, fhat_t, grid_norms, series_truncated
 from .lp import decompose, lacunary_l1_diagnostic, square_function_lp
 from .mps import build_phi, fejer, hilbert, pairing
@@ -26,11 +27,15 @@ from .sieve import inner_sum_decomposition, l1_lower_report, verify_identity
 
 __all__ = [
     "ArcSet",
+    "CertificationError",
     "ExtractionCertificate",
+    "InputError",
     "IntegerSet",
     "OracleResult",
     "PiecewiseConstantFn",
+    "ResourceLimitError",
     "SieveContext",
+    "SumfreeError",
     "TrigPoly",
     "balanced_function",
     "build_phi",

@@ -13,15 +13,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InputError, ResourceLimitError
+
 ARC_COUNT_LIMIT = 100_000
-
-
-class ArcResourceError(RuntimeError):
-    pass
-
-
-class UnsupportedPairError(ValueError):
-    pass
 
 
 def _mod1(x: Fraction) -> Fraction:
@@ -34,7 +28,7 @@ def _normalize(raw: list[tuple[Fraction, Fraction]], merge: bool):
     full = False
     for lo, hi in raw:
         if hi <= lo:
-            raise ValueError(f"empty or reversed arc ({lo}, {hi})")
+            raise InputError(f"empty or reversed arc ({lo}, {hi})")
         if hi - lo >= 1:
             full = True
             continue
@@ -57,7 +51,7 @@ def _normalize(raw: list[tuple[Fraction, Fraction]], merge: bool):
     else:
         for i in range(len(pieces) - 1):
             if pieces[i][1] > pieces[i + 1][0]:
-                raise ValueError(f"overlapping arcs {pieces[i]} and {pieces[i + 1]}")
+                raise InputError(f"overlapping arcs {pieces[i]} and {pieces[i + 1]}")
     return pieces, full
 
 
@@ -128,7 +122,7 @@ OMEGA_2 = ArcSet.of([(Fraction(2, 3), Fraction(5, 6))])
 def pullback(O: ArcSet, m: int) -> ArcSet:
     """Preimage of O under x -> m*x on R/Z; preserves measure."""
     if m < 1:
-        raise ValueError("multiplier must be >= 1")
+        raise InputError("multiplier must be >= 1")
     if m == 1:
         return O
     if O.full:
@@ -149,7 +143,7 @@ def canonical_omega(k: int, l: int, variant: int = 1) -> ArcSet:
         m = k // 2
         base = OMEGA_1 if variant == 1 else OMEGA_2
         return pullback(base, m)
-    raise UnsupportedPairError(
+    raise InputError(
         f"no canonical arc system for (k,l)=({k},{l}); supply custom arcs"
     )
 
@@ -163,14 +157,14 @@ def _pair_sumset(a: ArcSet, b: ArcSet) -> ArcSet:
         for lo2, hi2 in b.arcs
     ]
     if len(raw) > ARC_COUNT_LIMIT:
-        raise ArcResourceError(f"sumset arc count {len(raw)} exceeds {ARC_COUNT_LIMIT}")
+        raise ResourceLimitError(f"sumset arc count {len(raw)} exceeds {ARC_COUNT_LIMIT}")
     return ArcSet.of(raw, merge=True)
 
 
 def fold_sumset(O: ArcSet, fold: int) -> ArcSet:
     """The fold-fold Minkowski sum of O with itself, reduced mod 1."""
     if fold < 1:
-        raise ValueError("fold must be >= 1")
+        raise InputError("fold must be >= 1")
     cur = O
     for _ in range(fold - 1):
         cur = _pair_sumset(cur, O)
@@ -180,7 +174,7 @@ def fold_sumset(O: ArcSet, fold: int) -> ArcSet:
 def is_arc_kl_sumfree(O: ArcSet, k: int, l: int) -> bool:
     """True iff the k-fold and l-fold sumsets of O are disjoint in R/Z."""
     if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
+        raise InputError("k and l must be >= 1")
     if not O.arcs:
         return True
     return not fold_sumset(O, k).intersects(fold_sumset(O, l))

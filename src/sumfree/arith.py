@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 
+from .errors import InputError
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -47,9 +49,9 @@ class SieveContext:
 
     def __post_init__(self):
         if self.Q < 3 or not is_prime(self.Q):
-            raise ValueError(f"Q must be a prime >= 3, got {self.Q}")
+            raise InputError(f"Q must be a prime >= 3, got {self.Q}")
         if not is_prime(self.P):
-            raise ValueError(f"P must be prime, got {self.P}")
+            raise InputError(f"P must be prime, got {self.P}")
 
 
 def chi3(n: int) -> int:
@@ -67,7 +69,7 @@ def gamma4(n: int) -> int:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Trial-division factorization, (prime, exponent) pairs in order."""
     if n < 1:
-        raise ValueError(f"positive integer required, got {n}")
+        raise InputError(f"positive integer required, got {n}")
     out = []
     p = 2
     while p * p <= n:
@@ -85,7 +87,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def mobius(n: int) -> int:
     if n < 1:
-        raise ValueError(f"positive integer required, got {n}")
+        raise InputError(f"positive integer required, got {n}")
     if n == 1:
         return 1
     m = 1
@@ -133,7 +135,7 @@ def sec2_sieve_set(ctx: SieveContext, limit: int) -> list[int]:
 def is_strictly_rough(n: int, ctx: SieveContext) -> bool:
     """True iff every prime factor of n is > Q (the sieve-complement set N1)."""
     if n < 1:
-        raise ValueError(f"positive integer required, got {n}")
+        raise InputError(f"positive integer required, got {n}")
     return all(p > ctx.Q for p, _ in factorize(n))
 
 
@@ -158,7 +160,7 @@ def eta(n: int, ctx: SieveContext) -> Fraction:
         return Fraction(1, 2)
     if n % 3 == 0 and is_strictly_rough(n // 3, ctx):
         return Fraction(-3, 2)
-    raise ValueError(f"{n} is in neither N1 nor 3*N1 for Q={ctx.Q}")
+    raise InputError(f"{n} is in neither N1 nor 3*N1 for Q={ctx.Q}")
 
 
 @lru_cache(maxsize=None)

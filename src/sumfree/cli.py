@@ -3,7 +3,10 @@ oracle | report.
 
 Reports are JSON with the full configuration echoed back, exact rationals as
 [numerator, denominator] pairs, and floats only where an error bar travels
-with them.  Exit codes: 0 success, 1 invariant violation, 2 input error.
+with them.  Exit codes: 0 success, otherwise the `exit_code` of the
+sumfree.errors class raised (1 certification failure, 2 input error, 3
+resource limit); an OSError reading the input or writing the output is an
+input error.  Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from fractions import Fraction
 from . import __version__
 from .arith import SieveContext, is_prime, next_prime_at_least
 from .dilation import extract_certified
+from .errors import CertificationError, InputError, SumfreeError
 from .fourier import sample_grid
 from .lp import lacunary_l1_diagnostic
 from .mps import build_phi
 from .oracle import compare
-from .sets import IntegerSet, ParseError, generate, load_set, structure
+from .sets import IntegerSet, generate, load_set, structure
 from .sieve import IDENTITY_IDS, SIEVE_CUTOFF_CAP, l1_lower_report, verify_identity
 
 
@@ -52,9 +56,9 @@ class RunConfig:
 
 def _load_input(config: RunConfig) -> IntegerSet:
     if config.input is None:
-        raise ParseError("an input set is required (--input)")
+        raise InputError("an input set is required (--input)")
     if config.input == "-":
-        return load_set(sys.stdin.read(), config.format)
+        return load_set(sys.stdin.buffer.read(), config.format)
     with open(config.input, "rb") as fh:
         return load_set(fh.read(), config.format)
 
@@ -199,9 +203,9 @@ def run(config: RunConfig) -> dict:
         elif config.kind == "phi_profile":
             stages["phi_profile"] = _phi_profile_stage(config)
         else:
-            raise ParseError(f"unknown report kind {config.kind!r}")
+            raise InputError(f"unknown report kind {config.kind!r}")
     else:
-        raise ParseError(f"unknown command {config.command!r}")
+        raise InputError(f"unknown command {config.command!r}")
     return {
         "config": asdict(config),
         "stages": stages,
@@ -236,6 +240,14 @@ def _int_type(what: str, ok):
 _positive_int = _int_type("a positive integer", lambda v: v >= 1)
 
 
+def _unit_float(text: str) -> float:
+    """argparse type: a float in [0, 1], so never nan or inf."""
+    v = float(text)  # argparse turns a ValueError into a usage error
+    if not 0 <= v <= 1:
+        raise argparse.ArgumentTypeError(f"not a number in [0, 1]: {text!r}")
+    return v
+
+
 def _positive_ints(text: str) -> tuple[int, ...]:
     return tuple(_positive_int(t) for t in text.split(",") if t)
 
@@ -254,8 +266,8 @@ _FLAGS = {
     "base": dict(type=_int_type("an integer >= 4", lambda v: v >= 4)),
     "size": dict(type=_positive_int),
     "weights": dict(choices=("unit", "random")),
-    "threshold_exp": dict(type=float),
-    "seed": dict(type=int),
+    "threshold_exp": dict(type=_unit_float),
+    "seed": dict(type=_int_type("a non-negative integer", lambda v: v >= 0)),
     "sizes": dict(type=_positive_ints, help="comma-separated positive integers"),
     "kind": dict(choices=("l1_growth", "surplus_vs_N", "phi_profile"), required=True),
     "out": dict(help="write the output here instead of stdout"),
@@ -295,24 +307,23 @@ def main(argv=None) -> int:
     config = RunConfig(**vars(_parser().parse_args(argv)))
     try:
         report = run(config)
-    except (ParseError, FileNotFoundError) as exc:
+        if config.command == "verify" and not report["stages"]["verify"]["all_equal"]:
+            raise CertificationError("identity verification failed")
+        if config.command == "report":
+            payload = emit_plotdata(report, config.kind)
+        else:
+            payload = json.dumps(report, indent=2, default=str)
+        if config.out:
+            with open(config.out, "w") as fh:
+                fh.write(payload)
+        else:
+            print(payload)
+    except SumfreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # invariant violations from the pipeline
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 1
-    if config.command == "verify" and not report["stages"]["verify"]["all_equal"]:
-        print("identity verification failed", file=sys.stderr)
-        return 1
-    if config.command == "report":
-        payload = emit_plotdata(report, config.kind)
-    else:
-        payload = json.dumps(report, indent=2, default=str)
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(payload)
-    else:
-        print(payload)
+        return exc.exit_code
+    except OSError as exc:  # unreadable input or unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return InputError.exit_code
     return 0
 
 

@@ -7,12 +7,12 @@ Breakpoints are integer pairs p/q and levels are integers, both in numpy
 arrays, and the breakpoints are ordered exactly; maximization happens at
 piece midpoints, where the function is constant, so every result is exact.
 
-Memory budget: MEMORY_BUDGET = 4 GiB for a sweep and an exact L1 norm of its
-result.  The measured peak is BYTES_PER_BREAKPOINT = 80 bytes per int64
+Memory budget: errors.MEMORY_BUDGET = 4 GiB for a sweep and an exact L1 norm
+of its result.  The measured peak is BYTES_PER_BREAKPOINT = 80 bytes per int64
 breakpoint (BREAKPOINT_CAP, about 53.7M, counts 2*sum(A) per arc), and at
 most 256 plus one byte per bit of the largest denominator on the Python ints
 used where n*d exceeds INT64_DEN.  A sweep over the budget raises
-BreakpointCapError before allocating.
+ResourceLimitError before allocating.
 """
 
 from __future__ import annotations
@@ -26,21 +26,13 @@ from math import isqrt, lcm
 import numpy as np
 
 from .arcs import ArcSet, canonical_omega, is_arc_kl_sumfree, OMEGA_21
+from .errors import MEMORY_BUDGET, CertificationError, InputError, ResourceLimitError
 from .sets import IntegerSet, is_kl_sumfree
 
-MEMORY_BUDGET = 2**32
 BYTES_PER_BREAKPOINT = 80
 BREAKPOINT_CAP = MEMORY_BUDGET // BYTES_PER_BREAKPOINT
 # denominators <= INT64_DEN keep the cross products p1*q2 below 2**63
 INT64_DEN = isqrt(2**63 - 1)
-
-
-class BreakpointCapError(RuntimeError):
-    pass
-
-
-class CertificationError(RuntimeError):
-    """An extracted subset failed its sum-freeness re-verification."""
 
 
 def _exact_order(p: np.ndarray, q: np.ndarray):
@@ -79,7 +71,7 @@ class PiecewiseConstantFn:
 
     def __post_init__(self):
         if len(self.levels) == 0 or self.breakpoints.shape != (len(self.levels), 2):
-            raise ValueError("need one (numerator, denominator) row per piece")
+            raise InputError("need one (numerator, denominator) row per piece")
 
     def _point(self, i: int) -> Fraction:
         """Breakpoint i, or 1 for i = len(levels), where the last piece ends."""
@@ -129,7 +121,7 @@ class PiecewiseConstantFn:
 
         i = bisect_right(range(len(self.levels)), 0, key=side) - 1
         if side(i) == 0:
-            raise ValueError(f"{Fraction(a, b)} is a breakpoint")
+            raise InputError(f"{Fraction(a, b)} is a breakpoint")
         return self._value(i)
 
     def shift_const(self, c: Fraction) -> "PiecewiseConstantFn":
@@ -166,7 +158,7 @@ def weighted_count_function(A: IntegerSet, weighted_arcs) -> PiecewiseConstantFn
     q_max = max(A, default=1) * max((e.denominator for e in edges), default=1)
     wide = q_max > INT64_DEN
     if total * (256 + q_max.bit_length() if wide else BYTES_PER_BREAKPOINT) > MEMORY_BUDGET:
-        raise BreakpointCapError(f"{total} breakpoints exceed the {MEMORY_BUDGET}-byte budget")
+        raise ResourceLimitError(f"{total} breakpoints exceed the {MEMORY_BUDGET}-byte budget")
     D = lcm(*(w.denominator for *_, w in arcs))
     weights = [int(s * w * D) for *_, w in arcs for s in (1, -1)]
     sizes, kind = np.array(A.elements, dtype=np.int64), object if wide else np.int64
@@ -282,9 +274,9 @@ def extract_certified(
     if arcs is None:
         arcs = candidate_arcs(k, l)
     elif not all(is_arc_kl_sumfree(O, k, l) for O in arcs):
-        raise ValueError(f"a supplied arc system is not ({k},{l})-sum-free")
+        raise InputError(f"a supplied arc system is not ({k},{l})-sum-free")
     if not arcs:
-        raise ValueError("no candidate arc systems")
+        raise InputError("no candidate arc systems")
     best = None
     for O in arcs:
         x_star, count = maximize_count(A, O)

@@ -4,14 +4,14 @@ All coefficient tables in this package live in the ring Q(i, sqrt3), which is
 closed under the arithmetic the series manipulations need (values of
 sin(n*pi/6), sin(n*pi/3), e(n/4) and their products).  Transcendental factors
 (powers of pi) are kept out of the scalars and tracked symbolically by
-:class:`Prefactor`.
+:class:`Prefactor`; sqrt(3) lives only in the scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import pi, sqrt
 from numbers import Rational
 
 _SQRT3 = sqrt(3.0)
@@ -125,53 +125,13 @@ def e_quarter(n: int) -> ExactScalar:
 
 @dataclass(frozen=True)
 class Prefactor:
-    """Symbolic constant frac * sqrt(3)**s3 * pi**pi_exp with s3 in {0, 1}."""
+    """The symbolic constant pi**pi_exp."""
 
-    frac: Fraction = Fraction(1)
-    s3: int = 0
     pi_exp: int = 0
 
-    def __mul__(self, o: "Prefactor") -> "Prefactor":
-        frac = self.frac * o.frac
-        s3 = self.s3 + o.s3
-        if s3 >= 2:
-            frac *= 3 ** (s3 // 2)
-            s3 %= 2
-        return Prefactor(frac, s3, self.pi_exp + o.pi_exp)
-
-    def ratio_scalar(self, o: "Prefactor") -> ExactScalar:
-        """self / o as an ExactScalar; error if a power of pi remains."""
-        if self.pi_exp != o.pi_exp:
-            raise PrefactorMismatch(f"pi exponents differ: {self} vs {o}")
-        if o.frac == 0:
-            raise ZeroDivisionError("zero prefactor")
-        r = self.frac / o.frac
-        ds3 = self.s3 - o.s3
-        if ds3 == 0:
-            return ExactScalar.of(r)
-        if ds3 == 1:
-            return ExactScalar.sqrt3(r)
-        # 1/sqrt3 = sqrt3/3
-        return ExactScalar.sqrt3(r / 3)
-
     def to_float(self) -> float:
-        from math import pi
-
-        return float(self.frac) * (_SQRT3 ** self.s3) * (pi ** self.pi_exp)
-
-    def __str__(self) -> str:
-        s = str(self.frac)
-        if self.s3:
-            s += "*sqrt3"
-        if self.pi_exp:
-            s += f"*pi^{self.pi_exp}"
-        return s
-
-
-class PrefactorMismatch(TypeError):
-    """Raised when two coefficient tables with incompatible symbolic
-    prefactors are combined or compared."""
+        return pi**self.pi_exp
 
 
 PF_ONE = Prefactor()
-PF_PI_INV = Prefactor(Fraction(1), 0, -1)
+PF_PI_INV = Prefactor(-1)

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arcs import OMEGA_21, OMEGA_1, OMEGA_2
+from .errors import InputError
 from .exactnum import (
     ExactScalar,
     Prefactor,
@@ -35,14 +36,6 @@ from .exactnum import (
 )
 
 SERIES_KINDS = ("f", "f1", "f2", "Gamma", "Lambda")
-
-
-class EndpointError(ValueError):
-    """Exact evaluation was requested at a jump point."""
-
-
-class ResolutionError(RuntimeError):
-    """Grid too coarse for the polynomial degree."""
 
 
 @dataclass(frozen=True)
@@ -69,23 +62,15 @@ class TrigPoly:
     def degree(self) -> int:
         return max((abs(n) for n in self.coeffs), default=0)
 
-    def frequencies(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def _aligned(self, other: "TrigPoly") -> "TrigPoly":
-        """other rebased onto self's prefactor (exact, or a type error)."""
-        if other.prefactor == self.prefactor:
-            return other
-        r = other.prefactor.ratio_scalar(self.prefactor)
-        return TrigPoly.of(
-            {n: c * r for n, c in other.coeffs.items()}, self.prefactor
-        )
+    def _check_prefactor(self, other: "TrigPoly") -> None:
+        if other.prefactor != self.prefactor:
+            raise InputError(f"prefactors differ: {self.prefactor} vs {other.prefactor}")
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        other = self._aligned(other)
+        self._check_prefactor(other)
         coeffs = dict(self.coeffs)
         for n, c in other.coeffs.items():
             coeffs[n] = coeffs.get(n, ZERO) + c
@@ -103,7 +88,7 @@ class TrigPoly:
 
     def defect(self, other: "TrigPoly") -> tuple[ExactScalar, int | None]:
         """(coefficient difference of largest float magnitude, witness freq)."""
-        other = self._aligned(other)
+        self._check_prefactor(other)
         worst, witness = ZERO, None
         for n in set(self.coeffs) | set(other.coeffs):
             d = self.coeff(n) - other.coeff(n)
@@ -127,26 +112,6 @@ class TrigPoly:
             for n, c in self.coeffs.items()
         )
 
-    def to_json(self) -> dict:
-        pf = self.prefactor
-        entries = []
-        for n in self.frequencies():
-            c = self.coeffs[n]
-            re, im = c.a + 0, c.b + 0  # rational parts
-            if c.c or c.d:
-                raise ValueError("sqrt3 parts do not fit the wire format")
-            entries.append(
-                [n, re.numerator, re.denominator, im.numerator, im.denominator]
-            )
-        return {
-            "prefactor": {
-                "frac": [pf.frac.numerator, pf.frac.denominator],
-                "sqrt3": pf.s3,
-                "pi_exp": pf.pi_exp,
-            },
-            "entries": entries,
-        }
-
 
 def fhat(n: int) -> ExactScalar:
     """Coefficient of e(nx) in f = 1_(1/3,2/3) - 1/3, in units of 1/pi.
@@ -165,7 +130,7 @@ def fhat_t(n: int, t: int) -> ExactScalar:
     Equals e(-(2t-1)n/4) sin(n pi/6)/n; zero at n = 0.
     """
     if t not in (1, 2):
-        raise ValueError("t must be 1 or 2")
+        raise InputError("t must be 1 or 2")
     if n == 0:
         return ZERO
     return (e_quarter(-(2 * t - 1) * n) * sin_pi6(n)).scale(Fraction(1, n))
@@ -178,9 +143,9 @@ def series_truncated(kind: str, X: int) -> TrigPoly:
     2), so its terms sit at +-2n.  All series share the 1/pi prefactor.
     """
     if kind not in SERIES_KINDS:
-        raise ValueError(f"unknown series kind {kind!r}")
+        raise InputError(f"unknown series kind {kind!r}")
     if X < 1:
-        raise ValueError("cutoff must be >= 1")
+        raise InputError("cutoff must be >= 1")
     coeffs = {}
     for n in range(-X, X + 1):
         if n == 0:
@@ -207,9 +172,9 @@ _REGIONS = {
 
 
 def eval_exact(kind: str, x) -> Fraction:
-    """Indicator-based exact value; raises EndpointError at jump points."""
+    """Indicator-based exact value; raises InputError at jump points."""
     if kind not in SERIES_KINDS:
-        raise ValueError(f"unknown series kind {kind!r}")
+        raise InputError(f"unknown series kind {kind!r}")
     x = Fraction(x) % 1
     if kind == "Gamma":
         return eval_exact("f1", x) + eval_exact("f2", x)
@@ -218,7 +183,7 @@ def eval_exact(kind: str, x) -> Fraction:
     O, mean = _REGIONS[kind]
     for lo, hi in O.arcs:
         if x == lo % 1 or x == hi % 1:
-            raise EndpointError(f"{x} is a jump point of {kind}")
+            raise InputError(f"{x} is a jump point of {kind}")
     return (1 if O.contains(x) else 0) - mean
 
 
@@ -231,7 +196,7 @@ class GridFn:
     def __post_init__(self):
         M = len(self.samples)
         if M < 4 or M & (M - 1):
-            raise ValueError("grid size must be a power of two >= 4")
+            raise InputError("grid size must be a power of two >= 4")
 
     @property
     def M(self) -> int:
@@ -248,7 +213,7 @@ def grid_size(degree: int, M: int | None = None) -> int:
     if M is None:
         return 1 << max(8, (8 * degree - 1).bit_length())
     if M < 8 * max(degree, 1):
-        raise ResolutionError(f"grid {M} too coarse for degree {degree}")
+        raise InputError(f"grid {M} too coarse for degree {degree}")
     return M
 
 
@@ -275,7 +240,7 @@ def grid_norms(p, which: str, M: int | None = None) -> tuple[float, float]:
     and the bar is infinite (unknown degree).
     """
     if which not in ("L1", "L2", "Linf"):
-        raise ValueError("which must be L1, L2 or Linf")
+        raise InputError("which must be L1, L2 or Linf")
     if isinstance(p, GridFn):
         vals = np.abs(p.samples)
         if which == "L1":

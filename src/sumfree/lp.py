@@ -16,14 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .fourier import TrigPoly, grid_norms, grid_size, sample_grid
 from .sets import IntegerSet, triadic_index
 
 GRID_DEGREE_LIMIT = 1 << 20
-
-
-class FitError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,7 @@ class BlockDecomposition:
 def decompose(g: TrigPoly) -> BlockDecomposition:
     """Partition a positive-frequency polynomial by triadic blocks."""
     if any(n <= 0 for n in g.coeffs):
-        raise ValueError("decompose expects positive frequencies only")
+        raise InputError("decompose expects positive frequencies only")
     buckets: dict[int, dict] = {}
     for n, c in g.coeffs.items():
         buckets.setdefault(triadic_index(n), {})[n] = c
@@ -50,7 +47,7 @@ def recompose(d: BlockDecomposition) -> TrigPoly:
     for k in d.occupied:
         out = d.blocks[k] if out is None else out + d.blocks[k]
     if out is None:
-        raise ValueError("empty decomposition")
+        raise InputError("empty decomposition")
     return out
 
 
@@ -64,7 +61,7 @@ def square_function_lp(d: BlockDecomposition, p: float, M: int | None = None) ->
     <= |a - b|^(1/p).
     """
     if p <= 1:
-        raise ValueError("p must exceed 1")
+        raise InputError("p must exceed 1")
     deg = max(b.degree for b in d.blocks.values())
     if p == 2:
         total = 0.0
@@ -115,7 +112,7 @@ def exp_sum_l1(
         return grid_norms(poly, "L1", M=M)
     if _is_triadic_powers(A):
         return triadic_l1_montecarlo(len(A), seed=seed)
-    raise ValueError(
+    raise InputError(
         "set has infeasible degree and no triadic sampling structure"
     )
 
@@ -127,8 +124,8 @@ def lacunary_l1_diagnostic(family: list[IntegerSet], seed: int = 0) -> dict:
     slope over the error-bar box (bars pushed adversarially down at large N
     and up at small N).
     """
-    if len(family) < 3:
-        raise FitError("need at least 3 sets to fit a slope")
+    if len(family) < 3 or len({A.N for A in family}) < 2:
+        raise InputError("need at least 3 sets, of at least 2 sizes, to fit a slope")
     rows = []
     for A in family:
         val, bar = exp_sum_l1(A, seed=seed)

@@ -28,13 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .exactnum import ExactScalar, PF_ONE
 from .fourier import GridFn, TrigPoly, sample_grid
 from .sets import IntegerSet
-
-
-class ResourceError(RuntimeError):
-    pass
 
 
 def epsilon_of_base(b: int) -> float:
@@ -49,7 +46,7 @@ def pairing_constant(b: int) -> float:
 def fejer(C: int) -> TrigPoly:
     """The nonnegative kernel sum_{|m| <= C} ((C - |m|)/C) e(mx)."""
     if C < 1:
-        raise ValueError("C must be >= 1")
+        raise InputError("C must be >= 1")
     from fractions import Fraction
 
     return TrigPoly.of(
@@ -106,7 +103,7 @@ class BlockPartition:
 def partition_blocks(B: IntegerSet, b: int) -> BlockPartition:
     """|B_0| = 1, |B_k| = b^k, remainder absorbed by the last block."""
     if b < 4:
-        raise ValueError("base must be >= 4")
+        raise InputError("base must be >= 4")
     elems = list(B.elements)
     M = len(elems)
     k0 = 0
@@ -142,7 +139,7 @@ def build_qk(part: BlockPartition, k: int, tau, M: int) -> dict[int, complex]:
     """Coefficient table of Q_k, supported exactly in [-w_k, 0]."""
     a, b = part.interval(k)
     if M < 4 * (b + part.width(k)):
-        raise ResourceError("grid too coarse for the block spectrum")
+        raise InputError("grid too coarse for the block spectrum")
     blk = part.blocks[k]
     u = np.abs(sample_grid({m: tau(m) / len(blk) for m in blk}, M).samples)
     v = hilbert(u).real
@@ -205,7 +202,7 @@ def build_phi(B: IntegerSet, w, b: int = 100, M: int = 1 << 17):
     max_freq = max(B)
     neg_span = sum(widths) + len(widths)
     if M < 2 * (max_freq + neg_span) or M & (M - 1):
-        raise ResourceError(
+        raise InputError(
             f"grid {M} cannot hold spectrum [-{neg_span}, {max_freq}] alias-free"
         )
     tau = _unimodular_tau(w)

@@ -11,13 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dilation import extract_certified
-from .sets import IntegerSet, fold_sums, is_kl_sumfree
+from .errors import CertificationError, ResourceLimitError
+from .sets import IntegerSet, check_folds, fold_sums, is_kl_sumfree
 
 DEFAULT_CAP = 22
-
-
-class OracleResourceError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -37,10 +34,9 @@ class OracleResult:
 def max_sumfree_exact(A: IntegerSet, k: int, l: int, cap: int = DEFAULT_CAP) -> OracleResult:
     """Exact maximum; witness is the first optimum found in descending
     include-first order (ties never replace an earlier optimum)."""
-    if k == l:
-        raise ValueError("k = l admits no nonempty sum-free set")
+    check_folds(A, k, l)  # every subset's sum bitsets are at most A's
     if A.N > cap:
-        raise OracleResourceError(f"instance size {A.N} exceeds cap {cap}")
+        raise ResourceLimitError(f"instance size {A.N} exceeds cap {cap}")
     elems = sorted(A.elements, reverse=True)
     n = len(elems)
     best: list = [0, ()]
@@ -66,7 +62,8 @@ def max_sumfree_exact(A: IntegerSet, k: int, l: int, cap: int = DEFAULT_CAP) -> 
 
     dfs(0, ())
     witness = IntegerSet.of(best[1])
-    assert is_kl_sumfree(witness, k, l)
+    if not is_kl_sumfree(witness, k, l):
+        raise CertificationError(f"oracle witness {witness.elements} is not ({k},{l})-sum-free")
     return OracleResult(best[0], witness, explored[0])
 
 
@@ -77,7 +74,7 @@ def compare(A: IntegerSet, k: int, l: int) -> dict:
     cert = extract_certified(A, k, l)
     gap = oracle.best_size - cert.count
     if gap < 0:
-        raise AssertionError("extractor exceeded the exhaustive optimum")
+        raise CertificationError("extractor exceeded the exhaustive optimum")
     return {
         "oracle": oracle.to_json(),
         "extractor": cert.to_json(),

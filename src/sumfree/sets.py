@@ -9,11 +9,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-SUM_MAGNITUDE_CAP = 2**63 - 1
+from .errors import MEMORY_BUDGET, InputError, ResourceLimitError
 
-
-class ParseError(ValueError):
-    pass
+# fold_sums holds at most 5 big ints at once (reach, cur, nxt, a shifted cur
+# and the new nxt), and is_kl_sumfree one more, its first fold_sums result
+LIVE_SUM_BITSETS = 6
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,9 @@ class IntegerSet:
     def __post_init__(self):
         elems = self.elements
         if any(not isinstance(e, int) or e < 1 for e in elems):
-            raise ValueError("elements must be positive integers")
+            raise InputError("elements must be positive integers")
         if any(elems[i] >= elems[i + 1] for i in range(len(elems) - 1)):
-            raise ValueError("elements must be strictly increasing")
+            raise InputError("elements must be strictly increasing")
 
     @staticmethod
     def of(values) -> "IntegerSet":
@@ -60,21 +60,24 @@ class StructureReport:
 
 def load_set(raw: bytes | str, format: str = "lines") -> IntegerSet:
     """Parse a set from newline-separated decimals or a JSON array."""
-    text = raw.decode() if isinstance(raw, bytes) else raw
+    try:
+        text = raw.decode() if isinstance(raw, bytes) else raw
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not UTF-8 text: {exc}") from exc
     if format == "json":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON input: {exc}") from exc
+        except ValueError as exc:
+            raise InputError(f"invalid JSON input: {exc}") from exc
         if not isinstance(data, list):
-            raise ParseError("JSON input must be an array of integers")
+            raise InputError("JSON input must be an array of integers")
         values = []
         for item in data:
             if isinstance(item, bool) or not isinstance(item, int) or item < 1:
-                raise ParseError(f"non-positive or non-integer entry: {item!r}")
+                raise InputError(f"non-positive or non-integer entry: {item!r}")
             values.append(item)
         if not values:
-            raise ParseError("empty input set")
+            raise InputError("empty input set")
         return IntegerSet.of(values)
     if format == "lines":
         values = []
@@ -85,14 +88,14 @@ def load_set(raw: bytes | str, format: str = "lines") -> IntegerSet:
             try:
                 v = int(tok)
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: not an integer: {tok!r}") from exc
+                raise InputError(f"line {lineno}: not an integer: {tok!r}") from exc
             if v < 1:
-                raise ParseError(f"line {lineno}: not a positive integer: {v}")
+                raise InputError(f"line {lineno}: not a positive integer: {v}")
             values.append(v)
         if not values:
-            raise ParseError("empty input set")
+            raise InputError("empty input set")
         return IntegerSet.of(values)
-    raise ParseError(f"unknown format {format!r}")
+    raise InputError(f"unknown format {format!r}")
 
 
 def triadic_index(a: int) -> int:
@@ -140,18 +143,23 @@ def fold_sums(values, fold: int) -> int:
     return cur
 
 
+def check_folds(X: IntegerSet, k: int, l: int) -> None:
+    """Raise unless 1 <= k != l and the fold_sums bitsets of X, up to
+    max(k,l)*max(X) bits each, fit in MEMORY_BUDGET."""
+    if k < 1 or l < 1:
+        raise InputError("k and l must be >= 1")
+    if k == l:
+        raise InputError("k = l is never sum-free for nonempty X")
+    bits = max(k, l) * max(X.elements, default=0)
+    if LIVE_SUM_BITSETS * bits // 8 > MEMORY_BUDGET:
+        raise ResourceLimitError(f"{bits}-bit sum bitsets exceed the {MEMORY_BUDGET}-byte budget")
+
+
 def is_kl_sumfree(X: IntegerSet, k: int, l: int) -> bool:
     """No k-fold sum of X (repetition allowed) equals an l-fold sum."""
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
-    if k == l:
-        raise ValueError("k = l is never sum-free for nonempty X")
+    check_folds(X, k, l)
     if len(X) == 0:
         return True
-    if max(k, l) * max(X.elements) > SUM_MAGNITUDE_CAP:
-        raise OverflowError(
-            f"sum magnitude {max(k, l) * max(X.elements)} exceeds cap {SUM_MAGNITUDE_CAP}"
-        )
     return fold_sums(X.elements, k) & fold_sums(X.elements, l) == 0
 
 
@@ -160,28 +168,28 @@ def generate(kind: str, **params) -> IntegerSet:
     if kind == "interval":
         n = params["n"]
         if n < 1:
-            raise ValueError("interval size must be >= 1")
+            raise InputError("interval size must be >= 1")
         return IntegerSet.of(range(1, n + 1))
     if kind == "random":
         n = params["n"]
         max_value = params.get("max_value", 10**4)
         if n < 1 or max_value < n:
-            raise ValueError(f"cannot draw {n} distinct values from [1, {max_value}]")
+            raise InputError(f"cannot draw {n} distinct values from [1, {max_value}]")
         rng = random.Random(params.get("seed", 0))
         return IntegerSet.of(rng.sample(range(1, max_value + 1), n))
     if kind == "triadic_chains":
         starts = params["starts"]
         length = params["length"]
         if not starts or length < 1:
-            raise ValueError("need nonempty starts and length >= 1")
+            raise InputError("need nonempty starts and length >= 1")
         return IntegerSet.of(s * 3**j for s in starts for j in range(length))
     if kind == "folner_like":
         primes = sorted(params["primes"])
         box = params["exponent_box"]
         if not primes or box < 0:
-            raise ValueError("need nonempty primes and exponent_box >= 0")
+            raise InputError("need nonempty primes and exponent_box >= 0")
         values = [1]
         for p in primes:
             values = [v * p**e for v in values for e in range(box + 1)]
         return IntegerSet.of(values)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    raise InputError(f"unknown generator kind {kind!r}")

@@ -60,7 +60,8 @@ from .arith import (
     sec2_sieve_set,
     smooth_squarefree,
 )
-from .dilation import MEMORY_BUDGET, exact_l1, weighted_count_function
+from .dilation import exact_l1, weighted_count_function
+from .errors import MEMORY_BUDGET, InputError
 from .exactnum import ONE, ExactScalar, PF_ONE, PF_PI_INV, Prefactor, ZERO
 from .sets import IntegerSet, structure
 
@@ -111,7 +112,7 @@ class SieveTable:
         """(self - other at the witness, witness): the witness is the
         differing frequency of largest |coefficient|; (0, None) if equal."""
         if (self.prefactor, self.unit) != (other.prefactor, other.unit):
-            raise ValueError("tables over different prefactors or units")
+            raise InputError("tables over different prefactors or units")
         if np.array_equal(self.coeffs, other.coeffs):
             return ZERO, None
         diff = dict(self.coeffs.tolist())
@@ -127,9 +128,9 @@ class SieveTable:
 
 def _check(identity_id: str, X: int) -> None:
     if identity_id not in IDENTITY_IDS:
-        raise ValueError(f"unknown identity {identity_id!r}")
+        raise InputError(f"unknown identity {identity_id!r}")
     if not 1 <= X <= SIEVE_CUTOFF_CAP:
-        raise ValueError(f"cutoff must be in [1, {SIEVE_CUTOFF_CAP}], got {X}")
+        raise InputError(f"cutoff must be in [1, {SIEVE_CUTOFF_CAP}], got {X}")
 
 
 def _table(identity_id: str, num: np.ndarray) -> SieveTable:
@@ -254,7 +255,7 @@ def inner_sum_decomposition(n: int, ctx: SieveContext) -> dict:
     3*N1 it equals -3/2, matching the eta weights.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     divisors = [m for m in odd_smooth_squarefree(ctx, n) if n % m == 0]
     total = Fraction(0)
     parts = {"I1": Fraction(0), "I2": Fraction(0), "I3": Fraction(0)}

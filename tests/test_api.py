@@ -1,12 +1,17 @@
 """Public API guard: every name the package exports imports and is used by
-at least one test module, so no dead or untested name stays exported."""
+at least one test module, so no dead or untested name stays exported; and
+every error the package defines or raises comes from sumfree.errors."""
 
+import ast
+import importlib
 import pathlib
 import re
 
 import sumfree
+from sumfree import errors
 
 TESTS = pathlib.Path(__file__).parent
+SRC = pathlib.Path(sumfree.__file__).parent
 
 
 def test_every_exported_name_imports_and_is_tested():
@@ -17,3 +22,29 @@ def test_every_exported_name_imports_and_is_tested():
         assert getattr(sumfree, name) is not None
         pattern = re.compile(rf"\b{re.escape(name)}\b")
         assert any(pattern.search(src) for src in sources), f"{name} is untested"
+
+
+def test_errors_come_from_one_module():
+    hierarchy = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.SumfreeError)
+    }
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"sumfree.{path.stem}") if path.stem != "__init__" else sumfree
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.ClassDef) and path.name != "errors.py":
+                cls = getattr(module, node.name)
+                assert not issubclass(cls, BaseException), f"{where} defines {node.name}"
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised = ast.unparse(exc)
+                assert raised in hierarchy or raised == "argparse.ArgumentTypeError", (
+                    f"{where} raises {raised}"
+                )
+            if isinstance(node, ast.ExceptHandler):
+                caught = ast.unparse(node.type) if node.type else "everything"
+                assert caught not in ("everything", "Exception", "BaseException"), (
+                    f"{where} catches {caught}"
+                )

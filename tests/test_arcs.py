@@ -9,11 +9,11 @@ from sumfree.arcs import (
     OMEGA_1,
     OMEGA_2,
     OMEGA_21,
-    UnsupportedPairError,
     canonical_omega,
     is_arc_kl_sumfree,
     pullback,
 )
+from sumfree.errors import InputError
 
 
 def F(a, b):
@@ -38,7 +38,7 @@ def test_canonical_48():
 
 
 def test_canonical_unsupported():
-    with pytest.raises(UnsupportedPairError):
+    with pytest.raises(InputError):
         canonical_omega(3, 1)
 
 

@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, exit codes, report output."""
 
+import io
 import json
 
 import pytest
 
+from sumfree import cli
 from sumfree.cli import main
+from sumfree.errors import CertificationError, InputError, ResourceLimitError, SumfreeError
 from sumfree.sieve import SIEVE_CUTOFF_CAP
 
 
@@ -81,6 +84,73 @@ def test_bad_number_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["extract", "--input", "{set}", "--k", "3", "--l", "5"], 2),
+        (["extract", "--input", "{set}", "--k", "2", "--l", "2"], 2),
+        (["oracle", "--input", "{set}", "--k", "2", "--l", "2"], 2),
+        (["phi", "--grid", "4", "--size", "100"], 2),
+        (["report", "--kind", "phi_profile", "--size", "100", "--grid", "64"], 2),
+        (["lp", "--sizes", "1,2"], 2),
+        (["lp", "--sizes", "1,1,1"], 2),
+        (["analyze", "--input", "{set}", "--threshold-exp", "nan"], 2),
+        (["analyze", "--input", "{set}", "--threshold-exp", "inf"], 2),
+        (["analyze", "--input", "{set}", "--threshold-exp", "1e308"], 2),
+        (["phi", "--weights", "random", "--seed", "-1"], 2),
+        (["lp", "--seed", "-1"], 2),
+        (["analyze", "--input", "{dir}"], 2),
+        (["analyze", "--input", "{binary}"], 2),
+        (["analyze", "--input", "{set}", "--out", "{dir}"], 2),
+        (["extract", "--input", "{large}"], 3),
+        (["oracle", "--input", "{thirty}"], 3),
+        (["analyze", "--input", "{set}", "--threshold-exp", "1"], 0),
+    ],
+)
+def test_exit_code(argv, code, set_file, tmp_path):
+    (tmp_path / "binary").write_bytes(b"\xff\xfe1\n")
+    (tmp_path / "large").write_text("3\n1000000000000\n")
+    (tmp_path / "thirty").write_text("".join(f"{n}\n" for n in range(1, 31)))
+    (tmp_path / "dir").mkdir()
+    paths = {"set": set_file, **{k: str(tmp_path / k) for k in ("dir", "binary", "large", "thirty")}}
+    assert _exit_code([a.format(**paths) for a in argv]) == code
+
+
+def test_stdin_input(monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"1\n3\n")))
+    assert main(["analyze", "--input", "-"]) == 0
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n")))
+    assert main(["analyze", "--input", "-"]) == 2
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(SumfreeError, 1), (CertificationError, 1), (InputError, 2), (ResourceLimitError, 3), (OSError, 2)],
+)
+def test_exit_code_follows_error_class(monkeypatch, set_file, error, code):
+    def run(config):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run", run)
+    assert main(["analyze", "--input", set_file]) == code
+
+
+def test_internal_bug_keeps_its_traceback(monkeypatch, set_file):
+    def run(config):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(cli, "run", run)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["analyze", "--input", set_file])
 
 
 def test_flags_belong_to_their_subcommand(set_file, capsys):

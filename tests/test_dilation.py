@@ -9,7 +9,6 @@ import pytest
 
 from sumfree.arcs import OMEGA_21, ArcSet, pullback
 from sumfree.dilation import (
-    BreakpointCapError,
     ExtractionCertificate,
     PiecewiseConstantFn,
     balanced_function,
@@ -20,6 +19,7 @@ from sumfree.dilation import (
     orbit_subset,
     weighted_count_function,
 )
+from sumfree.errors import ResourceLimitError
 from sumfree.sets import IntegerSet, is_kl_sumfree
 
 
@@ -123,7 +123,7 @@ def test_breakpoint_cap_raises_before_allocating():
     A = IntegerSet.of([10**9])
     tracemalloc.start()
     try:
-        with pytest.raises(BreakpointCapError):
+        with pytest.raises(ResourceLimitError):
             count_function(A, OMEGA_21)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -6,10 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sumfree.errors import InputError
 from sumfree.exactnum import ExactScalar, PF_ONE, PF_PI_INV
 from sumfree.fourier import (
-    EndpointError,
-    ResolutionError,
     TrigPoly,
     eval_exact,
     fhat,
@@ -114,7 +113,7 @@ def test_eval_exact():
     assert eval_exact("Gamma", Fraction(1, 4)) == Fraction(2, 3)
     assert eval_exact("Lambda", Fraction(1, 4)) == Fraction(1)
     assert eval_exact("Lambda", Fraction(1, 2)) == Fraction(0)
-    with pytest.raises(EndpointError):
+    with pytest.raises(InputError):
         eval_exact("f", Fraction(1, 3))
 
 
@@ -149,9 +148,17 @@ def test_linf_bound_is_upper():
     assert value + bar >= brute - 1e-9
 
 
+def test_mixed_prefactors_rejected():
+    one = TrigPoly.of({1: 1}, PF_ONE)
+    with pytest.raises(InputError):
+        one + TrigPoly.of({1: 1}, PF_PI_INV)
+    with pytest.raises(InputError):
+        one.defect(series_truncated("f", 3))
+
+
 def test_resolution_error():
     p = series_truncated("f", 100)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(InputError):
         grid_norms(p, "Linf", M=64)
 
 

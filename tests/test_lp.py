@@ -4,10 +4,10 @@ import math
 
 import pytest
 
+from sumfree.errors import InputError
 from sumfree.exactnum import ExactScalar, PF_ONE
 from sumfree.fourier import TrigPoly
 from sumfree.lp import (
-    FitError,
     decompose,
     exp_sum_l1,
     lacunary_l1_diagnostic,
@@ -83,5 +83,8 @@ def test_lacunary_diagnostic():
 
 def test_lacunary_needs_three_sets():
     family = [IntegerSet.of([1, 3]), IntegerSet.of([1, 3, 9])]
-    with pytest.raises(FitError):
+    with pytest.raises(InputError):
         lacunary_l1_diagnostic(family)
+    # three sets of one size leave the slope undetermined
+    with pytest.raises(InputError):
+        lacunary_l1_diagnostic([IntegerSet.of([1])] * 3)

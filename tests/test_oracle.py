@@ -1,11 +1,14 @@
 """Exhaustive maximum sum-free subset oracle."""
 
 import random
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from sumfree.dilation import extract_certified
-from sumfree.oracle import OracleResourceError, OracleResult, compare, max_sumfree_exact
+from sumfree.errors import CertificationError, ResourceLimitError
+from sumfree.oracle import OracleResult, compare, max_sumfree_exact
 from sumfree.sets import IntegerSet, is_kl_sumfree
 
 
@@ -29,7 +32,7 @@ def test_oracle_rejects_equal_kl():
 
 
 def test_oracle_cap():
-    with pytest.raises(OracleResourceError):
+    with pytest.raises(ResourceLimitError):
         max_sumfree_exact(IntegerSet.of(range(1, 30)), 2, 1, cap=22)
 
 
@@ -58,3 +61,28 @@ def test_extractor_never_beats_oracle_24():
         oracle = max_sumfree_exact(A, 2, 4)
         cert = extract_certified(A, 2, 4)
         assert cert.count <= oracle.best_size
+
+
+@pytest.mark.parametrize("check", [is_kl_sumfree, max_sumfree_exact])
+def test_sum_bitsets_over_budget_raise_before_allocating(check):
+    # the 2-fold sums of 10**12 need 2*10**12-bit bitsets
+    A = IntegerSet.of([3, 10**12])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            check(A, 2, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_failed_certificates_raise(monkeypatch):
+    A = IntegerSet.of([1, 2, 3])
+    cert = extract_certified(A, 2, 1)
+    monkeypatch.setattr("sumfree.oracle.extract_certified", lambda *args: replace(cert, count=3))
+    with pytest.raises(CertificationError):
+        compare(A, 2, 1)
+    monkeypatch.setattr("sumfree.oracle.is_kl_sumfree", lambda *args: False)
+    with pytest.raises(CertificationError):
+        max_sumfree_exact(A, 2, 1)

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
+from sumfree.errors import InputError
 from sumfree.sets import (
     IntegerSet,
-    ParseError,
     generate,
     is_kl_sumfree,
     load_set,
@@ -25,10 +25,17 @@ def test_load_json():
 
 
 def test_load_rejects_nonpositive():
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError):
         load_set("0\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError):
         load_set("2\nx\n")
+
+
+def test_load_rejects_non_text():
+    with pytest.raises(InputError):
+        load_set(b"\xff\xfe1\n")
+    with pytest.raises(InputError):
+        load_set("[" + "9" * 5000 + "]", format="json")
 
 
 def test_membership():

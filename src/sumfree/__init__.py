@@ -1,7 +1,8 @@
 """Certified large (k,l)-sum-free subsets of integer sets, via exact
-maximization of dilation counts over torus arcs, plus the exact Fourier,
-sieve, Littlewood-Paley and bounded-test-function machinery that backs the
-L1 lower bounds."""
+maximization of dilation counts over torus arcs, plus the machinery that
+backs the L1 lower bounds: exact integer-table checks of the Mobius sieve
+identities, a grid layer with certified norms, lacunary L1 diagnostics and
+the bounded test-function build."""
 
 __version__ = "0.1.0"
 
@@ -18,9 +19,9 @@ from .dilation import (
     orbit_subset,
 )
 from .errors import CertificationError, InputError, ResourceLimitError, SumfreeError
-from .fourier import TrigPoly, eval_exact, fhat, fhat_t, grid_norms, series_truncated
-from .lp import decompose, lacunary_l1_diagnostic, square_function_lp
-from .mps import build_phi, fejer, hilbert, pairing
+from .fourier import grid_norms
+from .lp import lacunary_l1_diagnostic
+from .mps import build_phi, hilbert
 from .oracle import OracleResult, compare, max_sumfree_exact
 from .sets import IntegerSet, generate, is_kl_sumfree, load_set, structure
 from .sieve import inner_sum_decomposition, l1_lower_report, verify_identity
@@ -36,19 +37,13 @@ __all__ = [
     "ResourceLimitError",
     "SieveContext",
     "SumfreeError",
-    "TrigPoly",
     "balanced_function",
     "build_phi",
     "canonical_omega",
     "compare",
     "count_function",
-    "decompose",
-    "eval_exact",
     "exact_l1",
     "extract_certified",
-    "fejer",
-    "fhat",
-    "fhat_t",
     "generate",
     "grid_norms",
     "hilbert",
@@ -61,10 +56,7 @@ __all__ = [
     "max_sumfree_exact",
     "maximize_count",
     "orbit_subset",
-    "pairing",
     "pullback",
-    "series_truncated",
-    "square_function_lp",
     "structure",
     "verify_identity",
 ]

@@ -102,8 +102,16 @@ def _verify_stage(A: IntegerSet, config: RunConfig) -> dict:
     return {"identities": results, "all_equal": all(r["equal"] for r in results)}
 
 
+def _phi_interval(config: RunConfig) -> IntegerSet:
+    """The frequencies 1..size of the phi stages, built only once the grid
+    can hold them: 2*size <= grid is necessary for build_phi's own check."""
+    if 2 * config.size > config.grid:
+        raise InputError(f"grid {config.grid} cannot hold size {config.size} alias-free")
+    return generate("interval", n=config.size)
+
+
 def _phi_stage(config: RunConfig) -> dict:
-    B = generate("interval", n=config.size)
+    B = _phi_interval(config)
     if config.weights == "unit":
         w = {m: 1.0 for m in B}
     else:
@@ -165,7 +173,7 @@ def _surplus_stage(config: RunConfig) -> list[dict]:
 
 
 def _phi_profile_stage(config: RunConfig, points: int = 2048) -> list[dict]:
-    B = generate("interval", n=config.size)
+    B = _phi_interval(config)
     coeffs, _ = build_phi(B, {m: 1.0 for m in B}, config.base, config.grid)
     samples = sample_grid(coeffs, config.grid).samples
     step = max(1, config.grid // points)
@@ -288,8 +296,8 @@ _COMMAND_FLAGS = {
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sumfree",
-        description="certified sum-free subset extraction and the exact "
-        "Fourier/sieve toolkit behind it",
+        description="certified sum-free subset extraction, with exact checks "
+        "of the sieve identities and the L1 bounds behind it",
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for name, flags in _COMMAND_FLAGS.items():

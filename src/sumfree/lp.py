@@ -1,85 +1,25 @@
-"""Triadic block decomposition and lacunary L1 growth diagnostics.
+"""Lacunary L1 growth diagnostics.
 
-Blocks are base-3 frequency ranges [3^k, 3^(k+1)).  The L1 norm of a unit-
-coefficient exponential sum over a frequency set is measured either on a grid
-(small degree, certified error bar) or — for triadic geometric frequencies,
-whose degree can exceed any feasible grid — by an exact-distribution Monte
-Carlo scheme: for x uniform on [0,1) the orbit y_j = 3^j x mod 1 is sampled
-backwards via y_{j-1} = (y_j + r_j)/3 with r_j uniform on {0,1,2}, which
-reproduces the joint law without ever forming 3^j.
+The L1 norm of a unit-coefficient exponential sum over a frequency set is
+measured either on a grid (small degree, certified error bar) or — for
+triadic geometric frequencies, whose degree can exceed any feasible grid —
+by an exact-distribution Monte Carlo scheme: for x uniform on [0,1) the
+orbit y_j = 3^j x mod 1 is sampled backwards via y_{j-1} = (y_j + r_j)/3
+with r_j uniform on {0,1,2}, which reproduces the joint law without ever
+forming 3^j.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .fourier import TrigPoly, grid_norms, grid_size, sample_grid
-from .sets import IntegerSet, triadic_index
+from .fourier import grid_norms
+from .sets import IntegerSet
 
 GRID_DEGREE_LIMIT = 1 << 20
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: dict[int, TrigPoly]
-    occupied: tuple[int, ...]
-
-
-def decompose(g: TrigPoly) -> BlockDecomposition:
-    """Partition a positive-frequency polynomial by triadic blocks."""
-    if any(n <= 0 for n in g.coeffs):
-        raise InputError("decompose expects positive frequencies only")
-    buckets: dict[int, dict] = {}
-    for n, c in g.coeffs.items():
-        buckets.setdefault(triadic_index(n), {})[n] = c
-    blocks = {
-        k: TrigPoly.of(coeffs, g.prefactor) for k, coeffs in buckets.items()
-    }
-    return BlockDecomposition(blocks, tuple(sorted(blocks)))
-
-
-def recompose(d: BlockDecomposition) -> TrigPoly:
-    out = None
-    for k in d.occupied:
-        out = d.blocks[k] if out is None else out + d.blocks[k]
-    if out is None:
-        raise InputError("empty decomposition")
-    return out
-
-
-def square_function_lp(d: BlockDecomposition, p: float, M: int | None = None) -> tuple[float, float]:
-    """Grid L^p norm of (sum_k |Delta_k|^2)^(1/2) with a certified bar.
-
-    p = 2 is exact (Parseval: the square function and the full sum share an
-    L2 norm).  Otherwise the bar combines the Riemann-sum error of S^p —
-    bounded by the total variation over one grid cell, with Var(S) <=
-    (sum_k ||Delta_k'||_2^2)^(1/2) — and the elementary |a^(1/p) - b^(1/p)|
-    <= |a - b|^(1/p).
-    """
-    if p <= 1:
-        raise InputError("p must exceed 1")
-    deg = max(b.degree for b in d.blocks.values())
-    if p == 2:
-        total = 0.0
-        for b in d.blocks.values():
-            total += sum(abs(c) ** 2 for c in b.to_complex_coeffs().values())
-        return math.sqrt(total), 0.0
-    M = grid_size(deg, M)
-    sq = np.zeros(M)
-    deriv_sq = 0.0
-    for b in d.blocks.values():
-        cc = b.to_complex_coeffs()
-        sq += np.abs(sample_grid(cc, M).samples) ** 2
-        deriv_sq += sum((2 * math.pi * abs(n) * abs(c)) ** 2 for n, c in cc.items())
-    S = np.sqrt(sq)
-    value = float((S**p).mean()) ** (1 / p)
-    var_bound = math.sqrt(deriv_sq)
-    integral_bar = p * float(S.max()) ** (p - 1) * var_bound / M
-    return value, integral_bar ** (1 / p)
 
 
 def _is_triadic_powers(A: IntegerSet) -> bool:
@@ -108,8 +48,7 @@ def exp_sum_l1(
 ) -> tuple[float, float]:
     """(value, error bar) for the L1 norm of sum_{a in A} e(ax)."""
     if max(A) <= GRID_DEGREE_LIMIT:
-        poly = TrigPoly.of({a: 1 for a in A})
-        return grid_norms(poly, "L1", M=M)
+        return grid_norms({a: 1.0 for a in A}, "L1", M=M)
     if _is_triadic_powers(A):
         return triadic_l1_montecarlo(len(A), seed=seed)
     raise InputError(

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .exactnum import ExactScalar, PF_ONE
-from .fourier import GridFn, TrigPoly, sample_grid
+from .fourier import GridFn, sample_grid
 from .sets import IntegerSet
 
 
@@ -43,39 +42,14 @@ def pairing_constant(b: int) -> float:
     return (1 - epsilon_of_base(b)) / (2 * b)
 
 
-def fejer(C: int) -> TrigPoly:
-    """The nonnegative kernel sum_{|m| <= C} ((C - |m|)/C) e(mx)."""
-    if C < 1:
-        raise InputError("C must be >= 1")
-    from fractions import Fraction
-
-    return TrigPoly.of(
-        {m: Fraction(C - abs(m), C) for m in range(-C + 1, C)}, PF_ONE
-    )
-
-
-def hilbert(p):
-    """Conjugate-function multiplier -i sgn(n), exact on TrigPoly,
-    FFT-based on GridFn or a raw sample array."""
-    if isinstance(p, TrigPoly):
-        return TrigPoly.of(
-            {
-                n: c * ExactScalar.imag(-1 if n > 0 else 1)
-                for n, c in p.coeffs.items()
-                if n != 0
-            },
-            p.prefactor,
-        )
-    samples = p.samples if isinstance(p, GridFn) else np.asarray(p)
+def hilbert(samples: np.ndarray) -> np.ndarray:
+    """Conjugate-function multiplier -i sgn(n), applied by FFT to samples on
+    the M-point grid."""
     M = len(samples)
-    spec = np.fft.fft(samples)
     mult = np.zeros(M, dtype=complex)
     mult[1 : M // 2] = -1j
     mult[M // 2 + 1 :] = 1j
-    out = np.fft.ifft(spec * mult)
-    if isinstance(p, GridFn):
-        return GridFn(out)
-    return out
+    return np.fft.ifft(np.fft.fft(samples) * mult)
 
 
 @dataclass(frozen=True)
@@ -281,8 +255,3 @@ def build_phi(B: IntegerSet, w, b: int = 100, M: int = 1 << 17):
         explicit_agreement=explicit_agreement,
     )
     return nz, cert
-
-
-def pairing(f_coeffs: dict[int, complex], phi_coeffs: dict[int, complex]) -> complex:
-    """S = sum_m w(m) Phi-hat(m) = integral f(x) Phi(-x) dx."""
-    return sum(c * phi_coeffs.get(m, 0) for m, c in f_coeffs.items())

@@ -16,7 +16,9 @@ Identity ids:
                       right side is eps(m)e(2mx) plus (chi(n)+-1)/(2n) terms
 
 All series are truncated to |frequency| <= X; every sum below is finite and
-exact, so equality is decided with defect exactly 0 in the ring Q(i, sqrt3).
+exact, so equality is decided exactly: the sides agree iff their integer
+tables do, and a nonzero defect is reported as an exact rational multiple of
+the identity's unit.
 
 Integer tables.  Every coefficient of one identity lies on one line unit*Q,
 so a side is held as integer numerators: the coefficient at the (signed)
@@ -62,7 +64,6 @@ from .arith import (
 )
 from .dilation import exact_l1, weighted_count_function
 from .errors import MEMORY_BUDGET, InputError
-from .exactnum import ONE, ExactScalar, PF_ONE, PF_PI_INV, Prefactor, ZERO
 from .sets import IntegerSet, structure
 
 IDENTITY_IDS = ("sec2_f", "gamma_sieved", "lambda1", "g1", "final")
@@ -88,33 +89,36 @@ def _h(r: int) -> Fraction:
 _CHI = np.array([0, 1, -1], dtype=np.int64)  # chi by n mod 3
 _KAPPA_F = -_CHI[np.arange(12) % 3]  # fhat(n) = sqrt3 * kappa_f(n) / (2n)
 _KAPPA_L = np.array([int(-4 * _h(r)) for r in range(12)])  # i * kappa_L(n) / (2n)
-_S3, _I = ExactScalar.sqrt3(1), ExactScalar.imag(1)
 _SCALE = {"sec2_f": 1, "gamma_sieved": 2, "lambda1": 1, "g1": 1, "final": 2}
-_UNIT = {"sec2_f": _S3, "gamma_sieved": _S3, "lambda1": _I, "g1": _I, "final": ONE}
+# the unit as the suffix it is printed with: sqrt3, i or 1
+_UNIT = {"sec2_f": "*sqrt3", "gamma_sieved": "*sqrt3", "lambda1": "i", "g1": "i", "final": ""}
 
 
 @dataclass(frozen=True, eq=False)
 class SieveTable:
-    """prefactor * sum_F unit * num(F)/(2F) e(Fx), held as a sorted int64
-    array of (F, num) rows, one per nonzero coefficient."""
+    """pi**pi_exp * sum_F unit * num(F)/(2F) e(Fx), held as a sorted int64
+    array of (F, num) rows, one per nonzero coefficient; the unit is sqrt3,
+    i or 1, named by its printed suffix."""
 
-    prefactor: Prefactor
-    unit: ExactScalar
+    pi_exp: int
+    unit: str
     coeffs: np.ndarray
 
-    def coeff(self, n: int) -> ExactScalar:
+    def coeff(self, n: int) -> Fraction:
+        """The coefficient of e(nx) as a rational multiple of the unit."""
         i = int(np.searchsorted(self.coeffs[:, 0], n))
         if i == len(self.coeffs) or self.coeffs[i, 0] != n:
-            return ZERO
-        return self.unit.scale(Fraction(int(self.coeffs[i, 1]), 2 * n))
+            return Fraction(0)
+        return Fraction(int(self.coeffs[i, 1]), 2 * n)
 
-    def defect(self, other: "SieveTable") -> tuple[ExactScalar, int | None]:
-        """(self - other at the witness, witness): the witness is the
-        differing frequency of largest |coefficient|; (0, None) if equal."""
-        if (self.prefactor, self.unit) != (other.prefactor, other.unit):
+    def defect(self, other: "SieveTable") -> tuple[Fraction, int | None]:
+        """(self - other at the witness as a multiple of the unit, witness):
+        the witness is the differing frequency of largest |coefficient|;
+        (0, None) if equal."""
+        if (self.pi_exp, self.unit) != (other.pi_exp, other.unit):
             raise InputError("tables over different prefactors or units")
         if np.array_equal(self.coeffs, other.coeffs):
-            return ZERO, None
+            return Fraction(0), None
         diff = dict(self.coeffs.tolist())
         for F, num in other.coeffs.tolist():
             diff[F] = diff.get(F, 0) - num
@@ -123,7 +127,7 @@ class SieveTable:
             # |d/F| > |worst/witness|, by an integer cross product
             if d and (witness is None or abs(d * witness) > abs(worst * F)):
                 witness, worst = F, d
-        return (ZERO if witness is None else self.unit.scale(Fraction(worst, 2 * witness))), witness
+        return (Fraction(0) if witness is None else Fraction(worst, 2 * witness)), witness
 
 
 def _check(identity_id: str, X: int) -> None:
@@ -139,8 +143,7 @@ def _table(identity_id: str, num: np.ndarray) -> SieveTable:
     rows = np.empty((len(neg) + len(pos), 2), np.int64)
     rows[: len(neg), 0], rows[: len(neg), 1] = -neg, num[1, neg]
     rows[len(neg) :, 0], rows[len(neg) :, 1] = pos, num[0, pos]
-    pf = PF_ONE if identity_id == "final" else PF_PI_INV
-    return SieveTable(pf, _UNIT[identity_id], rows)
+    return SieveTable(0 if identity_id == "final" else -1, _UNIT[identity_id], rows)
 
 
 def _signed(ts: list[int], bound: int, chi: bool = True):
@@ -242,7 +245,7 @@ def verify_identity(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) 
         "P": ctx.P,
         "X": X,
         "equal": witness is None,
-        "defect": str(defect),
+        "defect": f"{defect}{lhs.unit}" if defect else "0",
         "witness": witness,
     }
 

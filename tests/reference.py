@@ -1,0 +1,188 @@
+"""Closed-form Fourier references for the tests, in exact arithmetic.
+
+The library decides the sieve identities by integer tables (one unit per
+identity); these closed forms are the independent check on those tables.
+Scalars live in the ring Q(i, sqrt3), and every series is in units of 1/pi.
+
+The balanced functions are
+    f  = 1_(1/3,2/3) - 1/3      fhat(n)  = (-1)^n sin(n pi/3) / (pi n)
+    f_t = 1_{Omega_t} - 1/6     fhat_t(n) = e(-(2t-1)n/4) sin(n pi/6) / (pi n)
+with Omega_1 = (1/6,1/3), Omega_2 = (2/3,5/6), and Gamma = f1 + f2 (which
+coincides with x -> f(2x)), Lambda = f1 - f2.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21
+from sumfree.errors import InputError
+
+_SQRT3 = math.sqrt(3.0)
+
+
+@dataclass(frozen=True)
+class ExactScalar:
+    """(a + b*i) + (c + d*i)*sqrt(3), all components exact rationals."""
+
+    a: Fraction = Fraction(0)
+    b: Fraction = Fraction(0)
+    c: Fraction = Fraction(0)
+    d: Fraction = Fraction(0)
+
+    @staticmethod
+    def of(x) -> "ExactScalar":
+        return ExactScalar(Fraction(x))
+
+    @staticmethod
+    def imag(x) -> "ExactScalar":
+        return ExactScalar(b=Fraction(x))
+
+    @staticmethod
+    def sqrt3(x) -> "ExactScalar":
+        return ExactScalar(c=Fraction(x))
+
+    def __add__(self, o: "ExactScalar") -> "ExactScalar":
+        return ExactScalar(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+
+    def __neg__(self) -> "ExactScalar":
+        return ExactScalar(-self.a, -self.b, -self.c, -self.d)
+
+    def __sub__(self, o: "ExactScalar") -> "ExactScalar":
+        return self + -o
+
+    def __mul__(self, o: "ExactScalar") -> "ExactScalar":
+        # (z1 + w1*s)(z2 + w2*s) = (z1 z2 + 3 w1 w2) + (z1 w2 + w1 z2) s,
+        # with complex parts z = a + bi, w = c + di and s = sqrt(3).
+        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
+        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
+        ra = a1 * a2 - b1 * b2 + 3 * (c1 * c2 - d1 * d2)
+        rb = a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2)
+        rc = a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2
+        rd = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
+        return ExactScalar(ra, rb, rc, rd)
+
+    def scale(self, r) -> "ExactScalar":
+        r = Fraction(r)
+        return ExactScalar(self.a * r, self.b * r, self.c * r, self.d * r)
+
+    def is_zero(self) -> bool:
+        return not (self.a or self.b or self.c or self.d)
+
+    def to_complex(self) -> complex:
+        return complex(
+            float(self.a) + _SQRT3 * float(self.c),
+            float(self.b) + _SQRT3 * float(self.d),
+        )
+
+    def __str__(self) -> str:
+        parts = []
+        if self.a:
+            parts.append(str(self.a))
+        if self.b:
+            parts.append(f"{self.b}i")
+        if self.c:
+            parts.append(f"{self.c}*sqrt3")
+        if self.d:
+            parts.append(f"{self.d}i*sqrt3")
+        return " + ".join(parts) if parts else "0"
+
+
+ZERO = ExactScalar()
+ONE = ExactScalar.of(1)
+# the scalar behind each sieve table's unit suffix
+UNITS = {"*sqrt3": ExactScalar.sqrt3(1), "i": ExactScalar.imag(1), "": ONE}
+
+# sin(n*pi/6), indexed by n mod 12.
+_SIN_PI6 = [
+    ZERO,
+    ExactScalar.of(Fraction(1, 2)),
+    ExactScalar.sqrt3(Fraction(1, 2)),
+    ONE,
+    ExactScalar.sqrt3(Fraction(1, 2)),
+    ExactScalar.of(Fraction(1, 2)),
+    ZERO,
+    ExactScalar.of(Fraction(-1, 2)),
+    ExactScalar.sqrt3(Fraction(-1, 2)),
+    -ONE,
+    ExactScalar.sqrt3(Fraction(-1, 2)),
+    ExactScalar.of(Fraction(-1, 2)),
+]
+
+
+def sin_pi6(n: int) -> ExactScalar:
+    """Exact sin(n*pi/6)."""
+    return _SIN_PI6[n % 12]
+
+
+def sin_pi3(n: int) -> ExactScalar:
+    """Exact sin(n*pi/3)."""
+    return _SIN_PI6[(2 * n) % 12]
+
+
+def e_quarter(n: int) -> ExactScalar:
+    """Exact e(n/4) = exp(2*pi*i*n/4) = i**n."""
+    return (ONE, ExactScalar.imag(1), -ONE, ExactScalar.imag(-1))[n % 4]
+
+
+def fhat(n: int) -> ExactScalar:
+    """Coefficient of e(nx) in f, in units of 1/pi; zero at n = 0."""
+    if n == 0:
+        return ZERO
+    return sin_pi3(n).scale(Fraction((-1) ** (n % 2), n))
+
+
+def fhat_t(n: int, t: int) -> ExactScalar:
+    """Coefficient of e(nx) in f_t (t = 1 or 2), in units of 1/pi; zero at
+    n = 0."""
+    if n == 0:
+        return ZERO
+    return (e_quarter(-(2 * t - 1) * n) * sin_pi6(n)).scale(Fraction(1, n))
+
+
+def lambda_hat(n: int) -> ExactScalar:
+    return fhat_t(n, 1) - fhat_t(n, 2)
+
+
+_HATS = {
+    "f": fhat,
+    "f1": lambda n: fhat_t(n, 1),
+    "f2": lambda n: fhat_t(n, 2),
+    "Gamma": lambda n: fhat_t(n, 1) + fhat_t(n, 2),
+    "Lambda": lambda_hat,
+}
+
+
+def series_truncated(kind: str, X: int) -> dict[int, ExactScalar]:
+    """Nonzero coefficients {n: c_n} of f / f1 / f2 / Gamma / Lambda for
+    |n| <= X, in units of 1/pi."""
+    coeffs = {n: _HATS[kind](n) for n in range(-X, X + 1)}
+    return {n: c for n, c in coeffs.items() if not c.is_zero()}
+
+
+def to_complex(series: dict[int, ExactScalar]) -> dict[int, complex]:
+    """The series as floats, the 1/pi applied."""
+    return {n: c.to_complex() / math.pi for n, c in series.items()}
+
+
+_REGIONS = {
+    "f": (OMEGA_21, Fraction(1, 3)),
+    "f1": (OMEGA_1, Fraction(1, 6)),
+    "f2": (OMEGA_2, Fraction(1, 6)),
+}
+
+
+def eval_exact(kind: str, x) -> Fraction:
+    """Indicator-based exact value; raises InputError at jump points."""
+    x = Fraction(x) % 1
+    if kind == "Gamma":
+        return eval_exact("f1", x) + eval_exact("f2", x)
+    if kind == "Lambda":
+        return eval_exact("f1", x) - eval_exact("f2", x)
+    O, mean = _REGIONS[kind]
+    for lo, hi in O.arcs:
+        if x == lo % 1 or x == hi % 1:
+            raise InputError(f"{x} is a jump point of {kind}")
+    return (1 if O.contains(x) else 0) - mean

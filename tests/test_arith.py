@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import sin_pi3
 from sumfree.arith import (
     SieveContext,
     chi3,
@@ -15,8 +16,6 @@ from sumfree.arith import (
     rough_integers,
     smooth_squarefree,
 )
-from sumfree.exactnum import sin_pi3
-
 
 CTX5 = SieveContext(Q=5, P=101)
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -123,6 +124,20 @@ def test_exit_code(argv, code, set_file, tmp_path):
     (tmp_path / "dir").mkdir()
     paths = {"set": set_file, **{k: str(tmp_path / k) for k in ("dir", "binary", "large", "thirty")}}
     assert _exit_code([a.format(**paths) for a in argv]) == code
+
+
+@pytest.mark.parametrize(
+    "argv", [["phi"], ["report", "--kind", "phi_profile"]], ids=["phi", "phi_profile"]
+)
+def test_oversized_phi_size_exits_2_before_allocating(argv):
+    tracemalloc.start()
+    try:
+        code = _exit_code(argv + ["--size", "2000000", "--grid", "4"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
 
 
 def test_stdin_input(monkeypatch):

@@ -1,4 +1,4 @@
-"""Exact Fourier coefficients, truncated series, and the grid norm engine."""
+"""The closed-form Fourier references and the grid norm engine."""
 
 import math
 from fractions import Fraction
@@ -6,17 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference import ZERO, eval_exact, fhat, fhat_t, series_truncated, to_complex
 from sumfree.errors import InputError
-from sumfree.exactnum import ExactScalar, PF_ONE, PF_PI_INV
-from sumfree.fourier import (
-    TrigPoly,
-    eval_exact,
-    fhat,
-    fhat_t,
-    grid_norms,
-    sample_grid,
-    series_truncated,
-)
+from sumfree.fourier import grid_norms, sample_grid
+
+
+def _eval(coeffs, x):
+    """sum c_n e(nx) of a float table."""
+    ns = np.array(list(coeffs))
+    cs = np.array(list(coeffs.values()))
+    return complex(np.sum(cs * np.exp(2j * np.pi * ns * x)))
 
 
 def test_fhat_values():
@@ -67,33 +66,33 @@ def test_fhat_t_matches_quadrature():
 
 def test_series_coefficients():
     f = series_truncated("f", 10)
-    assert f.coeff(3).is_zero()
-    assert f.coeff(1).to_complex() == pytest.approx(-math.sqrt(3) / 2)
+    assert 3 not in f
+    assert f[1].to_complex() == pytest.approx(-math.sqrt(3) / 2)
     gamma = series_truncated("Gamma", 10)
     # Gamma(x) = f(2x): frequency 2n carries fhat(n)
-    assert gamma.coeff(2).to_complex() == pytest.approx(fhat(1).to_complex())
-    assert gamma.coeff(1).is_zero()
+    assert gamma[2].to_complex() == pytest.approx(fhat(1).to_complex())
+    assert 1 not in gamma
 
 
 def test_gamma_is_f_of_2x():
     f = series_truncated("f", 50)
     gamma = series_truncated("Gamma", 100)
-    dilated = TrigPoly.of({2 * n: c for n, c in f.coeffs.items()}, f.prefactor)
-    assert gamma.equals(dilated)
+    assert gamma == {2 * n: c for n, c in f.items()}
 
 
 def test_gamma_lambda_from_f1_f2():
     X = 60
     f1 = series_truncated("f1", X)
     f2 = series_truncated("f2", X)
-    assert (f1 + f2).equals(series_truncated("Gamma", X))
-    assert (f1 - f2).equals(series_truncated("Lambda", X))
+    for sign, kind in ((1, "Gamma"), (-1, "Lambda")):
+        combined = {n: f1.get(n, ZERO) + f2.get(n, ZERO).scale(sign) for n in f1 | f2}
+        nonzero = {n: c for n, c in combined.items() if not c.is_zero()}
+        assert nonzero == series_truncated(kind, X)
 
 
 def test_lambda_sin_coefficient():
-    lam = series_truncated("Lambda", 1)
-    c1 = lam.coeff(1).to_complex() * lam.prefactor.to_float()
-    cm1 = lam.coeff(-1).to_complex() * lam.prefactor.to_float()
+    lam = to_complex(series_truncated("Lambda", 1))
+    c1, cm1 = lam[1], lam[-1]
     # sin(2 pi x) coefficient = i(c_1 - c_{-1}); quadrature oracle gives 2/pi
     M = 1 << 14
     xs = (np.arange(M) + 0.5) / M
@@ -119,20 +118,19 @@ def test_eval_exact():
 
 def test_series_converges_to_eval():
     # partial sums approach the exact step values away from the jumps
-    p = series_truncated("f", 3000)
+    p = to_complex(series_truncated("f", 3000))
     for x in (Fraction(1, 2), Fraction(1, 10), Fraction(3, 7)):
-        assert abs(p.eval_float(float(x)) - eval_exact("f", x)) < 0.02
+        assert abs(_eval(p, float(x)) - eval_exact("f", x)) < 0.02
 
 
 def test_grid_norm_constant():
-    one = TrigPoly.of({0: ExactScalar.of(1)}, PF_ONE)
-    value, bar = grid_norms(one, "L1")
+    value, bar = grid_norms({0: 1.0}, "L1")
     assert value == pytest.approx(1.0)
     assert bar == pytest.approx(0.0, abs=1e-12)
 
 
 def test_grid_norm_cosine():
-    cos2 = TrigPoly.of({1: ExactScalar.of(1), -1: ExactScalar.of(1)}, PF_ONE)
+    cos2 = {1: 1.0, -1: 1.0}
     value, bar = grid_norms(cos2, "L1")
     assert abs(value - 4 / math.pi) <= bar + 1e-9
     l2, zero = grid_norms(cos2, "L2")
@@ -141,31 +139,22 @@ def test_grid_norm_cosine():
 
 
 def test_linf_bound_is_upper():
-    p = series_truncated("f", 40)
+    p = to_complex(series_truncated("f", 40))
     value, bar = grid_norms(p, "Linf")
     xs = np.linspace(0, 1, 100001)
-    brute = max(abs(p.eval_float(x)) for x in xs[::100])
+    brute = max(abs(_eval(p, x)) for x in xs[::100])
     assert value + bar >= brute - 1e-9
 
 
-def test_mixed_prefactors_rejected():
-    one = TrigPoly.of({1: 1}, PF_ONE)
-    with pytest.raises(InputError):
-        one + TrigPoly.of({1: 1}, PF_PI_INV)
-    with pytest.raises(InputError):
-        one.defect(series_truncated("f", 3))
-
-
 def test_resolution_error():
-    p = series_truncated("f", 100)
+    p = to_complex(series_truncated("f", 100))
     with pytest.raises(InputError):
         grid_norms(p, "Linf", M=64)
 
 
 def test_grid_round_trip():
-    p = series_truncated("Lambda", 30)
-    g = sample_grid(p, 512)
+    want = to_complex(series_truncated("Lambda", 30))
+    g = sample_grid(want, 512)
     back = g.coefficients()  # indexed by n mod M
-    want = p.to_complex_coeffs()
     for n, c in want.items():
         assert abs(back[n % 512] - c) < 1e-10

@@ -1,59 +1,12 @@
-"""Triadic block decomposition and lacunary L1 diagnostics."""
+"""Exponential-sum L1 norms and lacunary L1 diagnostics."""
 
 import math
 
 import pytest
 
 from sumfree.errors import InputError
-from sumfree.exactnum import ExactScalar, PF_ONE
-from sumfree.fourier import TrigPoly
-from sumfree.lp import (
-    decompose,
-    exp_sum_l1,
-    lacunary_l1_diagnostic,
-    recompose,
-    square_function_lp,
-    triadic_l1_montecarlo,
-)
-from sumfree.sets import IntegerSet, triadic_index
-
-
-def _unit_poly(freqs):
-    return TrigPoly.of({n: ExactScalar.of(1) for n in freqs}, PF_ONE)
-
-
-def test_decompose_blocks():
-    p = _unit_poly([1, 2, 4, 9, 10, 30, 81])
-    d = decompose(p)
-    assert d.occupied == (0, 1, 2, 3, 4)
-    for k, block in d.blocks.items():
-        for n in block.coeffs:
-            assert triadic_index(n) == k
-
-
-def test_decompose_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        decompose(_unit_poly([-1, 2]))
-
-
-def test_recompose_round_trip():
-    p = _unit_poly([1, 3, 5, 11, 27, 40])
-    assert recompose(decompose(p)).equals(p)
-
-
-def test_square_function_l2_is_parseval():
-    p = _unit_poly([1, 2, 9, 28])
-    value, bar = square_function_lp(decompose(p), 2)
-    assert bar == 0.0
-    assert value == pytest.approx(2.0)  # sqrt(4 unit coefficients)
-
-
-def test_square_function_lp_monotone():
-    p = _unit_poly([1, 4, 10, 28, 81])
-    d = decompose(p)
-    l2, _ = square_function_lp(d, 2)
-    l4, bar4 = square_function_lp(d, 4)
-    assert l4 + bar4 >= l2 - 1e-9
+from sumfree.lp import exp_sum_l1, lacunary_l1_diagnostic, triadic_l1_montecarlo
+from sumfree.sets import IntegerSet
 
 
 def test_montecarlo_single_frequency():

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import ONE, UNITS, ZERO, ExactScalar, fhat, lambda_hat
 from sumfree import sieve
 from sumfree.arith import (
     SieveContext,
@@ -23,8 +24,6 @@ from sumfree.arith import (
     sec2_sieve_set,
     smooth_squarefree,
 )
-from sumfree.exactnum import ONE, ExactScalar, ZERO
-from sumfree.fourier import fhat, fhat_t
 from sumfree.sets import IntegerSet, structure
 from sumfree.sieve import (
     IDENTITY_IDS,
@@ -63,11 +62,7 @@ def test_sides_have_matching_prefactors():
     for identity_id in IDENTITY_IDS:
         lhs = sieve_lhs(identity_id, A, CTX, 100)
         rhs = sieve_rhs(identity_id, A, CTX, 100)
-        assert lhs.prefactor == rhs.prefactor
-
-
-def _lambda_hat(n):
-    return fhat_t(n, 1) - fhat_t(n, 2)
+        assert (lhs.pi_exp, lhs.unit) == (rhs.pi_exp, rhs.unit)
 
 
 def _reference_lhs(identity_id, A, ctx, X):
@@ -89,12 +84,12 @@ def _reference_lhs(identity_id, A, ctx, X):
     elif identity_id == "gamma_sieved":
         add(smooth_squarefree(ctx, X), mu_chi, fhat, 2)
     elif identity_id in ("lambda1", "g1"):
-        add(odd_smooth_squarefree(ctx, X), mu, _lambda_hat, 1)
+        add(odd_smooth_squarefree(ctx, X), mu, lambda_hat, 1)
     else:
         s3_3 = ExactScalar.sqrt3(Fraction(1, 3))
         add(smooth_squarefree(ctx, X), lambda t: -mu_chi(t), fhat, 2, s3_3)
         add(smooth_squarefree(ctx, X), mu_chi, fhat, 6, s3_3)
-        add(odd_smooth_squarefree(ctx, X), mu, _lambda_hat, 2, ExactScalar.imag(Fraction(1, 2)))
+        add(odd_smooth_squarefree(ctx, X), mu, lambda_hat, 2, ExactScalar.imag(Fraction(1, 2)))
     return out
 
 
@@ -142,9 +137,11 @@ def test_tables_match_term_by_term_reference():
                 for build, ref in ((sieve_lhs, _reference_lhs), (sieve_rhs, _reference_rhs)):
                     table = build(identity_id, A, ctx, X)
                     expected = ref(identity_id, A, ctx, X)
+                    unit = UNITS[table.unit]
                     assert len(table.coeffs) == sum(not c.is_zero() for c in expected.values())
                     for n in range(-X, X + 1):
-                        assert table.coeff(n) == expected.get(n, ZERO), (identity_id, q, n)
+                        got = unit.scale(table.coeff(n))
+                        assert got == expected.get(n, ZERO), (identity_id, q, n)
 
 
 def test_kappa_tables_give_the_series_coefficients():
@@ -152,28 +149,31 @@ def test_kappa_tables_give_the_series_coefficients():
     for n in range(1, 241):
         for s in (1, -1):
             F = s * n
-            assert sieve._S3.scale(Fraction(int(sieve._KAPPA_F[F % 12]), 2 * F)) == fhat(F)
-            assert sieve._I.scale(Fraction(int(sieve._KAPPA_L[F % 12]), 2 * F)) == _lambda_hat(F)
+            assert UNITS["*sqrt3"].scale(Fraction(int(sieve._KAPPA_F[F % 12]), 2 * F)) == fhat(F)
+            assert UNITS["i"].scale(Fraction(int(sieve._KAPPA_L[F % 12]), 2 * F)) == lambda_hat(F)
 
 
-def test_mismatch_reports_the_exact_defect(monkeypatch):
+@pytest.mark.parametrize("identity_id", ["gamma_sieved", "lambda1", "final"])  # sqrt3, i, 1
+def test_mismatch_reports_the_exact_defect(monkeypatch, identity_id):
     A = IntegerSet.of([1, 2, 5])
-    rhs = sieve_rhs("lambda1", A, CTX, 300)
-    real = sieve_lhs("lambda1", A, CTX, 300)
+    rhs = sieve_rhs(identity_id, A, CTX, 300)
+    real = sieve_lhs(identity_id, A, CTX, 300)
+    unit = UNITS[real.unit]
     rows = real.coeffs.copy()
     rows[7, 1] += 5  # one altered numerator
     rows[-3, 1] += 1  # a smaller |delta / F| elsewhere
     altered = dataclasses.replace(real, coeffs=rows)
     F = int(rows[7, 0])
     monkeypatch.setattr(sieve, "sieve_lhs", lambda *args: altered)
-    r = sieve.verify_identity("lambda1", A, CTX, 300)
+    r = sieve.verify_identity(identity_id, A, CTX, 300)
     assert r["equal"] is False
     assert r["witness"] == F
-    assert r["defect"] == str(altered.coeff(F) - rhs.coeff(F)) != "0"
+    expected = unit.scale(altered.coeff(F)) - unit.scale(rhs.coeff(F))
+    assert r["defect"] == str(expected) != "0"
     # a row missing from one side is a difference too
     dropped = dataclasses.replace(real, coeffs=real.coeffs[1:])
     G = int(real.coeffs[0, 0])
-    assert dropped.defect(rhs) == (ZERO - rhs.coeff(G), G)
+    assert dropped.defect(rhs) == (-rhs.coeff(G), G)
 
 
 def test_cutoff_cap_raises_before_allocating():

@@ -21,6 +21,8 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .arith import SieveContext, is_prime, next_prime_at_least
 from .dilation import extract_certified
@@ -31,6 +33,8 @@ from .mps import build_phi
 from .oracle import compare
 from .sets import IntegerSet, generate, load_set, structure
 from .sieve import IDENTITY_IDS, SIEVE_CUTOFF_CAP, l1_lower_report, verify_identity
+
+PROFILE_POINTS = 2048  # about this many |Phi| samples per phi_profile report
 
 
 @dataclass(frozen=True)
@@ -115,10 +119,8 @@ def _phi_stage(config: RunConfig) -> dict:
     if config.weights == "unit":
         w = {m: 1.0 for m in B}
     else:
-        import numpy as np
-
-        rng = np.random.default_rng(config.seed)
-        w = {m: complex(np.exp(2j * math.pi * rng.random())) for m in B}
+        phases = np.random.default_rng(config.seed).random(B.N)
+        w = dict(zip(B.elements, np.exp(2j * math.pi * phases).tolist()))
     _, cert = build_phi(B, w, config.base, config.grid)
     return {"certificate": cert.to_json(), "weights": config.weights}
 
@@ -172,11 +174,11 @@ def _surplus_stage(config: RunConfig) -> list[dict]:
     return rows
 
 
-def _phi_profile_stage(config: RunConfig, points: int = 2048) -> list[dict]:
+def _phi_profile_stage(config: RunConfig) -> list[dict]:
     B = _phi_interval(config)
     coeffs, _ = build_phi(B, {m: 1.0 for m in B}, config.base, config.grid)
     samples = sample_grid(coeffs, config.grid).samples
-    step = max(1, config.grid // points)
+    step = max(1, config.grid // PROFILE_POINTS)
     return [
         {"x": j / config.grid, "abs_phi": float(abs(samples[j]))}
         for j in range(0, config.grid, step)
@@ -224,11 +226,7 @@ def run(config: RunConfig) -> dict:
 
 def emit_plotdata(report: dict, kind: str) -> str:
     """Headered CSV for a stage of a finished report."""
-    stage = report["stages"][kind]
-    if isinstance(stage, dict) and "rows" in stage:
-        rows = stage["rows"]
-    else:
-        rows = stage
+    rows = report["stages"][kind]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()

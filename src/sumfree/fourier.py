@@ -51,9 +51,15 @@ def sample_grid(coeffs: dict[int, complex], M: int) -> GridFn:
     Frequencies fold mod M, so the samples are exact only when M exceeds the
     spread of the spectrum."""
     spec = np.zeros(M, dtype=complex)
-    for n, c in coeffs.items():
-        spec[n % M] += c
-    return GridFn(np.fft.ifft(spec) * M)
+    n = len(coeffs)
+    np.add.at(
+        spec,
+        np.fromiter(coeffs, dtype=np.int64, count=n) % M,
+        np.fromiter(coeffs.values(), dtype=complex, count=n),
+    )
+    samples = np.fft.ifft(spec)
+    samples *= M
+    return GridFn(samples)
 
 
 def grid_norms(coeffs: dict[int, complex], which: str, M: int | None = None) -> tuple[float, float]:

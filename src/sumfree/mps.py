@@ -95,44 +95,55 @@ def partition_blocks(B: IntegerSet, b: int) -> BlockPartition:
     return BlockPartition(b, tuple(blocks))
 
 
-def _fejer_weight(d: int, C: int) -> float:
-    return max(0.0, (C - abs(d)) / C)
+def _fejer(d: np.ndarray, C: int) -> np.ndarray:
+    """Triangular window weights (C - |d|)/C, for offsets |d| < C."""
+    return (C - np.abs(d)) / C
 
 
-def build_pk(part: BlockPartition, k: int, tau) -> dict[int, complex]:
-    """Coefficient table of P_k: tau(m)/|B_k| times the triangular window."""
+def build_pk(part: BlockPartition, k: int, tau: np.ndarray) -> dict[int, complex]:
+    """Coefficient table of P_k: tau(m)/|B_k| times the triangular window,
+    tau the block's slice of the unimodular phases."""
     blk = part.blocks[k]
-    xi = part.center(k)
-    C = part.width(k) + 1
-    return {
-        m: tau(m) * _fejer_weight(m - xi, C) / len(blk) for m in blk
-    }
+    window = _fejer(np.array(blk) - part.center(k), part.width(k) + 1)
+    return dict(zip(blk, (tau * window / len(blk)).tolist()))
 
 
-def build_qk(part: BlockPartition, k: int, tau, M: int) -> dict[int, complex]:
+def build_qk(part: BlockPartition, k: int, tau: np.ndarray, M: int) -> dict[int, complex]:
     """Coefficient table of Q_k, supported exactly in [-w_k, 0]."""
     a, b = part.interval(k)
     if M < 4 * (b + part.width(k)):
         raise InputError("grid too coarse for the block spectrum")
     blk = part.blocks[k]
-    u = np.abs(sample_grid({m: tau(m) / len(blk) for m in blk}, M).samples)
+    u = np.abs(sample_grid(dict(zip(blk, (tau / len(blk)).tolist())), M).samples)
     v = hilbert(u).real
     spec = GridFn(np.exp(-(u - 1j * v))).coefficients()
     C = part.width(k) + 1
-    out = {}
-    for d in range(C):
-        c = spec[-d % M] * _fejer_weight(d, C)
-        if c != 0:
-            out[-d] = complex(c)
-    return out
+    d = np.arange(C)
+    c = spec[-d % M] * _fejer(d, C)
+    keep = c != 0
+    return dict(zip((-d[keep]).tolist(), c[keep].tolist()))
 
 
-def _unimodular_tau(w) -> callable:
-    def tau(m):
-        wm = w(m) if callable(w) else w.get(m, 0)
-        return 1.0 if wm == 0 else (wm / abs(wm)).conjugate()
-
-    return tau
+def _grid_phase(pks: list, qks: list, M: int) -> tuple[np.ndarray, float, list[float]]:
+    """Sample every P_k and Q_k once; return Phi's DFT coefficients from the
+    recursion Phi_k = Q_k Phi_{k-1} + P_k, their largest distance from the
+    explicit expansion Phi = sum_k (prod_{j>k} Q_j) P_k, and per block
+    max(|P_k|/10 + |Q_k|) on the grid."""
+    P = [sample_grid(pk, M).samples for pk in pks]
+    Q = [sample_grid(qk, M).samples for qk in qks]
+    phi = P[0]
+    for k in range(1, len(P)):
+        phi = Q[k] * phi + P[k]
+    spec = GridFn(phi).coefficients()
+    explicit = np.zeros(M, dtype=complex)
+    for k in range(len(P)):
+        term = P[k]
+        for j in range(k + 1, len(P)):
+            term = term * Q[j]
+        explicit += term
+    agreement = float(np.max(np.abs(GridFn(explicit).coefficients() - spec)))
+    pq_sups = [float(np.max(np.abs(p) / 10 + np.abs(q))) for p, q in zip(P, Q)]
+    return spec, agreement, pq_sups
 
 
 @dataclass(frozen=True)
@@ -165,11 +176,12 @@ class PhiCertificate:
         }
 
 
-def build_phi(B: IntegerSet, w, b: int = 100, M: int = 1 << 17):
+def build_phi(B: IntegerSet, w: dict[int, complex], b: int, M: int):
     """Run the recursion and certify every step.
 
-    Returns (coefficient table of Phi, PhiCertificate).  w is a dict or
-    callable of weights with |w(m)| <= 1; tau(m) = conj(w(m))/|w(m)|.
+    Returns (coefficient table of Phi, PhiCertificate).  w is a dict
+    {m: weight} with |w(m)| <= 1, a missing m weighing 0; tau(m) =
+    conj(w(m))/|w(m)|, and 1 where w(m) = 0.
     """
     part = partition_blocks(B, b)
     widths = tuple(part.width(k) for k in range(part.k0 + 1))
@@ -179,52 +191,34 @@ def build_phi(B: IntegerSet, w, b: int = 100, M: int = 1 << 17):
         raise InputError(
             f"grid {M} cannot hold spectrum [-{neg_span}, {max_freq}] alias-free"
         )
-    tau = _unimodular_tau(w)
-    pks = [build_pk(part, k, tau) for k in range(part.k0 + 1)]
-    qks = [build_qk(part, k, tau, M) for k in range(part.k0 + 1)]
+    weights = np.array([w.get(m, 0) for m in B], dtype=complex)
+    mods = np.abs(weights)
+    tau = np.divide(weights.conj(), mods, out=np.ones_like(weights), where=mods != 0)
+    ends = np.cumsum([0] + [len(blk) for blk in part.blocks])
+    taus = [tau[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    pks = [build_pk(part, k, t) for k, t in enumerate(taus)]
+    qks = [build_qk(part, k, t, M) for k, t in enumerate(taus)]
+    spec, explicit_agreement, pq_sups = _grid_phase(pks, qks, M)
 
-    # Recursion on the grid: Phi_k = Q_k * Phi_{k-1} + P_k.
-    phi = sample_grid(pks[0], M).samples
-    for k in range(1, part.k0 + 1):
-        phi = sample_grid(qks[k], M).samples * phi + sample_grid(pks[k], M).samples
-    spec = GridFn(phi).coefficients()
-
-    # Explicit expansion: Phi = sum_k (prod_{j>k} Q_j) P_k.
-    explicit = np.zeros(M, dtype=complex)
-    for k in range(part.k0 + 1):
-        term = sample_grid(pks[k], M).samples
-        for j in range(k + 1, part.k0 + 1):
-            term = term * sample_grid(qks[j], M).samples
-        explicit += term
-    explicit_agreement = float(
-        np.max(np.abs(GridFn(explicit).coefficients() - spec))
-    )
-
-    coeff_table = {m: complex(spec[m % M]) for m in B}
+    coeffs = spec[np.array(B.elements) % M]
+    coeff_table = dict(zip(B.elements, coeffs.tolist()))
 
     per_block = []
-    for k in range(part.k0 + 1):
+    for k, (pk, qk) in enumerate(zip(pks, qks)):
         blk = part.blocks[k]
-        l2_one_minus_q = math.sqrt(
-            abs(1 - qks[k].get(0, 0)) ** 2
-            + sum(abs(c) ** 2 for d, c in qks[k].items() if d != 0)
-        )
-        support_ok = all(-part.width(k) <= d <= 0 for d in qks[k])
-        ratios = [
-            abs(coeff_table[m] - pks[k][m]) / abs(pks[k][m]) for m in blk
-        ]
-        p_abs = np.abs(sample_grid(pks[k], M).samples)
-        pq_sup = float(np.max(p_abs / 10 + np.abs(sample_grid(qks[k], M).samples)))
+        p = np.array(list(pk.values()))
+        ratios = np.abs(coeffs[ends[k] : ends[k + 1]] - p) / np.abs(p)
+        one_minus_q = {**qk, 0: qk.get(0, 0) - 1}
         per_block.append(
             {
                 "k": k,
                 "size": len(blk),
                 "width": part.width(k),
-                "l2_one_minus_q": l2_one_minus_q,
+                "l2_one_minus_q": float(np.linalg.norm(list(one_minus_q.values()))),
                 "l2_bound": 2 / math.sqrt(len(blk)),
-                "support_ok": support_ok,
-                "closeness_ratio": max(ratios),
-                "pq_sup": pq_sup,
+                "support_ok": -part.width(k) <= min(qk, default=0) and max(qk, default=0) <= 0,
+                "closeness_ratio": float(np.max(ratios)),
+                "pq_sup": pq_sups[k],
             }
         )
 
@@ -233,15 +227,11 @@ def build_phi(B: IntegerSet, w, b: int = 100, M: int = 1 << 17):
     M2 = M
     while math.pi * degree / M2 > 0.05:
         M2 *= 2
-    nz = {int(n if n < M // 2 else n - M): complex(c)
-          for n, c in enumerate(spec) if abs(c) > 1e-14}
+    idx = np.flatnonzero(np.abs(spec) > 1e-14)
+    nz = dict(zip(np.where(idx < M // 2, idx, idx - M).tolist(), spec[idx].tolist()))
     sup_grid = float(np.max(np.abs(sample_grid(nz, M2).samples)))
     sup_bound = sup_grid / (1 - math.pi * degree / M2)
 
-    elems = list(B.elements)
-    wt = lambda m: (w(m) if callable(w) else w.get(m, 0))
-    pairing_value = sum(wt(m) * coeff_table[m] for m in elems)
-    target = sum(abs(wt(m)) / (j + 1) for j, m in enumerate(elems))
     cert = PhiCertificate(
         base=b,
         grid=M,
@@ -249,8 +239,8 @@ def build_phi(B: IntegerSet, w, b: int = 100, M: int = 1 << 17):
         sup_bound=sup_bound,
         coeff_table=coeff_table,
         per_block=tuple(per_block),
-        pairing_value=complex(pairing_value),
-        pairing_target=target,
+        pairing_value=complex(np.sum(weights * coeffs)),
+        pairing_target=float(np.sum(mods / np.arange(1, B.N + 1))),
         pairing_constant=pairing_constant(b),
         explicit_agreement=explicit_agreement,
     )

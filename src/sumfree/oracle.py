@@ -2,8 +2,9 @@
 
 Branch and bound over descending element order (large elements constrain
 sums the most), include-first, pruning branches that cannot beat the best
-size found so far.  Candidate subsets are checked incrementally via bitset
-tables of reachable k-fold and l-fold sums.
+size found so far.  Each candidate subset is checked from scratch: the
+bitsets of its k-fold and l-fold sums are rebuilt from the whole subset at
+every node and must not meet.
 """
 
 from __future__ import annotations

@@ -48,3 +48,22 @@ def test_errors_come_from_one_module():
                 assert caught not in ("everything", "Exception", "BaseException"), (
                     f"{where} catches {caught}"
                 )
+
+
+def test_fft_only_in_the_grid_layer():
+    # the grid layer transforms; mps.hilbert is the one multiplier applied
+    # on top of it
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(node): fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.fft":
+                fn = owner.get(id(node))
+                assert path.name == "fourier.py" or (path.name, fn) == ("mps.py", "hilbert"), (
+                    f"{path.name}:{node.lineno} calls np.fft in {fn}"
+                )

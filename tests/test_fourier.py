@@ -158,3 +158,9 @@ def test_grid_round_trip():
     back = g.coefficients()  # indexed by n mod M
     for n, c in want.items():
         assert abs(back[n % 512] - c) < 1e-10
+
+
+def test_sample_grid_folds_frequencies_mod_M():
+    M = 64
+    folded = sample_grid({1: 1.0, 1 + M: 2.0}, M).samples
+    assert np.allclose(folded, sample_grid({1: 3.0}, M).samples, atol=1e-12)

@@ -55,7 +55,7 @@ def test_partition_blocks():
 def test_pk_support_and_mass():
     B = IntegerSet.of(range(1, 51))
     part = partition_blocks(B, 4)
-    pk = build_pk(part, 2, lambda m: 1.0)
+    pk = build_pk(part, 2, np.ones(len(part.blocks[2]), dtype=complex))
     lo, hi = part.interval(2)
     assert all(lo <= m <= hi for m in pk)
     # center weight is 1/|B_k| by construction
@@ -65,7 +65,7 @@ def test_pk_support_and_mass():
 def test_qk_support():
     B = IntegerSet.of(range(1, 51))
     part = partition_blocks(B, 4)
-    qk = build_qk(part, 1, lambda m: 1.0, M=2048)
+    qk = build_qk(part, 1, np.ones(len(part.blocks[1]), dtype=complex), M=2048)
     width = part.width(1)
     assert all(-width <= n <= 0 for n in qk)
 
@@ -94,3 +94,20 @@ def test_build_phi_random_weights():
     _, cert = build_phi(B, w, b=4, M=4096)
     assert cert.sup_bound < 10
     assert cert.pairing_value.real >= cert.pairing_constant * cert.pairing_target
+
+
+def test_build_phi_samples_each_block_once(monkeypatch):
+    # P_k, Q_k and the unwindowed phase sum behind Q_k once per block, plus
+    # the oversampled sup bound
+    calls = []
+
+    def counting(coeffs, M):
+        calls.append(M)
+        return sample_grid(coeffs, M)
+
+    monkeypatch.setattr("sumfree.mps.sample_grid", counting)
+    B = IntegerSet.of(range(1, 51))
+    _, cert = build_phi(B, {m: 1.0 for m in B.elements}, b=4, M=4096)
+    blocks = len(cert.per_block)
+    assert blocks == 3
+    assert len(calls) <= 3 * blocks + 1

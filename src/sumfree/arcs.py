@@ -1,10 +1,9 @@
 """Open arcs on R/Z with exact rational endpoints.
 
 Arc systems are stored as disjoint open intervals (lo, hi) with
-0 <= lo < hi <= 1.  Minkowski sums of open arc unions are again unions of
-open arcs and are computed exactly; a sum arc of length >= 1 covers the whole
-circle and is collapsed to the sentinel (0, 1) full-cover arc together with a
-flag, since any further question we ask of it (disjointness) is then trivial.
+0 <= lo < hi <= 1; an arc through 0 is stored as two pieces.  Overlapping
+arcs, and so an arc longer than the circle, are rejected.  The extraction
+guarantee is per interval, so sum-freeness is decided for one arc only.
 """
 
 from __future__ import annotations
@@ -12,26 +11,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 
-from .errors import InputError, ResourceLimitError
-
-ARC_COUNT_LIMIT = 100_000
+from .errors import InputError
 
 
 def _mod1(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
-def _normalize(raw: list[tuple[Fraction, Fraction]], merge: bool):
-    """Reduce arcs mod 1, split wrap-arounds, sort; optionally merge overlaps."""
+def _normalize(raw: list[tuple[Fraction, Fraction]]):
+    """Reduce arcs mod 1, split wrap-arounds, sort; reject overlaps."""
     pieces: list[tuple[Fraction, Fraction]] = []
-    full = False
     for lo, hi in raw:
         if hi <= lo:
             raise InputError(f"empty or reversed arc ({lo}, {hi})")
-        if hi - lo >= 1:
-            full = True
-            continue
         lo_m = _mod1(lo)
         hi_m = lo_m + (hi - lo)
         if hi_m <= 1:
@@ -40,60 +34,31 @@ def _normalize(raw: list[tuple[Fraction, Fraction]], merge: bool):
             pieces.append((lo_m, Fraction(1)))
             pieces.append((Fraction(0), hi_m - 1))
     pieces.sort()
-    if merge:
-        merged: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in pieces:
-            if merged and lo < merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-            else:
-                merged.append((lo, hi))
-        pieces = merged
-    else:
-        for i in range(len(pieces) - 1):
-            if pieces[i][1] > pieces[i + 1][0]:
-                raise InputError(f"overlapping arcs {pieces[i]} and {pieces[i + 1]}")
-    return pieces, full
+    for i in range(len(pieces) - 1):
+        if pieces[i][1] > pieces[i + 1][0]:
+            raise InputError(f"overlapping arcs {pieces[i]} and {pieces[i + 1]}")
+    return pieces
 
 
 @dataclass(frozen=True)
 class ArcSet:
-    """Finite union of disjoint open arcs on R/Z; `full` marks total cover."""
+    """Finite union of disjoint open arcs on R/Z."""
 
     arcs: tuple[tuple[Fraction, Fraction], ...]
-    full: bool = False
 
     @staticmethod
-    def of(raw, merge: bool = False) -> "ArcSet":
-        pieces, full = _normalize(
-            [(Fraction(lo), Fraction(hi)) for lo, hi in raw], merge=merge
-        )
-        if full:
-            return ArcSet(arcs=((Fraction(0), Fraction(1)),), full=True)
+    def of(raw) -> "ArcSet":
+        pieces = _normalize([(Fraction(lo), Fraction(hi)) for lo, hi in raw])
         return ArcSet(arcs=tuple(pieces))
 
     @property
     def measure(self) -> Fraction:
-        if self.full:
-            return Fraction(1)
         return sum((hi - lo for lo, hi in self.arcs), Fraction(0))
 
     def contains(self, x) -> bool:
         """Exact open-arc membership of x mod 1."""
         x = _mod1(Fraction(x))
-        if self.full:
-            return True  # up to a measure-zero boundary set, irrelevant here
         return any(lo < x < hi for lo, hi in self.arcs)
-
-    def intersects(self, other: "ArcSet") -> bool:
-        if not self.arcs or not other.arcs:
-            return False
-        if self.full or other.full:
-            return True
-        for lo, hi in self.arcs:
-            for lo2, hi2 in other.arcs:
-                if lo < hi2 and lo2 < hi:
-                    return True
-        return False
 
     def singletons(self) -> list["ArcSet"]:
         """Each arc as its own one-arc system."""
@@ -125,8 +90,6 @@ def pullback(O: ArcSet, m: int) -> ArcSet:
         raise InputError("multiplier must be >= 1")
     if m == 1:
         return O
-    if O.full:
-        return O
     arcs = [
         (Fraction(lo + j, m), Fraction(hi + j, m))
         for lo, hi in O.arcs
@@ -143,38 +106,16 @@ def canonical_omega(k: int, l: int, variant: int = 1) -> ArcSet:
         m = k // 2
         base = OMEGA_1 if variant == 1 else OMEGA_2
         return pullback(base, m)
-    raise InputError(
-        f"no canonical arc system for (k,l)=({k},{l}); supply custom arcs"
-    )
-
-
-def _pair_sumset(a: ArcSet, b: ArcSet) -> ArcSet:
-    if a.full or b.full:
-        return ArcSet(arcs=((Fraction(0), Fraction(1)),), full=True)
-    raw = [
-        (lo1 + lo2, hi1 + hi2)
-        for lo1, hi1 in a.arcs
-        for lo2, hi2 in b.arcs
-    ]
-    if len(raw) > ARC_COUNT_LIMIT:
-        raise ResourceLimitError(f"sumset arc count {len(raw)} exceeds {ARC_COUNT_LIMIT}")
-    return ArcSet.of(raw, merge=True)
-
-
-def fold_sumset(O: ArcSet, fold: int) -> ArcSet:
-    """The fold-fold Minkowski sum of O with itself, reduced mod 1."""
-    if fold < 1:
-        raise InputError("fold must be >= 1")
-    cur = O
-    for _ in range(fold - 1):
-        cur = _pair_sumset(cur, O)
-    return cur
+    raise InputError(f"no canonical arc system for (k,l)=({k},{l})")
 
 
 def is_arc_kl_sumfree(O: ArcSet, k: int, l: int) -> bool:
-    """True iff the k-fold and l-fold sumsets of O are disjoint in R/Z."""
+    """True iff the k-fold and l-fold sumsets of one open arc O = (lo, hi)
+    are disjoint mod 1: they meet iff some integer lies in the open interval
+    (k*lo - l*hi, k*hi - l*lo)."""
     if k < 1 or l < 1:
         raise InputError("k and l must be >= 1")
-    if not O.arcs:
-        return True
-    return not fold_sumset(O, k).intersects(fold_sumset(O, l))
+    if len(O.arcs) != 1:
+        raise InputError(f"sum-freeness is decided for one arc, not {len(O.arcs)}")
+    ((lo, hi),) = O.arcs
+    return floor(k * lo - l * hi) + 1 >= k * hi - l * lo

@@ -25,7 +25,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .arcs import ArcSet, canonical_omega, is_arc_kl_sumfree, OMEGA_21
+from .arcs import ArcSet, canonical_omega, OMEGA_21
 from .errors import MEMORY_BUDGET, CertificationError, InputError, ResourceLimitError
 from .sets import IntegerSet, is_kl_sumfree
 
@@ -250,8 +250,9 @@ def candidate_arcs(k: int, l: int) -> list[ArcSet]:
     """Single-interval candidates for extraction.
 
     For (2,1) this is the arc (1/3, 2/3).  For (2m,4m) the candidates are the
-    individual intervals of the two canonical pullback systems; each interval
-    is (2m,4m)-sum-free on its own (the union of a system generally is not).
+    individual intervals of the two canonical pullback systems.  The guarantee
+    is per interval, which is all arcs.is_arc_kl_sumfree decides: the union
+    of a system generally is not (2m,4m)-sum-free.
     Pulling (1/3, 2/3) back by 2m gives the same intervals as pulling
     Omega_1 u Omega_2 back by m, so the rescaling route through the (2,1) arc
     adds no candidate.
@@ -264,21 +265,10 @@ def candidate_arcs(k: int, l: int) -> list[ArcSet]:
     return candidates
 
 
-def extract_certified(
-    A: IntegerSet,
-    k: int,
-    l: int,
-    arcs: list[ArcSet] | None = None,
-) -> ExtractionCertificate:
-    """Best certified (k,l)-sum-free subset over the candidate arc systems."""
-    if arcs is None:
-        arcs = candidate_arcs(k, l)
-    elif not all(is_arc_kl_sumfree(O, k, l) for O in arcs):
-        raise InputError(f"a supplied arc system is not ({k},{l})-sum-free")
-    if not arcs:
-        raise InputError("no candidate arc systems")
+def extract_certified(A: IntegerSet, k: int, l: int) -> ExtractionCertificate:
+    """Best certified (k,l)-sum-free subset over the candidate arcs."""
     best = None
-    for O in arcs:
+    for O in candidate_arcs(k, l):
         x_star, count = maximize_count(A, O)
         if best is None or count > best[1]:
             best = (x_star, count, O)

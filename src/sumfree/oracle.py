@@ -15,7 +15,7 @@ from .dilation import extract_certified
 from .errors import CertificationError, ResourceLimitError
 from .sets import IntegerSet, check_folds, fold_sums, is_kl_sumfree
 
-DEFAULT_CAP = 22
+SIZE_CAP = 22
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,12 @@ class OracleResult:
         }
 
 
-def max_sumfree_exact(A: IntegerSet, k: int, l: int, cap: int = DEFAULT_CAP) -> OracleResult:
+def max_sumfree_exact(A: IntegerSet, k: int, l: int) -> OracleResult:
     """Exact maximum; witness is the first optimum found in descending
     include-first order (ties never replace an earlier optimum)."""
     check_folds(A, k, l)  # every subset's sum bitsets are at most A's
-    if A.N > cap:
-        raise ResourceLimitError(f"instance size {A.N} exceeds cap {cap}")
+    if A.N > SIZE_CAP:
+        raise ResourceLimitError(f"instance size {A.N} exceeds cap {SIZE_CAP}")
     elems = sorted(A.elements, reverse=True)
     n = len(elems)
     best: list = [0, ()]

@@ -55,7 +55,6 @@ class StructureReport:
     cover_indices: tuple[int, ...]
     lacunary_exponent: float
     geometric: bool
-    threshold_exponent: Fraction
 
 
 def load_set(raw: bytes | str, format: str = "lines") -> IntegerSet:
@@ -110,7 +109,8 @@ def triadic_index(a: int) -> int:
 
 def structure(A: IntegerSet, threshold_exponent: Fraction = Fraction(1, 2)) -> StructureReport:
     """Symmetric difference with 3*A, epsilon labels, triadic cover, and the
-    geometric classification |A sym 3*A| <= ceil(N**threshold_exponent)."""
+    geometric classification |A sym 3*A| <= ceil(N**threshold_exponent),
+    the ceiling taken exactly: the least b with b**q >= N**p for p/q."""
     aset = set(A.elements)
     tripled = {3 * a for a in A.elements}
     sym = sorted(aset.symmetric_difference(tripled))
@@ -118,14 +118,18 @@ def structure(A: IntegerSet, threshold_exponent: Fraction = Fraction(1, 2)) -> S
     cover = tuple(sorted({triadic_index(a) for a in A.elements}))
     n = A.N
     exponent = math.log(len(cover)) / math.log(n) if n >= 2 else 0.0
-    bound = math.ceil(n ** float(threshold_exponent))
+    p, q = Fraction(threshold_exponent).as_integer_ratio()
+    bound = math.ceil(n ** (p / q))  # a float guess, corrected in integers
+    while bound > 0 and (bound - 1) ** q >= n**p:
+        bound -= 1
+    while bound**q < n**p:
+        bound += 1
     return StructureReport(
         symdiff=tuple(sym),
         epsilon=epsilon,
         cover_indices=cover,
         lacunary_exponent=exponent,
         geometric=len(sym) <= bound,
-        threshold_exponent=Fraction(threshold_exponent),
     )
 
 

@@ -67,6 +67,7 @@ from .errors import MEMORY_BUDGET, InputError
 from .sets import IntegerSet, structure
 
 IDENTITY_IDS = ("sec2_f", "gamma_sieved", "lambda1", "g1", "final")
+MERTENS_BOUND = 10**4  # l1_lower_report's Mertens mass sums 1/t for t up to it
 
 # Peak bytes of a verify_identity call per unit of cutoff X: dense +-F numerator
 # and singleton tables (16 each), rows of both sides (16 per row, at most 2X rows
@@ -288,7 +289,7 @@ def _step_functions(A: IntegerSet):
     return G, L, F1, F2
 
 
-def l1_lower_report(A: IntegerSet, ctx: SieveContext, mertens_bound: int = 10**4) -> dict:
+def l1_lower_report(A: IntegerSet, ctx: SieveContext) -> dict:
     """Exact L1 norms of the aggregated step functions G_A, L_A, F_1, F_2,
     the Mertens mass of the smooth sieve, and the winning max >= L1/2 leg."""
     G, L, F1, F2 = _step_functions(A)
@@ -299,7 +300,7 @@ def l1_lower_report(A: IntegerSet, ctx: SieveContext, mertens_bound: int = 10**4
         "F2": exact_l1(F2),
     }
     mass = sum(
-        (Fraction(1, t) for t in smooth_squarefree(ctx, mertens_bound)), Fraction(0)
+        (Fraction(1, t) for t in smooth_squarefree(ctx, MERTENS_BOUND)), Fraction(0)
     )
     mertens_product = Fraction(1)
     for p in primes_upto(ctx.Q):

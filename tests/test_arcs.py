@@ -14,6 +14,7 @@ from sumfree.arcs import (
     pullback,
 )
 from sumfree.errors import InputError
+from sumfree.sets import fold_sums
 
 
 def F(a, b):
@@ -68,6 +69,14 @@ def test_contains():
     assert not OMEGA_21.contains(F(1, 3))
     assert OMEGA_21.contains(F(3, 2))  # mod-1 reduction
     assert not OMEGA_21.contains(F(4, 3))  # reduces to the open endpoint 1/3
+    # an arc of length 1 misses its own endpoint, and wraps into two pieces
+    # when that endpoint is not 0
+    assert not ArcSet.of([(0, 1)]).contains(0)
+    O = ArcSet.of([(F(1, 3), F(4, 3))])
+    assert O.arcs == ((0, F(1, 3)), (F(1, 3), 1)) and O.measure == 1
+    assert not O.contains(F(1, 3)) and O.contains(F(1, 2)) and O.contains(F(1, 4))
+    with pytest.raises(InputError):
+        ArcSet.of([(F(1, 3), F(3, 2))])
 
 
 def test_arc_sumfree():
@@ -75,6 +84,37 @@ def test_arc_sumfree():
     assert is_arc_kl_sumfree(OMEGA_1, 2, 4)
     assert is_arc_kl_sumfree(OMEGA_2, 2, 4)
     assert not is_arc_kl_sumfree(ArcSet.of([(F(0, 1), F(1, 2))]), 2, 1)
+    # one arc only: not a union, not an empty system, not an arc through 0
+    for O in (canonical_omega(4, 8), ArcSet.of([]), ArcSet.of([(F(-1, 6), F(1, 6))])):
+        with pytest.raises(InputError):
+            is_arc_kl_sumfree(O, 2, 1)
+
+
+def test_arc_sumfree_matches_integer_grid():
+    # Endpoints in (1/12)Z put any integer t of the collision interval
+    # (k*lo - l*hi, k*hi - l*lo) at least 1/12 inside it.  With N = 12(k+l)
+    # and S the integers in N*(lo, hi), the k-fold minus l-fold sums of S
+    # take every integer of N times that interval shrunk by k+l = N/12 at
+    # each end, N*t among them; so the grid collides mod N exactly when the
+    # arc collides mod 1.
+    def sums_mod(S, fold, N):
+        bits, residues = fold_sums(S, fold), 0
+        while bits:
+            residues |= bits & ((1 << N) - 1)
+            bits >>= N
+        return residues
+
+    for k in range(1, 5):
+        for l in range(1, 9):
+            if k == l:
+                continue
+            N = 12 * (k + l)
+            for a in range(12):
+                for b in range(a + 1, 13):
+                    S = range(a * (k + l) + 1, b * (k + l))
+                    grid_free = sums_mod(S, k, N) & sums_mod(S, l, N) == 0
+                    O = ArcSet.of([(F(a, 12), F(b, 12))])
+                    assert is_arc_kl_sumfree(O, k, l) == grid_free, (a, b, k, l)
 
 
 def test_canonical_self_consistency():

@@ -105,10 +105,10 @@ def test_weighted_count_exact_on_every_piece():
 def test_count_function_edges_at_zero_and_one():
     A = IntegerSet.of([1, 2, 5])
     for O in (ArcSet.of([(F(1, 2), F(1))]), ArcSet.of([(F(0), F(1, 4))]),
-              ArcSet.of([(F(0), F(1))])):
+              ArcSet.of([(F(0), F(1))]), ArcSet.of([(F(1, 3), F(4, 3))])):
         g = count_function(A, O)
         assert g.integral() == A.N * O.measure
-        for x in (F(1, 100), F(1, 7), F(2, 3), F(99, 100)):
+        for x in (F(1, 100), F(1, 7), F(5, 7), F(99, 100)):
             assert g.eval(x) == orbit_subset(A, O, x).N
 
 
@@ -212,11 +212,3 @@ def test_extract_21_triadic_chains():
         A = IntegerSet.of(s * 3**j for s in starts for j in range(9) if s * 3**j <= 10**4)
         cert = extract_certified(A, 2, 1)
         assert ExtractionCertificate.from_json(cert.to_json()).reverify(A)
-
-
-def test_extract_rejects_arcs_that_are_not_sumfree():
-    A = IntegerSet.of(range(1, 31))
-    with pytest.raises(ValueError):
-        extract_certified(A, 2, 1, arcs=[ArcSet.of([(F(1, 5), F(4, 5))])])
-    cert = extract_certified(A, 2, 1, arcs=[OMEGA_21])
-    assert cert.reverify(A)

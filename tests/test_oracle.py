@@ -33,7 +33,7 @@ def test_oracle_rejects_equal_kl():
 
 def test_oracle_cap():
     with pytest.raises(ResourceLimitError):
-        max_sumfree_exact(IntegerSet.of(range(1, 30)), 2, 1, cap=22)
+        max_sumfree_exact(IntegerSet.of(range(1, 30)), 2, 1)
 
 
 def test_witness_verifies():

@@ -1,10 +1,13 @@
 """Set ingestion, structure reports, and sum-freeness checks."""
 
 import itertools
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from sumfree.cli import main
 from sumfree.errors import InputError
 from sumfree.sets import (
     IntegerSet,
@@ -57,6 +60,20 @@ def test_structure_not_geometric():
     r = structure(IntegerSet.of([1, 2]))
     assert r.symdiff == (1, 2, 3, 6)
     assert not r.geometric
+
+
+def test_structure_threshold_is_exact(tmp_path, capsys):
+    # 243**0.4 is 9, but the float power reads 9.000000000000002, whose
+    # ceiling 10 would admit this set's |A sym 3A| = 10
+    chains = ((1, 49), (2, 49), (4, 49), (5, 48), (7, 48))
+    A = IntegerSet.of(s * 3**j for s, length in chains for j in range(length))
+    assert A.N == 243 and len(structure(A).symdiff) == 10
+    assert structure(A).geometric
+    assert not structure(A, Fraction(2, 5)).geometric
+    path = tmp_path / "chains.txt"
+    path.write_text("".join(f"{n}\n" for n in A))
+    assert main(["analyze", "--input", str(path), "--threshold-exp", "0.4"]) == 0
+    assert json.loads(capsys.readouterr().out)["stages"]["structure"]["geometric"] is False
 
 
 def test_structure_singleton():

@@ -99,7 +99,10 @@ def pullback(O: ArcSet, m: int) -> ArcSet:
 
 
 def canonical_omega(k: int, l: int, variant: int = 1) -> ArcSet:
-    """Canonical maximal sum-free arc systems: (2,1) and the (2m,4m) family."""
+    """Canonical maximal sum-free arc systems: (2,1) and the (2m,4m) family,
+    whose variant 1 pulls back Omega_1 and variant 2 Omega_2."""
+    if variant not in (1, 2):
+        raise InputError(f"variant must be 1 or 2, not {variant}")
     if (k, l) == (2, 1):
         return OMEGA_21
     if k >= 2 and k % 2 == 0 and l == 2 * k:

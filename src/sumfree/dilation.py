@@ -6,13 +6,22 @@ function whose breakpoints are the points (e + j)/n for endpoints e of O.
 Breakpoints are integer pairs p/q and levels are integers, both in numpy
 arrays, and the breakpoints are ordered exactly; maximization happens at
 piece midpoints, where the function is constant, so every result is exact.
+Maximization first bounds the count on a grid of buckets and then sweeps
+exactly only the runs of buckets where the maximum can be.
 
-Memory budget: errors.MEMORY_BUDGET = 4 GiB for a sweep and an exact L1 norm
-of its result.  The measured peak is BYTES_PER_BREAKPOINT = 80 bytes per int64
-breakpoint (BREAKPOINT_CAP, about 53.7M, counts 2*sum(A) per arc), and at
-most 256 plus one byte per bit of the largest denominator on the Python ints
-used where n*d exceeds INT64_DEN.  A sweep over the budget raises
-ResourceLimitError before allocating.
+Memory budget: errors.MEMORY_BUDGET = 4 GiB per computation, checked before
+the large allocation, which raises ResourceLimitError instead.
+- A full step function (count_function and the L1 reports) peaks at
+  BYTES_PER_BREAKPOINT = 80 bytes per int64 breakpoint (BREAKPOINT_CAP,
+  about 53.7M, counts 2*sum(A) per arc), and at most 256 plus one byte per
+  bit of the largest denominator on the Python ints used where n*d exceeds
+  INT64_DEN.
+- maximize_count, and so extraction, uses BYTES_PER_BUCKET = 24 bytes per
+  bucket (the bound, and the copy and index array of its top-bucket
+  selection) for at most sum(A)/2 buckets, plus one chunk of BOUND_CHUNK
+  bound numerators at the breakpoint rate; its exact sweep of the runs is
+  counted at the breakpoint rate too.  BREAKPOINT_CAP does not bind it:
+  sum(A) = 10^8 certifies in about 0.6 GB.
 """
 
 from __future__ import annotations
@@ -33,6 +42,9 @@ BYTES_PER_BREAKPOINT = 80
 BREAKPOINT_CAP = MEMORY_BUDGET // BYTES_PER_BREAKPOINT
 # denominators <= INT64_DEN keep the cross products p1*q2 below 2**63
 INT64_DEN = isqrt(2**63 - 1)
+BYTES_PER_BUCKET = 24
+BOUND_CHUNK = 2**20
+TOP_BUCKETS = 32
 
 
 def _exact_order(p: np.ndarray, q: np.ndarray):
@@ -144,41 +156,78 @@ def orbit_subset(A: IntegerSet, O: ArcSet, x) -> IntegerSet:
     return IntegerSet(tuple(members))
 
 
-def weighted_count_function(A: IntegerSet, weighted_arcs) -> PiecewiseConstantFn:
-    """Exact step function sum_{n in A} sum_{arcs} weight * 1_arc(n*x).
+def _sweep(A: IntegerSet, edges, s: np.ndarray, e: np.ndarray, M: int):
+    """Exact pieces of g(x) = sum_{n in A} sum_{(c, w) in edges} w * #{j < n :
+    (c + j)/n <= x}, for edges 0 <= c <= 1 with integer weights, on the runs
+    [s[r]/M, e[r]/M], which are disjoint and ascending.
 
-    Arc edge e = a/d pulled back by n gives the breakpoints (a + j*d)/(n*d),
-    j < n, each carrying the edge's signed weight.  Equal breakpoints merge,
-    but stay a piece boundary when their weights cancel: the function dips
-    there, so no witness midpoint may land on one.
+    Returns (p, q, levels, first).  Piece i starts at p[i]/q[i] and ends
+    where piece i + 1 starts, or at the end of its run; levels[i] is g on
+    it.  Run r's pieces start at index first[r], at s[r]/M, and then at each
+    distinct edge point inside the run.  Equal points merge, but stay a
+    piece boundary when their weights cancel: g dips there, so no witness
+    midpoint may land on one.
     """
-    arcs = [(Fraction(lo), Fraction(hi), Fraction(w)) for lo, hi, w in weighted_arcs]
-    edges = [e for lo, hi, _ in arcs for e in (lo, hi)]
-    total = len(edges) * sum(A)
-    q_max = max(A, default=1) * max((e.denominator for e in edges), default=1)
+    N, total = A.N, sum(A)
+    q_max = max(A, default=1) * max((c.denominator for c, _ in edges), default=1)
     wide = q_max > INT64_DEN
-    if total * (256 + q_max.bit_length() if wide else BYTES_PER_BREAKPOINT) > MEMORY_BUDGET:
-        raise ResourceLimitError(f"{total} breakpoints exceed the {MEMORY_BUDGET}-byte budget")
-    D = lcm(*(w.denominator for *_, w in arcs))
-    weights = [int(s * w * D) for *_, w in arcs for s in (1, -1)]
-    sizes, kind = np.array(A.elements, dtype=np.int64), object if wide else np.int64
-    n = np.repeat(sizes, sizes).astype(kind, copy=False)
-    j = (np.arange(len(n)) - np.repeat(np.cumsum(sizes) - sizes, sizes)).astype(kind, copy=False)
-    # a zero-weight event at 0 makes 0 the first breakpoint
-    p = np.concatenate([[0]] + [e.numerator + j * e.denominator for e in edges])
-    q = np.concatenate([[1]] + [n * e.denominator for e in edges])
-    level_type = np.int64 if A.N * sum(map(abs, weights)) < 2**62 else object
-    w = np.repeat(np.array([0] + weights, level_type), [1] + [len(n)] * len(edges))
-    del n, j
-    # an edge at 1 sits at 0 of the circle; the level entering 0 from the
-    # left is the weight the edges at 1 close
-    at_one = np.flatnonzero(p == q)
-    entering = -w[at_one].sum()
-    p[at_one] = 0
+    # run r holds at most n*(e - s)/M + 1 points of each n and edge
+    bound = len(s) + len(edges) * (total * int((e - s).sum()) // M + N * len(s))
+    if bound * (256 + q_max.bit_length() if wide else BYTES_PER_BREAKPOINT) > MEMORY_BUDGET:
+        raise ResourceLimitError(f"{bound} breakpoints exceed the {MEMORY_BUDGET}-byte budget")
+    weight = sum(abs(w) for _, w in edges)
+    level_type = np.int64 if N * weight < 2**62 else object
+    acc = np.int64 if total * weight < 2**62 else object
+    grid = object if M * q_max >= 2**62 else np.int64
+    kind = object if wide else np.int64
+    n = np.array(A.elements, dtype=grid)
+    a = np.array([c.numerator for c, _ in edges], grid)[:, None, None]
+    d = np.array([c.denominator for c, _ in edges], grid)[:, None, None]
+    w = np.array([w for _, w in edges], acc)[:, None, None]
+    # per edge, run and n, the points j < j0 lie at or below the run's start
+    # and the points j < j1 below its end; so g is sum(w*j0) just right of
+    # the start and sum(w*j1) just left of the end
+    j0 = (s.astype(grid)[:, None] * n * d - a * M) // (M * d) + 1
+    j1 = -((a * M - e.astype(grid)[:, None] * n * d) // (M * d))
+    enter, leave = (w * j0.astype(acc)).sum(axis=(0, 2)), (w * j1.astype(acc)).sum(axis=(0, 2))
+    cnt = (j1 - j0).ravel().astype(np.int64)
+
+    def per_point(x):
+        return np.repeat(np.broadcast_to(x, j0.shape).ravel(), cnt)
+
+    # point t of the flat list is j = j0 + t - before for its (edge, run, n)
+    before = (np.cumsum(cnt) - cnt).reshape(j0.shape)
+    p = per_point(a + (j0 - before) * d) + np.arange(cnt.sum()) * per_point(d)
+    p, q = p.astype(kind, copy=False), per_point(n * d).astype(kind, copy=False)
+    leave[1:] = leave[:-1]
+    leave[:1] = 0
+    w = np.concatenate([enter - leave, per_point(w)]).astype(level_type, copy=False)
+    del j0, j1, cnt, before
+    p = np.concatenate([s.astype(kind), p])
+    q = np.concatenate([np.full(len(s), M, kind), q])
     order, p, q = _exact_order(p, q)
     starts = np.flatnonzero(np.r_[True, p[1:] * q[:-1] != p[:-1] * q[1:]])
-    levels = entering + np.cumsum(np.add.reduceat(w[order], starts))
-    return PiecewiseConstantFn(np.stack([p[starts], q[starts]], axis=1), levels, Fraction(1, D))
+    levels = np.cumsum(np.add.reduceat(w[order], starts))
+    # no edge point sits at a run start, so each start is a piece of its own
+    first = np.flatnonzero(order[starts] < len(s))
+    return p[starts], q[starts], levels, first
+
+
+def weighted_count_function(A: IntegerSet, weighted_arcs) -> PiecewiseConstantFn:
+    """Exact step function sum_{n in A} sum_{arcs} weight * 1_arc(n*x), for
+    arcs 0 <= lo < hi <= 1.
+
+    Arc edge e = a/d pulled back by n gives the breakpoints (a + j*d)/(n*d),
+    j < n, each carrying the edge's signed weight; an edge at 1 sits at 0
+    of the circle.
+    """
+    arcs = [(Fraction(lo), Fraction(hi), Fraction(w)) for lo, hi, w in weighted_arcs]
+    if any(not 0 <= lo < hi <= 1 for lo, hi, _ in arcs):
+        raise InputError("weighted arcs need 0 <= lo < hi <= 1")
+    D = lcm(*(w.denominator for *_, w in arcs))
+    edges = [(e, sign * int(w * D)) for lo, hi, w in arcs for e, sign in ((lo, 1), (hi, -1))]
+    p, q, levels, _ = _sweep(A, edges, np.zeros(1, np.int64), np.ones(1, np.int64), 1)
+    return PiecewiseConstantFn(np.stack([p, q], axis=1), levels, Fraction(1, D))
 
 
 def count_function(A: IntegerSet, O: ArcSet) -> PiecewiseConstantFn:
@@ -186,11 +235,80 @@ def count_function(A: IntegerSet, O: ArcSet) -> PiecewiseConstantFn:
     return weighted_count_function(A, [(lo, hi, 1) for lo, hi in O.arcs])
 
 
+def _bucket_bound(A: IntegerSet, O: ArcSet, M: int) -> np.ndarray:
+    """U with U[i] >= |A_x| for every x in the bucket (i/M, (i+1)/M).
+
+    Each pullback ((lo + j)/n, (hi + j)/n) of an arc is rounded outward to
+    the buckets it meets, floor(M*(lo + j)/n) up to ceil(M*(hi + j)/n) - 1,
+    and U[i] counts the rounded intervals that meet bucket i: a difference
+    array, then one cumsum.  The numerators M*(lo + j) are shared by every
+    n > j and are built BOUND_CHUNK values of j at a time.
+    """
+    q_max = max(A, default=1) * max((e.denominator for arc in O.arcs for e in arc), default=1)
+    kind = object if M * q_max >= 2**62 else np.int64
+    per = 256 + (M * q_max).bit_length() if kind is object else BYTES_PER_BREAKPOINT
+    if (M + 1) * BYTES_PER_BUCKET + BOUND_CHUNK * per > MEMORY_BUDGET:
+        raise ResourceLimitError(f"{M} buckets exceed the {MEMORY_BUDGET}-byte budget")
+    U = np.zeros(M + 1, np.int64)
+    for j0 in range(0, max(A, default=0), BOUND_CHUNK):
+        j = np.arange(j0, min(j0 + BOUND_CHUNK, max(A))).astype(kind)
+        for lo, hi in O.arcs:
+            opens = M * (lo.numerator + j * lo.denominator)
+            closes = -M * (hi.numerator + j * hi.denominator)
+            for n in A.elements[bisect_right(A.elements, j0):]:
+                np.add.at(U, (opens[: n - j0] // (n * lo.denominator)).astype(np.intp), 1)
+                np.add.at(U, (-(closes[: n - j0] // (n * hi.denominator))).astype(np.intp), -1)
+    return np.cumsum(U[:M], out=U[:M])
+
+
+def _count_at_midpoints(A: IntegerSet, O: ArcSet, buckets: np.ndarray, M: int) -> np.ndarray:
+    """|A_x| at x = (2i + 1)/(2M) for each bucket i, exact."""
+    den = max((e.denominator for arc in O.arcs for e in arc), default=1)
+    kind = object if 2 * M * den >= 2**62 else np.int64
+    # n*x mod 1 = r/(2M); (n mod 2M)*(2i + 1) < 4M^2 fits, as the bucket
+    # budget keeps M below 2**30
+    n = np.array([n % (2 * M) for n in A], np.int64)
+    r = (n * (2 * buckets[:, None] + 1) % (2 * M)).astype(kind)
+    inside = sum(
+        ((lo.numerator * 2 * M < r * lo.denominator) & (r * hi.denominator < hi.numerator * 2 * M)
+         for lo, hi in O.arcs),
+        np.zeros(r.shape, np.int64),
+    )
+    return inside.sum(axis=1)
+
+
+def _maximize_by_buckets(A: IntegerSet, O: ArcSet, M: int) -> tuple[Fraction, int]:
+    """maximize_count on a grid of M buckets."""
+    U = _bucket_bound(A, O, M)
+    top = np.argpartition(U, -TOP_BUCKETS)[-TOP_BUCKETS:] if M > TOP_BUCKETS else np.arange(M)
+    tau = int(_count_at_midpoints(A, O, top, M).max())
+    # a piece at the maximum (>= tau) meets only buckets with U >= tau, so it
+    # lies inside one run of them; a piece cut by a run's edge also meets a
+    # bucket outside the run, so its value is below tau
+    edge = np.flatnonzero(np.diff(np.concatenate(([False], U >= tau, [False])).view(np.int8)))
+    s, e = edge[0::2], edge[1::2]
+    del U, edge
+    # a run costs N entry counts per edge and a bucket about sum(A)/M points
+    # per edge, so runs closer than N*M/sum(A) buckets are swept as one
+    apart = (s[1:] - e[:-1]) * sum(A) >= A.N * M
+    s, e = s[np.r_[True, apart]], e[np.r_[apart, True]]
+    edges = [(c, sign) for lo, hi in O.arcs for c, sign in ((lo, 1), (hi, -1))]
+    p, q, levels, first = _sweep(A, edges, s, e, M)
+    i = int(np.argmax(levels))
+    r = int(np.searchsorted(first, i, side="right")) - 1
+    last = i + 1 == (first[r + 1] if r + 1 < len(first) else len(levels))
+    end = Fraction(int(e[r]), M) if last else Fraction(int(p[i + 1]), int(q[i + 1]))
+    return (Fraction(int(p[i]), int(q[i])) + end) / 2, int(levels[i])
+
+
 def maximize_count(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
-    """Global maximum of |A_x| over x, with the lowest maximizing midpoint."""
-    f = count_function(A, O)
-    best, x_star = f.max_with_witness()
-    return x_star, int(best)
+    """Global maximum of |A_x| over x, with the lowest maximizing midpoint.
+
+    Bounds on a grid of M buckets, M the largest power of two at most
+    max(1, sum(A)/2), single out the few runs of buckets where the maximum
+    can be, and only those runs are swept exactly.
+    """
+    return _maximize_by_buckets(A, O, 1 << max(sum(A) // 2, 1).bit_length() - 1)
 
 
 def balanced_function(A: IntegerSet, O: ArcSet) -> PiecewiseConstantFn:

@@ -41,6 +41,9 @@ def test_canonical_48():
 def test_canonical_unsupported():
     with pytest.raises(InputError):
         canonical_omega(3, 1)
+    for k, l, variant in ((2, 4, 7), (2, 4, 0), (2, 1, 3), (4, 8, -1)):
+        with pytest.raises(InputError):
+            canonical_omega(k, l, variant)
 
 
 def test_pullback_examples():

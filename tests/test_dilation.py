@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sumfree.arcs import OMEGA_21, ArcSet, pullback
+from sumfree.arcs import OMEGA_21, ArcSet, canonical_omega, pullback
 from sumfree.dilation import (
     ExtractionCertificate,
     PiecewiseConstantFn,
+    _maximize_by_buckets,
     balanced_function,
     count_function,
     exact_l1,
@@ -110,6 +111,10 @@ def test_count_function_edges_at_zero_and_one():
         assert g.integral() == A.N * O.measure
         for x in (F(1, 100), F(1, 7), F(5, 7), F(99, 100)):
             assert g.eval(x) == orbit_subset(A, O, x).N
+    # a raw weighted arc must lie in [0, 1]; ArcSet splits one that wraps
+    for lo, hi in ((F(1, 2), F(3, 2)), (F(-1, 4), F(1, 4)), (F(1, 2), F(1, 3))):
+        with pytest.raises(ValueError):
+            weighted_count_function(A, [(lo, hi, 1)])
 
 
 def test_piecewise_constant_needs_one_row_per_piece():
@@ -131,11 +136,50 @@ def test_breakpoint_cap_raises_before_allocating():
     assert peak < 10**6
 
 
+def test_bucket_budget_raises_before_allocating():
+    # 2^38 buckets of 24 bytes; the breakpoint cap no longer binds maximize_count
+    A = IntegerSet.of([10**12])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            maximize_count(A, OMEGA_21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 def test_maximize_count():
     x, c = maximize_count(IntegerSet.of([1, 2, 3]), OMEGA_21)
     assert c == 2
     x, c = maximize_count(IntegerSet.of([1]), OMEGA_21)
     assert (x, c) == (F(1, 2), 1)
+
+
+def test_maximize_count_matches_full_sweep():
+    # bucket bounds against the full step function, on (max, witness); small
+    # grids make long runs and pieces that cross bucket edges, and M = 1 is a
+    # single run from bucket 0
+    rng = random.Random(23)
+    sets = [rng.sample(range(1, rng.choice((30, 300, 3000))), rng.randint(2, 12)) for _ in range(8)]
+    sets += [[s * 3**j for s in starts for j in range(9) if s * 3**j <= 10**4]
+             for starts in ((1,), (1, 2), (2, 4), (5, 10))]
+    sets += [range(1, 31), [1], [2], [7], [1, 2], [3, 6, 12, 24], [2, 4, 8, 16, 32]]
+    arcs = [OMEGA_21, ArcSet.of([(0, F(1, 3))]), ArcSet.of([(F(2, 3), 1)])]
+    arcs += [O for t in (1, 2) for m in (1, 2)
+             for O in pullback(canonical_omega(2, 4, t), m).singletons()]
+    for elems in sets:
+        A = IntegerSet.of(elems)
+        for O in arcs:
+            best, x = count_function(A, O).max_with_witness()
+            for M in (None, 1, 16, 1024):
+                got = maximize_count(A, O) if M is None else _maximize_by_buckets(A, O, M)
+                assert got == (x, best), (A.elements, O.arcs, M)
+    # an arc ending at 1, whose pullback by 2 closes at 1: the run from
+    # bucket 0 enters at level 0, not at the weight the edge at 1 closes
+    for M in (1, 2, 16):
+        got = _maximize_by_buckets(IntegerSet.of([2]), ArcSet.of([(F(2, 3), 1)]), M)
+        assert got == (F(5, 12), 1)
 
 
 def test_balanced_function():

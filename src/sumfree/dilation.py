@@ -34,7 +34,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .arcs import ArcSet, canonical_omega, OMEGA_21
+from .arcs import ArcSet, canonical_omega
 from .errors import MEMORY_BUDGET, CertificationError, InputError, ResourceLimitError
 from .sets import IntegerSet, is_kl_sumfree
 
@@ -150,9 +150,13 @@ def exact_l1(g: PiecewiseConstantFn) -> Fraction:
 
 
 def orbit_subset(A: IntegerSet, O: ArcSet, x) -> IntegerSet:
-    """{n in A : n*x mod 1 in O}, exact."""
-    x = Fraction(x)
-    members = [n for n in A if O.contains(n * x)]
+    """{n in A : n*x mod 1 in O}, exact: with x = p/q, n*x mod 1 = r/q for
+    r = n*p mod q, in the open arc (lo, hi) iff lo*q < r < hi*q."""
+    p, q = Fraction(x).as_integer_ratio()
+    bounds = [(lo.numerator * q, lo.denominator, hi.denominator, hi.numerator * q)
+              for lo, hi in O.arcs]
+    members = [n for n in A for r in (n * p % q,)
+               if any(a < r * b and r * c < d for a, b, c, d in bounds)]
     return IntegerSet(tuple(members))
 
 
@@ -235,30 +239,36 @@ def count_function(A: IntegerSet, O: ArcSet) -> PiecewiseConstantFn:
     return weighted_count_function(A, [(lo, hi, 1) for lo, hi in O.arcs])
 
 
-def _bucket_bound(A: IntegerSet, O: ArcSet, M: int) -> np.ndarray:
-    """U with U[i] >= |A_x| for every x in the bucket (i/M, (i+1)/M).
+def _bucket_bound(A: IntegerSet, O: ArcSet, M: int, half: bool = False) -> np.ndarray:
+    """U with U[i] >= |A_x| for every x in the bucket (i/M, (i+1)/M), for
+    i < M, or for i < M/2 when `half`.
 
     Each pullback ((lo + j)/n, (hi + j)/n) of an arc is rounded outward to
     the buckets it meets, floor(M*(lo + j)/n) up to ceil(M*(hi + j)/n) - 1,
     and U[i] counts the rounded intervals that meet bucket i: a difference
     array, then one cumsum.  The numerators M*(lo + j) are shared by every
-    n > j and are built BOUND_CHUNK values of j at a time.
+    n > j and are built BOUND_CHUNK values of j at a time.  A pullback that
+    meets the lower half starts below 1/2, so there j <= n//2 suffices.
     """
     q_max = max(A, default=1) * max((e.denominator for arc in O.arcs for e in arc), default=1)
     kind = object if M * q_max >= 2**62 else np.int64
     per = 256 + (M * q_max).bit_length() if kind is object else BYTES_PER_BREAKPOINT
     if (M + 1) * BYTES_PER_BUCKET + BOUND_CHUNK * per > MEMORY_BUDGET:
         raise ResourceLimitError(f"{M} buckets exceed the {MEMORY_BUDGET}-byte budget")
+    stop = {n: n // 2 + 1 if half else n for n in A}
+    j_end = max(stop.values(), default=0)
     U = np.zeros(M + 1, np.int64)
-    for j0 in range(0, max(A, default=0), BOUND_CHUNK):
-        j = np.arange(j0, min(j0 + BOUND_CHUNK, max(A))).astype(kind)
+    for j0 in range(0, j_end, BOUND_CHUNK):
+        j = np.arange(j0, min(j0 + BOUND_CHUNK, j_end)).astype(kind)
         for lo, hi in O.arcs:
             opens = M * (lo.numerator + j * lo.denominator)
             closes = -M * (hi.numerator + j * hi.denominator)
-            for n in A.elements[bisect_right(A.elements, j0):]:
-                np.add.at(U, (opens[: n - j0] // (n * lo.denominator)).astype(np.intp), 1)
-                np.add.at(U, (-(closes[: n - j0] // (n * hi.denominator))).astype(np.intp), -1)
-    return np.cumsum(U[:M], out=U[:M])
+            for n in (n for n in A if stop[n] > j0):
+                t = stop[n] - j0
+                np.add.at(U, (opens[:t] // (n * lo.denominator)).astype(np.intp), 1)
+                np.add.at(U, (-(closes[:t] // (n * hi.denominator))).astype(np.intp), -1)
+    B = M // 2 if half else M
+    return np.cumsum(U[:B], out=U[:B])
 
 
 def _count_at_midpoints(A: IntegerSet, O: ArcSet, buckets: np.ndarray, M: int) -> np.ndarray:
@@ -279,8 +289,11 @@ def _count_at_midpoints(A: IntegerSet, O: ArcSet, buckets: np.ndarray, M: int) -
 
 def _maximize_by_buckets(A: IntegerSet, O: ArcSet, M: int) -> tuple[Fraction, int]:
     """maximize_count on a grid of M buckets."""
-    U = _bucket_bound(A, O, M)
-    top = np.argpartition(U, -TOP_BUCKETS)[-TOP_BUCKETS:] if M > TOP_BUCKETS else np.arange(M)
+    # one arc (lo, 1 - lo), 0 < lo: the buckets below M/2 suffice
+    half = M >= 2 and len(O.arcs) == 1 and 0 < O.arcs[0][0] and sum(O.arcs[0]) == 1
+    U = _bucket_bound(A, O, M, half)
+    k = min(TOP_BUCKETS, len(U))
+    top = np.argpartition(U, -k)[-k:]
     tau = int(_count_at_midpoints(A, O, top, M).max())
     # a piece at the maximum (>= tau) meets only buckets with U >= tau, so it
     # lies inside one run of them; a piece cut by a run's edge also meets a
@@ -297,6 +310,9 @@ def _maximize_by_buckets(A: IntegerSet, O: ArcSet, M: int) -> tuple[Fraction, in
     i = int(np.argmax(levels))
     r = int(np.searchsorted(first, i, side="right")) - 1
     last = i + 1 == (first[r + 1] if r + 1 < len(first) else len(levels))
+    if last and half and 2 * e[r] == M:
+        # the piece goes on past 1/2 into its own mirror image
+        return Fraction(1, 2), int(levels[i])
     end = Fraction(int(e[r]), M) if last else Fraction(int(p[i + 1]), int(q[i + 1]))
     return (Fraction(int(p[i]), int(q[i])) + end) / 2, int(levels[i])
 
@@ -306,7 +322,11 @@ def maximize_count(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
 
     Bounds on a grid of M buckets, M the largest power of two at most
     max(1, sum(A)/2), single out the few runs of buckets where the maximum
-    can be, and only those runs are swept exactly.
+    can be, and only those runs are swept exactly.  For one arc (lo, 1 - lo)
+    with 0 < lo < 1/2, such as (1/3, 2/3), and M >= 2, this is done on
+    [0, 1/2] alone: as n*(1 - x) = -n*x mod 1, |A_x| is symmetric about 1/2,
+    which is no breakpoint, so the lowest maximizing piece lies in (0, 1/2)
+    or is the piece around 1/2, whose midpoint 1/2 is then the witness.
     """
     return _maximize_by_buckets(A, O, 1 << max(sum(A) // 2, 1).bit_length() - 1)
 
@@ -365,22 +385,17 @@ class ExtractionCertificate:
 
 
 def candidate_arcs(k: int, l: int) -> list[ArcSet]:
-    """Single-interval candidates for extraction.
+    """The intervals of the canonical system, one arc each: (1/3, 2/3) for
+    (2,1), Omega_1 = (1/6, 1/3) pulled back by m for (2m,4m).
 
-    For (2,1) this is the arc (1/3, 2/3).  For (2m,4m) the candidates are the
-    individual intervals of the two canonical pullback systems.  The guarantee
-    is per interval, which is all arcs.is_arc_kl_sumfree decides: the union
-    of a system generally is not (2m,4m)-sum-free.
-    Pulling (1/3, 2/3) back by 2m gives the same intervals as pulling
-    Omega_1 u Omega_2 back by m, so the rescaling route through the (2,1) arc
-    adds no candidate.
+    The guarantee is per interval (arcs.is_arc_kl_sumfree); the union of a
+    system generally is not (2m,4m)-sum-free.  The Omega_2 = -Omega_1 system
+    holds the mirrors -O of these, as pulling back commutes with x -> -x;
+    n*x in -O iff n*(-x) in O, so a mirror's maximum ties its original's and
+    never beats it under extract_certified's first strict maximum.  Pulling
+    (1/3, 2/3) back by 2m gives both systems' intervals: no new candidate.
     """
-    if (k, l) == (2, 1):
-        return [OMEGA_21]
-    candidates = []
-    for variant in (1, 2):
-        candidates.extend(canonical_omega(k, l, variant).singletons())
-    return candidates
+    return canonical_omega(k, l).singletons()
 
 
 def extract_certified(A: IntegerSet, k: int, l: int) -> ExtractionCertificate:

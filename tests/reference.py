@@ -9,6 +9,9 @@ The balanced functions are
     f_t = 1_{Omega_t} - 1/6     fhat_t(n) = e(-(2t-1)n/4) sin(n pi/6) / (pi n)
 with Omega_1 = (1/6,1/3), Omega_2 = (2/3,5/6), and Gamma = f1 + f2 (which
 coincides with x -> f(2x)), Lambda = f1 - f2.
+
+Two extraction references sit at the end: the orbit subset in Fractions,
+and extraction over the intervals of both canonical (2m,4m) systems.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21
+from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, canonical_omega
+from sumfree.dilation import ExtractionCertificate, maximize_count
 from sumfree.errors import InputError
+from sumfree.sets import IntegerSet, is_kl_sumfree
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -186,3 +191,29 @@ def eval_exact(kind: str, x) -> Fraction:
         if x == lo % 1 or x == hi % 1:
             raise InputError(f"{x} is a jump point of {kind}")
     return (1 if O.contains(x) else 0) - mean
+
+
+def orbit_subset_fractions(A: IntegerSet, O: ArcSet, x) -> IntegerSet:
+    """{n in A : n*x mod 1 in O}, one Fraction per element."""
+    x = Fraction(x)
+    return IntegerSet(tuple(n for n in A if O.contains(n * x)))
+
+
+def extract_both_systems(A: IntegerSet, k: int, l: int) -> ExtractionCertificate:
+    """Extraction over every interval of the Omega_1 system, then every
+    interval of the Omega_2 system, keeping the first strict maximum."""
+    if (k, l) == (2, 1):
+        arcs = [OMEGA_21]
+    else:
+        arcs = [O for v in (1, 2) for O in canonical_omega(k, l, v).singletons()]
+    best = None
+    for O in arcs:
+        x_star, count = maximize_count(A, O)
+        if best is None or count > best[1]:
+            best = (x_star, count, O)
+    x_star, count, O = best
+    subset = orbit_subset_fractions(A, O, x_star)
+    assert len(subset) == count and is_kl_sumfree(subset, k, l)
+    return ExtractionCertificate(
+        x_star, subset, count, O, k, l, True, count - Fraction(A.N, k + l)
+    )

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference import extract_both_systems, orbit_subset_fractions
 from sumfree.arcs import OMEGA_21, ArcSet, canonical_omega, pullback
 from sumfree.dilation import (
     ExtractionCertificate,
@@ -180,6 +182,82 @@ def test_maximize_count_matches_full_sweep():
     for M in (1, 2, 16):
         got = _maximize_by_buckets(IntegerSet.of([2]), ArcSet.of([(F(2, 3), 1)]), M)
         assert got == (F(5, 12), 1)
+
+
+def _triadic_chain(starts, limit=10**4):
+    return [s * 3**j for s in starts for j in range(20) if s * 3**j <= limit]
+
+
+def test_half_circle_matches_full_sweep():
+    # (1/3, 2/3) is its own mirror, so maximize_count bounds and sweeps only
+    # [0, 1/2]; it must return the full step function's (witness, maximum)
+    rng = random.Random(41)
+    sets = [[1], [1, 3], [1, 3, 5], [3, 5], [1, 5, 7, 11]]
+    sets += [rng.sample(range(1, 41), rng.randint(1, 12)) for _ in range(1500)]
+    sets += [rng.sample(range(1, 41, 2), rng.randint(1, 10)) for _ in range(200)]
+    sets += [rng.sample(range(1, 10**4 + 1), rng.randint(1, 3)) for _ in range(200)]
+    starts = [s for s in range(1, 41) if s % 3]
+    sets += [_triadic_chain(rng.sample(starts, rng.randint(1, 3)), 3**rng.randint(3, 8))
+             for _ in range(100)]
+    at_half = 0
+    for elems in sets:
+        A = IntegerSet.of(elems)
+        best, x = count_function(A, OMEGA_21).max_with_witness()
+        assert maximize_count(A, OMEGA_21) == (x, best), A.elements
+        at_half += x == F(1, 2) and sum(A) >= 4
+    # the maximum often sits on the piece around 1/2, cut by the half sweep
+    assert at_half > 100
+    # A = {1} sums to 1: M = 1 keeps the full circle; on a forced half grid
+    # the maximizing piece (1/3, 2/3) still reads its midpoint 1/2
+    for elems, want in (([1], (F(1, 2), 1)), ([1, 3], (F(1, 2), 2))):
+        for M in (1, 2, 4, 16):
+            assert _maximize_by_buckets(IntegerSet.of(elems), OMEGA_21, M) == want
+
+
+def _random_arcs(rng, den):
+    # disjoint arcs, turned by a random angle, so some run through 0
+    ends = sorted(rng.sample(range(den), 2 * rng.randint(1, 3)))
+    turn = rng.randrange(den)
+    return ArcSet.of([(Fraction(ends[i] + turn, den), Fraction(ends[i + 1] + turn, den))
+                      for i in range(0, len(ends), 2)])
+
+
+def test_orbit_subset_matches_fractions():
+    rng = random.Random(31)
+    for case in range(2000):
+        A = IntegerSet.of(rng.sample(range(1, 10**6), rng.randint(1, 20)))
+        den = rng.choice((12, 10**3, 10**18 - rng.randrange(10**6), 10**18 + 9))
+        O = rng.choice((OMEGA_21, canonical_omega(4, 8, 2), _random_arcs(rng, den)))
+        if case % 2:
+            # n*x lands exactly on an endpoint, which the open arc excludes
+            n, (lo, hi) = rng.choice(A.elements), rng.choice(O.arcs)
+            x = (rng.choice((lo, hi)) + rng.randrange(-3, n + 3)) / n
+            assert n not in orbit_subset(A, O, x).elements
+        else:
+            q = rng.choice((10**18 - rng.randrange(10**6), 10**18 + 7, 2 * 3**37))
+            x = Fraction(rng.randrange(-q, 3 * q), q)
+        assert orbit_subset(A, O, x).elements == orbit_subset_fractions(A, O, x).elements
+
+
+def _mirror(O):
+    ((lo, hi),) = O.arcs
+    return ArcSet.of([(-hi, -lo)])
+
+
+@given(st.sets(st.integers(1, 300), min_size=1, max_size=20),
+       st.sampled_from([(2, 4), (4, 8), (6, 12)]))
+@settings(max_examples=60, deadline=None)
+def test_mirror_intervals_tie(elems, kl):
+    # each interval of the Omega_2 system mirrors one of the Omega_1 system,
+    # ties its maximum and so never wins: extraction over Omega_1 alone
+    # gives the certificate of extraction over both systems
+    A, (k, l) = IntegerSet.of(elems), kl
+    system1 = canonical_omega(k, l, 1).singletons()
+    system2 = canonical_omega(k, l, 2).singletons()
+    assert sorted(_mirror(O).arcs for O in system1) == sorted(O.arcs for O in system2)
+    for O in system1:
+        assert maximize_count(A, _mirror(O))[1] == maximize_count(A, O)[1]
+    assert extract_certified(A, k, l).to_json() == extract_both_systems(A, k, l).to_json()
 
 
 def test_balanced_function():

@@ -1,4 +1,4 @@
-"""bench/record.py's statistics against the committed bench record."""
+"""bench/record.py's statistics against the committed bench records."""
 
 import importlib.util
 import json
@@ -12,8 +12,10 @@ record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record)
 
 
-def test_compare_reproduces_committed_record():
-    data = json.loads((ROOT / "BENCH_extract_buckets.json").read_text())
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_compare_reproduces_committed_records(path):
+    # BENCH_extract_buckets.json was written before the recorder existed
+    data = json.loads(path.read_text())
     for workload in data["workloads"].values():
         for stats in workload["metrics"].values():
             got = record.compare(stats["better"], stats["parent_runs"], stats["change_runs"])

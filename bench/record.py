@@ -2,15 +2,15 @@
 
 Run from the repository root, with both revisions committed:
 
-    python3 bench/record.py --parent REV --label NAME --claim TEXT \
-        --workload extract --workload verify --workload analysis \
-        --pairs 10 --first-seed 301
+    python3 bench/record.py --parent REV --label NAME --claim TEXT --first-seed 301
 
-Each revision is exported with `git archive` into its own directory under a
-temporary directory (TMPDIR sets where), so each side builds from its
-committed files only and nothing is left registered in the repository.  Pair
-i runs `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
-once on each side, one fresh process each, with S = first seed + i; the
+The change measured is HEAD, and every workload that BENCHMARK.json lists is
+recorded with ten pairs, the number a gain claim needs.  Each revision is
+exported with `git archive` into its own directory under a temporary
+directory (TMPDIR sets where), so each side builds from its committed files
+only and nothing is left registered in the repository.  Pair i runs
+`python3 perfbench/run.py --workload W --seed S --seconds T --trace 0` once
+on each side, one fresh process each, with S = first seed + i; the
 parent runs first on even pairs and the change first on odd ones.  The file
 holds per-metric medians and quartiles of each side, the change's wins and
 losses over the pairs, every run's value, and the provenance of both sides.
@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_KEYS = ("nproc", "python", "numpy", "platform", "blas_threads")
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -97,18 +98,15 @@ def workload_record(better: dict, seeds: list[int], runs: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="revision to compare against")
-    ap.add_argument("--change", default="HEAD", help="revision measured (default HEAD)")
     ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     ap.add_argument("--claim", required=True, help="the gain claimed, in words")
-    ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--host", default="", help="a description of the machine")
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
-    revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
+    revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     out = ROOT / f"BENCH_{args.label}.json"
     record = {
         "label": args.label,
@@ -128,10 +126,10 @@ def main(argv=None) -> int:
         checkouts = {side: Path(tmp) / side for side in revs}
         for side, rev in revs.items():
             export(rev, checkouts[side])
-        for workload in args.workload:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = {"parent": [], "change": []}
             seeds = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.first_seed + i
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                     runs[side].append(run_once(checkouts[side], workload, seed, seconds))

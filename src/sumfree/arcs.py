@@ -8,7 +8,6 @@ guarantee is per interval, so sum-freeness is decided for one arc only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -72,8 +71,6 @@ class ArcSet:
 
     @staticmethod
     def from_json(data) -> "ArcSet":
-        if isinstance(data, str):
-            data = json.loads(data)
         return ArcSet.of(
             [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in data]
         )
@@ -98,17 +95,14 @@ def pullback(O: ArcSet, m: int) -> ArcSet:
     return ArcSet.of(arcs)
 
 
-def canonical_omega(k: int, l: int, variant: int = 1) -> ArcSet:
-    """Canonical maximal sum-free arc systems: (2,1) and the (2m,4m) family,
-    whose variant 1 pulls back Omega_1 and variant 2 Omega_2."""
-    if variant not in (1, 2):
-        raise InputError(f"variant must be 1 or 2, not {variant}")
+def canonical_omega(k: int, l: int) -> ArcSet:
+    """Canonical maximal sum-free arc systems: (1/3, 2/3) for (2,1), and
+    Omega_1 pulled back by m for (2m,4m).  The Omega_2 system of the paper is
+    their mirror under x -> -x, pullback(OMEGA_2, m)."""
     if (k, l) == (2, 1):
         return OMEGA_21
     if k >= 2 and k % 2 == 0 and l == 2 * k:
-        m = k // 2
-        base = OMEGA_1 if variant == 1 else OMEGA_2
-        return pullback(base, m)
+        return pullback(OMEGA_1, k // 2)
     raise InputError(f"no canonical arc system for (k,l)=({k},{l})")
 
 

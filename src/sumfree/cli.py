@@ -29,7 +29,7 @@ from .dilation import extract_certified
 from .errors import CertificationError, InputError, SumfreeError
 from .fourier import sample_grid
 from .lp import lacunary_l1_diagnostic
-from .mps import build_phi
+from .mps import PHI_GRID_CAP, build_phi
 from .oracle import compare
 from .sets import IntegerSet, generate, load_set, structure
 from .sieve import IDENTITY_IDS, SIEVE_CUTOFF_CAP, l1_lower_report, verify_identity
@@ -268,7 +268,8 @@ _FLAGS = {
     "p": dict(type=_int_type("a prime", is_prime)),
     "cutoff": dict(type=_int_type(f"an integer in [1, {SIEVE_CUTOFF_CAP}]",
                                   lambda v: 1 <= v <= SIEVE_CUTOFF_CAP)),
-    "grid": dict(type=_int_type("a power of two >= 4", lambda v: v >= 4 and not v & (v - 1))),
+    "grid": dict(type=_int_type(f"a power of two in [4, {PHI_GRID_CAP}]",
+                                lambda v: 4 <= v <= PHI_GRID_CAP and not v & (v - 1))),
     "base": dict(type=_int_type("an integer >= 4", lambda v: v >= 4)),
     "size": dict(type=_positive_int),
     "weights": dict(choices=("unit", "random")),

@@ -26,7 +26,6 @@ the large allocation, which raises ResourceLimitError instead.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -68,17 +67,16 @@ def _exact_order(p: np.ndarray, q: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseConstantFn:
-    """Step function on [0,1): scale*levels[i] + shift on the open piece from
+    """Step function on [0,1): levels[i] + shift on the open piece from
     breakpoints[i] to breakpoints[i+1], the last piece ending at 1.
 
     `breakpoints` holds one (numerator, denominator) row per piece, strictly
     ascending from 0; `levels` holds one integer per piece.  Both are int64,
-    or Python ints where int64 could overflow.  `scale` is positive.
+    or Python ints where int64 could overflow.
     """
 
     breakpoints: np.ndarray
     levels: np.ndarray
-    scale: Fraction = Fraction(1)
     shift: Fraction = Fraction(0)
 
     def __post_init__(self):
@@ -90,7 +88,7 @@ class PiecewiseConstantFn:
         return Fraction(*map(int, self.breakpoints[i])) if i < len(self.levels) else Fraction(1)
 
     def _value(self, i: int) -> Fraction:
-        return self.scale * int(self.levels[i]) + self.shift
+        return int(self.levels[i]) + self.shift
 
     def _integrate(self, absolute: bool) -> Fraction:
         """Exact integral of the values, or of their absolute values.
@@ -100,12 +98,11 @@ class PiecewiseConstantFn:
         the b_i terms are summed in integers per denominator, then over the
         lcm of the denominators.
         """
-        D = lcm(self.scale.denominator, self.shift.denominator)
-        a, b = int(self.scale * D), int(self.shift * D)
+        b, D = self.shift.as_integer_ratio()
         p, q = self.breakpoints[1:, 0], self.breakpoints[1:, 1]
-        u_max = abs(a) * int(np.abs(self.levels).max()) + abs(b)
+        u_max = D * int(np.abs(self.levels).max()) + abs(b)
         wide = 2 * u_max * int(self.breakpoints[:, 1].max()) * len(self.levels) >= 2**63
-        u = self.levels.astype(object if wide else np.int64) * a + b
+        u = self.levels.astype(object if wide else np.int64) * D + b
         u = np.abs(u) if absolute else u
         c = u[:-1] - u[1:]
         nz = np.flatnonzero(c)
@@ -219,19 +216,20 @@ def _sweep(A: IntegerSet, edges, s: np.ndarray, e: np.ndarray, M: int):
 
 def weighted_count_function(A: IntegerSet, weighted_arcs) -> PiecewiseConstantFn:
     """Exact step function sum_{n in A} sum_{arcs} weight * 1_arc(n*x), for
-    arcs 0 <= lo < hi <= 1.
+    arcs 0 <= lo < hi <= 1 with integer weights.
 
     Arc edge e = a/d pulled back by n gives the breakpoints (a + j*d)/(n*d),
     j < n, each carrying the edge's signed weight; an edge at 1 sits at 0
     of the circle.
     """
-    arcs = [(Fraction(lo), Fraction(hi), Fraction(w)) for lo, hi, w in weighted_arcs]
+    arcs = [(Fraction(lo), Fraction(hi), w) for lo, hi, w in weighted_arcs]
     if any(not 0 <= lo < hi <= 1 for lo, hi, _ in arcs):
         raise InputError("weighted arcs need 0 <= lo < hi <= 1")
-    D = lcm(*(w.denominator for *_, w in arcs))
-    edges = [(e, sign * int(w * D)) for lo, hi, w in arcs for e, sign in ((lo, 1), (hi, -1))]
+    if any(not isinstance(w, int) for *_, w in arcs):
+        raise InputError("arc weights must be integers")
+    edges = [(e, sign * w) for lo, hi, w in arcs for e, sign in ((lo, 1), (hi, -1))]
     p, q, levels, _ = _sweep(A, edges, np.zeros(1, np.int64), np.ones(1, np.int64), 1)
-    return PiecewiseConstantFn(np.stack([p, q], axis=1), levels, Fraction(1, D))
+    return PiecewiseConstantFn(np.stack([p, q], axis=1), levels)
 
 
 def count_function(A: IntegerSet, O: ArcSet) -> PiecewiseConstantFn:
@@ -361,8 +359,6 @@ class ExtractionCertificate:
 
     @staticmethod
     def from_json(data) -> "ExtractionCertificate":
-        if isinstance(data, str):
-            data = json.loads(data)
         return ExtractionCertificate(
             x_star=Fraction(*data["x_star"]),
             subset=IntegerSet.of(data["subset"]),

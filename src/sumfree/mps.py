@@ -28,9 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import MEMORY_BUDGET, InputError
 from .fourier import GridFn, sample_grid
 from .sets import IntegerSet
+
+# Peak bytes of a phi op per point of its grid M: the sup bound samples Phi at
+# 40 bytes a point on M2 <= 32M points (M2 >= 20*pi*degree, degree <= M/2);
+# tracemalloc measured 330 per grid point at the defaults (M2 = 8M) and 625
+# at M2 = 16M.  The grid phase (two samplings a block, <= 11 blocks) is less.
+BYTES_PER_GRID_POINT = 32 * 40
+PHI_GRID_CAP = MEMORY_BUDGET // BYTES_PER_GRID_POINT
 
 
 def epsilon_of_base(b: int) -> float:

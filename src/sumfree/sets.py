@@ -1,10 +1,9 @@
-"""Integer-set ingestion, structure analysis, and test-family generation."""
+"""Integer-set ingestion, structure analysis, and the interval family."""
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -167,33 +166,10 @@ def is_kl_sumfree(X: IntegerSet, k: int, l: int) -> bool:
     return fold_sums(X.elements, k) & fold_sums(X.elements, l) == 0
 
 
-def generate(kind: str, **params) -> IntegerSet:
-    """Deterministic test families: interval, random, triadic_chains, folner_like."""
-    if kind == "interval":
-        n = params["n"]
-        if n < 1:
-            raise InputError("interval size must be >= 1")
-        return IntegerSet.of(range(1, n + 1))
-    if kind == "random":
-        n = params["n"]
-        max_value = params.get("max_value", 10**4)
-        if n < 1 or max_value < n:
-            raise InputError(f"cannot draw {n} distinct values from [1, {max_value}]")
-        rng = random.Random(params.get("seed", 0))
-        return IntegerSet.of(rng.sample(range(1, max_value + 1), n))
-    if kind == "triadic_chains":
-        starts = params["starts"]
-        length = params["length"]
-        if not starts or length < 1:
-            raise InputError("need nonempty starts and length >= 1")
-        return IntegerSet.of(s * 3**j for s in starts for j in range(length))
-    if kind == "folner_like":
-        primes = sorted(params["primes"])
-        box = params["exponent_box"]
-        if not primes or box < 0:
-            raise InputError("need nonempty primes and exponent_box >= 0")
-        values = [1]
-        for p in primes:
-            values = [v * p**e for v in values for e in range(box + 1)]
-        return IntegerSet.of(values)
-    raise InputError(f"unknown generator kind {kind!r}")
+def generate(kind: str, n: int) -> IntegerSet:
+    """The interval family {1, ..., n}, the only kind."""
+    if kind != "interval":
+        raise InputError(f"unknown generator kind {kind!r}")
+    if n < 1:
+        raise InputError("interval size must be >= 1")
+    return IntegerSet.of(range(1, n + 1))

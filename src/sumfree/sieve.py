@@ -51,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arcs import OMEGA_1, OMEGA_2
+from .arcs import OMEGA_1, OMEGA_2, OMEGA_21
 from .arith import (
     SieveContext,
     gamma4,
@@ -62,7 +62,7 @@ from .arith import (
     sec2_sieve_set,
     smooth_squarefree,
 )
-from .dilation import exact_l1, weighted_count_function
+from .dilation import balanced_function, exact_l1, weighted_count_function
 from .errors import MEMORY_BUDGET, InputError
 from .sets import IntegerSet, structure
 
@@ -276,38 +276,27 @@ def inner_sum_decomposition(n: int, ctx: SieveContext) -> dict:
     return parts
 
 
-def _step_functions(A: IntegerSet):
-    one = Fraction(1)
-    arcs1 = [(lo, hi, one) for lo, hi in OMEGA_1.arcs]
-    arcs2 = [(lo, hi, one) for lo, hi in OMEGA_2.arcs]
-    arcs2_neg = [(lo, hi, -one) for lo, hi in OMEGA_2.arcs]
-    N = A.N
-    G = weighted_count_function(A, arcs1 + arcs2).shift_const(Fraction(-N, 3))
-    L = weighted_count_function(A, arcs1 + arcs2_neg)
-    F1 = weighted_count_function(A, arcs1).shift_const(Fraction(-N, 6))
-    F2 = weighted_count_function(A, arcs2).shift_const(Fraction(-N, 6))
-    return G, L, F1, F2
-
-
 def l1_lower_report(A: IntegerSet, ctx: SieveContext) -> dict:
     """Exact L1 norms of the aggregated step functions G_A, L_A, F_1, F_2,
-    the Mertens mass of the smooth sieve, and the winning max >= L1/2 leg."""
-    G, L, F1, F2 = _step_functions(A)
+    the Mertens mass of the smooth sieve, and F_1's max >= L1/2 leg, from
+    three sweeps: G_A(x) = F(2x) for F the balanced function of (1/3, 2/3),
+    and x -> 2x preserves measure; L_A weighs Omega_1 by +1 and Omega_2 by
+    -1; F_2(x) = F_1(-x) as Omega_2 = -Omega_1, so F_2 has F_1's L1 and max."""
+    F1 = balanced_function(A, OMEGA_1)
+    arcs = [(lo, hi, w) for O, w in ((OMEGA_1, 1), (OMEGA_2, -1)) for lo, hi in O.arcs]
     norms = {
-        "G": exact_l1(G),
-        "L": exact_l1(L),
+        "G": exact_l1(balanced_function(A, OMEGA_21)),
+        "L": exact_l1(weighted_count_function(A, arcs)),
         "F1": exact_l1(F1),
-        "F2": exact_l1(F2),
     }
+    norms["F2"] = norms["F1"]
     mass = sum(
         (Fraction(1, t) for t in smooth_squarefree(ctx, MERTENS_BOUND)), Fraction(0)
     )
     mertens_product = Fraction(1)
     for p in primes_upto(ctx.Q):
         mertens_product *= 1 + Fraction(1, p)
-    winner = "F1" if norms["F1"] >= norms["F2"] else "F2"
-    Fw = F1 if winner == "F1" else F2
-    max_val, x_at = Fw.max_with_witness()
+    max_val, x_at = F1.max_with_witness()
     frac = lambda q: [q.numerator, q.denominator]
     return {
         "N": A.N,
@@ -316,8 +305,8 @@ def l1_lower_report(A: IntegerSet, ctx: SieveContext) -> dict:
         "max_l1_GL": frac(max(norms["G"], norms["L"])),
         "mertens_mass": frac(mass),
         "mertens_product": frac(mertens_product),
-        "winner": winner,
+        "winner": "F1",
         "winner_max": frac(max_val),
         "winner_argmax": frac(x_at),
-        "max_ge_half_l1": max_val >= norms[winner] / 2,
+        "max_ge_half_l1": max_val >= norms["F1"] / 2,
     }

@@ -10,8 +10,9 @@ The balanced functions are
 with Omega_1 = (1/6,1/3), Omega_2 = (2/3,5/6), and Gamma = f1 + f2 (which
 coincides with x -> f(2x)), Lambda = f1 - f2.
 
-Two extraction references sit at the end: the orbit subset in Fractions,
-and extraction over the intervals of both canonical (2m,4m) systems.
+Three references sit at the end: the orbit subset in Fractions, extraction
+over the intervals of both canonical (2m,4m) systems, and the L1 report with
+each of G_A, L_A, F_1 and F_2 swept on its own arcs.
 """
 
 from __future__ import annotations
@@ -20,10 +21,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, canonical_omega
-from sumfree.dilation import ExtractionCertificate, maximize_count
+from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, pullback
+from sumfree.arith import SieveContext, primes_upto, smooth_squarefree
+from sumfree.dilation import (
+    ExtractionCertificate,
+    exact_l1,
+    maximize_count,
+    weighted_count_function,
+)
 from sumfree.errors import InputError
 from sumfree.sets import IntegerSet, is_kl_sumfree
+from sumfree.sieve import MERTENS_BOUND
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -205,7 +213,7 @@ def extract_both_systems(A: IntegerSet, k: int, l: int) -> ExtractionCertificate
     if (k, l) == (2, 1):
         arcs = [OMEGA_21]
     else:
-        arcs = [O for v in (1, 2) for O in canonical_omega(k, l, v).singletons()]
+        arcs = [O for base in (OMEGA_1, OMEGA_2) for O in pullback(base, k // 2).singletons()]
     best = None
     for O in arcs:
         x_star, count = maximize_count(A, O)
@@ -217,3 +225,39 @@ def extract_both_systems(A: IntegerSet, k: int, l: int) -> ExtractionCertificate
     return ExtractionCertificate(
         x_star, subset, count, O, k, l, True, count - Fraction(A.N, k + l)
     )
+
+
+def l1_report_four_sweeps(A: IntegerSet, ctx: SieveContext) -> dict:
+    """sieve.l1_lower_report computed the long way: G_A = F_1 + F_2 and
+    L_A = F_1 - F_2 swept on both systems, F_1 and F_2 on their own, and the
+    winner the F_t of larger L1 norm."""
+    arcs1 = [(lo, hi, 1) for lo, hi in OMEGA_1.arcs]
+    arcs2 = [(lo, hi, 1) for lo, hi in OMEGA_2.arcs]
+    arcs2_neg = [(lo, hi, -1) for lo, hi in OMEGA_2.arcs]
+    N = A.N
+    G = weighted_count_function(A, arcs1 + arcs2).shift_const(Fraction(-N, 3))
+    L = weighted_count_function(A, arcs1 + arcs2_neg)
+    F1 = weighted_count_function(A, arcs1).shift_const(Fraction(-N, 6))
+    F2 = weighted_count_function(A, arcs2).shift_const(Fraction(-N, 6))
+    norms = {"G": exact_l1(G), "L": exact_l1(L), "F1": exact_l1(F1), "F2": exact_l1(F2)}
+    mass = sum(
+        (Fraction(1, t) for t in smooth_squarefree(ctx, MERTENS_BOUND)), Fraction(0)
+    )
+    mertens_product = Fraction(1)
+    for p in primes_upto(ctx.Q):
+        mertens_product *= 1 + Fraction(1, p)
+    winner = "F1" if norms["F1"] >= norms["F2"] else "F2"
+    max_val, x_at = (F1 if winner == "F1" else F2).max_with_witness()
+    frac = lambda q: [q.numerator, q.denominator]
+    return {
+        "N": A.N,
+        "Q": ctx.Q,
+        "l1": {k: frac(v) for k, v in norms.items()},
+        "max_l1_GL": frac(max(norms["G"], norms["L"])),
+        "mertens_mass": frac(mass),
+        "mertens_product": frac(mertens_product),
+        "winner": winner,
+        "winner_max": frac(max_val),
+        "winner_argmax": frac(x_at),
+        "max_ge_half_l1": max_val >= norms[winner] / 2,
+    }

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from sumfree.arith import SieveContext, is_strictly_rough
-from sumfree.arcs import OMEGA_21, canonical_omega, is_arc_kl_sumfree, pullback
+from sumfree.arcs import OMEGA_2, OMEGA_21, canonical_omega, is_arc_kl_sumfree, pullback
 from sumfree.dilation import (
     balanced_function,
     exact_l1,
@@ -249,9 +249,11 @@ def test_criterion_11_growth_trend():
 def test_criterion_12_arc_self_consistency():
     ok = True
     for k, l in ((2, 1), (2, 4), (4, 8), (6, 12)):
-        variants = (1,) if (k, l) == (2, 1) else (1, 2)
-        for v in variants:
-            O = canonical_omega(k, l, v)
+        # for (2m,4m) the Omega_1 system and its mirror, the Omega_2 system
+        systems = [canonical_omega(k, l)]
+        if (k, l) != (2, 1):
+            systems.append(pullback(OMEGA_2, k // 2))
+        for O in systems:
             for piece in O.singletons():
                 ok &= is_arc_kl_sumfree(piece, k, l)
             want = Fraction(1, 3) if (k, l) == (2, 1) else Fraction(1, 6)

@@ -28,22 +28,22 @@ def test_canonical_21():
 
 
 def test_canonical_24_variants():
-    assert canonical_omega(2, 4, 1).arcs == ((F(1, 6), F(1, 3)),)
-    assert canonical_omega(2, 4, 2).arcs == ((F(2, 3), F(5, 6)),)
+    # the paper's second system Omega_2 is the mirror -Omega_1
+    assert canonical_omega(2, 4).arcs == ((F(1, 6), F(1, 3)),)
+    assert OMEGA_2.arcs == ((F(2, 3), F(5, 6)),)
+    assert ArcSet.of([(-hi, -lo) for lo, hi in OMEGA_1.arcs]).arcs == OMEGA_2.arcs
 
 
 def test_canonical_48():
-    O = canonical_omega(4, 8, 1)
+    O = canonical_omega(4, 8)
     assert O.arcs == ((F(1, 12), F(1, 6)), (F(7, 12), F(2, 3)))
     assert O.measure == F(1, 6)
 
 
 def test_canonical_unsupported():
-    with pytest.raises(InputError):
-        canonical_omega(3, 1)
-    for k, l, variant in ((2, 4, 7), (2, 4, 0), (2, 1, 3), (4, 8, -1)):
+    for k, l in ((3, 1), (3, 6), (2, 8), (0, 0)):
         with pytest.raises(InputError):
-            canonical_omega(k, l, variant)
+            canonical_omega(k, l)
 
 
 def test_pullback_examples():
@@ -122,15 +122,17 @@ def test_arc_sumfree_matches_integer_grid():
 
 def test_canonical_self_consistency():
     # the union of pullback intervals is not itself sum-free (sums mixing
-    # different intervals collide), so the guarantee is per interval
+    # different intervals collide), so the guarantee is per interval; for
+    # (2m,4m) it holds on the Omega_1 system and its mirror, the Omega_2 system
     for k, l in ((2, 1), (2, 4), (4, 8), (6, 12)):
-        variants = (1,) if (k, l) == (2, 1) else (1, 2)
-        for v in variants:
-            O = canonical_omega(k, l, v)
+        systems = [canonical_omega(k, l)]
+        if (k, l) != (2, 1):
+            systems.append(pullback(OMEGA_2, k // 2))
+        for O in systems:
             for piece in O.singletons():
                 assert is_arc_kl_sumfree(piece, k, l)
 
 
 def test_json_round_trip():
-    O = canonical_omega(4, 8, 2)
+    O = pullback(OMEGA_2, 2)
     assert ArcSet.from_json(O.to_json()).arcs == O.arcs

@@ -9,6 +9,7 @@ import pytest
 from sumfree import cli
 from sumfree.cli import main
 from sumfree.errors import CertificationError, InputError, ResourceLimitError, SumfreeError
+from sumfree.mps import PHI_GRID_CAP
 from sumfree.sieve import SIEVE_CUTOFF_CAP
 
 
@@ -79,6 +80,7 @@ def test_parse_error_exits_2(tmp_path):
         ["verify", "--p", "100"],
         ["phi", "--base", "2"],
         ["phi", "--grid", "1000"],
+        ["phi", "--grid", str(1 << PHI_GRID_CAP.bit_length())],  # the next power of two
     ],
 )
 def test_bad_number_exits_2(argv):
@@ -127,12 +129,19 @@ def test_exit_code(argv, code, set_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["phi"], ["report", "--kind", "phi_profile"]], ids=["phi", "phi_profile"]
+    "argv",
+    [
+        ["phi", "--size", "2000000", "--grid", "4"],
+        ["report", "--kind", "phi_profile", "--size", "2000000", "--grid", "4"],
+        # a 2^34-point grid would ask for hundreds of GiB
+        ["phi", "--grid", str(2**34)],
+    ],
+    ids=["phi", "phi_profile", "phi_grid_2_34"],
 )
 def test_oversized_phi_size_exits_2_before_allocating(argv):
     tracemalloc.start()
     try:
-        code = _exit_code(argv + ["--size", "2000000", "--grid", "4"])
+        code = _exit_code(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

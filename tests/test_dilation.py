@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import extract_both_systems, orbit_subset_fractions
-from sumfree.arcs import OMEGA_21, ArcSet, canonical_omega, pullback
+from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, canonical_omega, pullback
 from sumfree.dilation import (
     ExtractionCertificate,
     PiecewiseConstantFn,
@@ -22,7 +22,7 @@ from sumfree.dilation import (
     orbit_subset,
     weighted_count_function,
 )
-from sumfree.errors import ResourceLimitError
+from sumfree.errors import InputError, ResourceLimitError
 from sumfree.sets import IntegerSet, is_kl_sumfree
 
 
@@ -84,7 +84,7 @@ def test_weighted_count_exact_on_every_piece():
     assert float(x) == 1 / 3 and float(u) == float(v)
     cases = [
         (range(1, 20), [(x, F(1, 3), 1)]),
-        (range(1, 20), [(F(1, 7), x, F(1, 2)), (F(1, 3), F(1, 2), -2)]),
+        (range(1, 20), [(F(1, 7), x, 3), (F(1, 3), F(1, 2), -2)]),
         ([1], [(v, F(1, 2), 1), (F(1, 7), u, 1)]),
     ]
     for elems, arcs in cases:
@@ -103,6 +103,10 @@ def test_weighted_count_exact_on_every_piece():
         assert g.integral() == integral
         assert integral == A.N * sum(w * (b - a) for a, b, w in arcs) - F(1, 3)
         assert exact_l1(g) == l1
+    # weights are integers: a Fraction, even a whole one, is refused
+    for w in (F(1, 2), F(3)):
+        with pytest.raises(InputError):
+            weighted_count_function(IntegerSet.of([1]), [(F(1, 3), F(2, 3), w)])
 
 
 def test_count_function_edges_at_zero_and_one():
@@ -168,8 +172,8 @@ def test_maximize_count_matches_full_sweep():
              for starts in ((1,), (1, 2), (2, 4), (5, 10))]
     sets += [range(1, 31), [1], [2], [7], [1, 2], [3, 6, 12, 24], [2, 4, 8, 16, 32]]
     arcs = [OMEGA_21, ArcSet.of([(0, F(1, 3))]), ArcSet.of([(F(2, 3), 1)])]
-    arcs += [O for t in (1, 2) for m in (1, 2)
-             for O in pullback(canonical_omega(2, 4, t), m).singletons()]
+    arcs += [O for base in (OMEGA_1, OMEGA_2) for m in (1, 2)
+             for O in pullback(base, m).singletons()]
     for elems in sets:
         A = IntegerSet.of(elems)
         for O in arcs:
@@ -227,7 +231,7 @@ def test_orbit_subset_matches_fractions():
     for case in range(2000):
         A = IntegerSet.of(rng.sample(range(1, 10**6), rng.randint(1, 20)))
         den = rng.choice((12, 10**3, 10**18 - rng.randrange(10**6), 10**18 + 9))
-        O = rng.choice((OMEGA_21, canonical_omega(4, 8, 2), _random_arcs(rng, den)))
+        O = rng.choice((OMEGA_21, pullback(OMEGA_2, 2), _random_arcs(rng, den)))
         if case % 2:
             # n*x lands exactly on an endpoint, which the open arc excludes
             n, (lo, hi) = rng.choice(A.elements), rng.choice(O.arcs)
@@ -252,8 +256,8 @@ def test_mirror_intervals_tie(elems, kl):
     # ties its maximum and so never wins: extraction over Omega_1 alone
     # gives the certificate of extraction over both systems
     A, (k, l) = IntegerSet.of(elems), kl
-    system1 = canonical_omega(k, l, 1).singletons()
-    system2 = canonical_omega(k, l, 2).singletons()
+    system1 = canonical_omega(k, l).singletons()
+    system2 = pullback(OMEGA_2, k // 2).singletons()
     assert sorted(_mirror(O).arcs for O in system1) == sorted(O.arcs for O in system2)
     for O in system1:
         assert maximize_count(A, _mirror(O))[1] == maximize_count(A, O)[1]

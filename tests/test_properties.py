@@ -4,9 +4,15 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from sumfree.arcs import OMEGA_1, OMEGA_21, ArcSet, pullback
+from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, pullback
 from sumfree.arith import SieveContext, chi3, gamma4, mobius
-from sumfree.dilation import balanced_function, count_function, orbit_subset
+from sumfree.dilation import (
+    balanced_function,
+    count_function,
+    exact_l1,
+    orbit_subset,
+    weighted_count_function,
+)
 from sumfree.sets import IntegerSet, structure
 
 small_sets = st.sets(st.integers(1, 200), min_size=1, max_size=10).map(sorted)
@@ -30,6 +36,21 @@ def test_balanced_integral_zero(elems):
     A = IntegerSet.of(elems)
     assert balanced_function(A, OMEGA_21).integral() == 0
     assert count_function(A, OMEGA_21).integral() == Fraction(A.N, 3)
+
+
+@given(st.sets(st.integers(1, 300), min_size=1, max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_reflection_behind_the_l1_report(elems):
+    # Omega_2 = -Omega_1, so F_2(x) = F_1(-x) has F_1's L1 norm and maximum;
+    # Omega_1 u Omega_2 is the preimage of (1/3, 2/3) under the measure-
+    # preserving x -> 2x, so Gamma swept on both systems has F's L1 norm
+    A = IntegerSet.of(elems)
+    F1, F2 = balanced_function(A, OMEGA_1), balanced_function(A, OMEGA_2)
+    assert exact_l1(F2) == exact_l1(F1)
+    assert F2.max_with_witness()[0] == F1.max_with_witness()[0]
+    arcs = [(lo, hi, 1) for O in (OMEGA_1, OMEGA_2) for lo, hi in O.arcs]
+    gamma = weighted_count_function(A, arcs).shift_const(Fraction(-A.N, 3))
+    assert exact_l1(gamma) == exact_l1(balanced_function(A, OMEGA_21))
 
 
 # Denominators up to 10^15 push n*d past the int64 bound of the sweep, so

@@ -133,15 +133,10 @@ def test_sumfree_hereditary():
 
 
 def test_generate_kinds():
+    # the interval is the one family; a misspelled keyword is not swallowed
     assert generate("interval", n=4).elements == (1, 2, 3, 4)
-    assert generate("triadic_chains", starts=[1], length=3).elements == (1, 3, 9)
-    assert generate("folner_like", primes=[2, 3], exponent_box=2).elements == (
-        1, 2, 3, 4, 6, 9, 12, 18, 36,
-    )
-
-
-def test_generate_random_deterministic():
-    a = generate("random", n=12, limit=500, seed=42)
-    b = generate("random", n=12, limit=500, seed=42)
-    assert a.elements == b.elements
-    assert len(a.elements) == 12
+    for kind, n in (("random", 4), ("interval", 0)):
+        with pytest.raises(InputError):
+            generate(kind, n)
+    with pytest.raises(TypeError):
+        generate("interval", size=4)

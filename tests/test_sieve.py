@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import ONE, UNITS, ZERO, ExactScalar, fhat, lambda_hat
+from reference import ONE, UNITS, ZERO, ExactScalar, fhat, l1_report_four_sweeps, lambda_hat
 from sumfree import sieve
 from sumfree.arith import (
     SieveContext,
@@ -247,3 +247,16 @@ def test_l1_lower_report():
     num, den = rep["max_l1_GL"]
     assert Fraction(num, den) > 0
     assert rep["winner"] in ("G", "L", "F1", "F2")
+
+
+def test_l1_report_matches_four_sweeps():
+    # three sweeps by the reflections give the four-sweep report key by key
+    rng = random.Random(12)
+    sets = [range(1, 31), range(1, 101)]
+    sets += [rng.sample(range(1, 401), rng.randint(1, 30)) for _ in range(200)]
+    for elems in sets:
+        A = IntegerSet.of(elems)
+        rep, ref = l1_lower_report(A, CTX), l1_report_four_sweeps(A, CTX)
+        assert list(rep) == list(ref) and list(rep["l1"]) == list(ref["l1"])
+        for key in ref:
+            assert rep[key] == ref[key], (key, A.elements)

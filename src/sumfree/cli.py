@@ -29,7 +29,7 @@ from .dilation import extract_certified
 from .errors import CertificationError, InputError, SumfreeError
 from .fourier import sample_grid
 from .lp import lacunary_l1_diagnostic
-from .mps import PHI_GRID_CAP, build_phi
+from .mps import PHI_GRID_CAP, block_bounds, build_phi, check_grid
 from .oracle import compare
 from .sets import IntegerSet, generate, load_set, structure
 from .sieve import IDENTITY_IDS, SIEVE_CUTOFF_CAP, l1_lower_report, verify_identity
@@ -107,10 +107,9 @@ def _verify_stage(A: IntegerSet, config: RunConfig) -> dict:
 
 
 def _phi_interval(config: RunConfig) -> IntegerSet:
-    """The frequencies 1..size of the phi stages, built only once the grid
-    can hold them: 2*size <= grid is necessary for build_phi's own check."""
-    if 2 * config.size > config.grid:
-        raise InputError(f"grid {config.grid} cannot hold size {config.size} alias-free")
+    """The frequencies 1..size of the phi stages, built only once their blocks
+    pass build_phi's grid check (for 1..size, about 8*size <= grid)."""
+    check_grid([(lo + 1, hi) for lo, hi in block_bounds(config.size, config.base)], config.grid)
     return generate("interval", n=config.size)
 
 

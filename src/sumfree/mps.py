@@ -81,25 +81,34 @@ class BlockPartition:
         return max(b - a, 1)
 
 
-def partition_blocks(B: IntegerSet, b: int) -> BlockPartition:
-    """|B_0| = 1, |B_k| = b^k, remainder absorbed by the last block."""
+def block_bounds(M: int, b: int) -> list[tuple[int, int]]:
+    """Index ranges [lo, hi) of the blocks of M frequencies: |B_0| = 1,
+    |B_k| = b^k, remainder absorbed by the last block."""
     if b < 4:
         raise InputError("base must be >= 4")
-    elems = list(B.elements)
-    M = len(elems)
-    k0 = 0
-    while b ** (k0 + 1) < M:
-        k0 += 1
-    blocks = []
-    pos = 0
-    for k in range(k0):
-        size = b**k
-        blocks.append(tuple(elems[pos : pos + size]))
-        pos += size
-    blocks.append(tuple(elems[pos:]))
-    if not blocks[-1]:
-        blocks.pop()
-    return BlockPartition(b, tuple(blocks))
+    ends = [0]
+    while b ** len(ends) < M:
+        ends.append(ends[-1] + b ** (len(ends) - 1))
+    return [(lo, hi) for lo, hi in zip(ends, ends[1:] + [M]) if hi > lo]
+
+
+def partition_blocks(B: IntegerSet, b: int) -> BlockPartition:
+    """|B_0| = 1, |B_k| = b^k, remainder absorbed by the last block."""
+    return BlockPartition(b, tuple(B.elements[lo:hi] for lo, hi in block_bounds(B.N, b)))
+
+
+def check_grid(blocks: list[tuple[int, int]], M: int) -> int:
+    """Phi's negative spectral span for blocks of these (first, last) frequencies,
+    once M is checked: a power of two that holds Phi's spectrum alias-free and,
+    for each block's Q_k, M >= 4*(b_k + w_k).  Else InputError."""
+    widths = [max(b - a, 1) for a, b in blocks]
+    neg_span = sum(widths) + len(widths)
+    max_freq = blocks[-1][1]
+    if M < 2 * (max_freq + neg_span) or M & (M - 1):
+        raise InputError(f"grid {M} cannot hold spectrum [-{neg_span}, {max_freq}] alias-free")
+    if any(M < 4 * (b + w) for (_, b), w in zip(blocks, widths)):
+        raise InputError("grid too coarse for the block spectrum")
+    return neg_span
 
 
 def _fejer(d: np.ndarray, C: int) -> np.ndarray:
@@ -116,10 +125,8 @@ def build_pk(part: BlockPartition, k: int, tau: np.ndarray) -> dict[int, complex
 
 
 def build_qk(part: BlockPartition, k: int, tau: np.ndarray, M: int) -> dict[int, complex]:
-    """Coefficient table of Q_k, supported exactly in [-w_k, 0]."""
-    a, b = part.interval(k)
-    if M < 4 * (b + part.width(k)):
-        raise InputError("grid too coarse for the block spectrum")
+    """Coefficient table of Q_k, supported exactly in [-w_k, 0], on a grid M
+    that passes check_grid."""
     blk = part.blocks[k]
     u = np.abs(sample_grid(dict(zip(blk, (tau / len(blk)).tolist())), M).samples)
     v = hilbert(u).real
@@ -193,11 +200,7 @@ def build_phi(B: IntegerSet, w: dict[int, complex], b: int, M: int):
     part = partition_blocks(B, b)
     widths = tuple(part.width(k) for k in range(part.k0 + 1))
     max_freq = max(B)
-    neg_span = sum(widths) + len(widths)
-    if M < 2 * (max_freq + neg_span) or M & (M - 1):
-        raise InputError(
-            f"grid {M} cannot hold spectrum [-{neg_span}, {max_freq}] alias-free"
-        )
+    neg_span = check_grid([part.interval(k) for k in range(part.k0 + 1)], M)
     weights = np.array([w.get(m, 0) for m in B], dtype=complex)
     mods = np.abs(weights)
     tau = np.divide(weights.conj(), mods, out=np.ones_like(weights), where=mods != 0)

@@ -2,9 +2,11 @@
 
 Branch and bound over descending element order (large elements constrain
 sums the most), include-first, pruning branches that cannot beat the best
-size found so far.  Each candidate subset is checked from scratch: the
-bitsets of its k-fold and l-fold sums are rebuilt from the whole subset at
-every node and must not meet.
+size found so far.  Each DFS frame carries folds[j], the bitset of the j-fold
+sums of its chosen subset for j <= L = max(k, l) (folds[0] = 1, the empty
+sum).  Adding e updates them incrementally, new[j] = folds[j] | new[j-1] << e,
+which is the OR over t <= j of folds[j-t] << t*e, and the candidate is
+feasible iff new[k] & new[l] == 0.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dilation import extract_certified
-from .errors import CertificationError, ResourceLimitError
-from .sets import IntegerSet, check_folds, fold_sums, is_kl_sumfree
+from .errors import MEMORY_BUDGET, CertificationError, ResourceLimitError
+from .sets import IntegerSet, check_folds, is_kl_sumfree
 
 SIZE_CAP = 22
 
@@ -38,17 +40,16 @@ def max_sumfree_exact(A: IntegerSet, k: int, l: int) -> OracleResult:
     check_folds(A, k, l)  # every subset's sum bitsets are at most A's
     if A.N > SIZE_CAP:
         raise ResourceLimitError(f"instance size {A.N} exceeds cap {SIZE_CAP}")
+    L = max(k, l)
+    # the DFS stack holds up to N + 1 frames of L + 1 bitsets of L*max(A) bits
+    if (A.N + 1) * (L + 1) * L * max(A.elements, default=0) // 8 > MEMORY_BUDGET:
+        raise ResourceLimitError(f"the search's sum bitsets exceed the {MEMORY_BUDGET}-byte budget")
     elems = sorted(A.elements, reverse=True)
     n = len(elems)
     best: list = [0, ()]
     explored = [0]
 
-    def feasible(chosen: tuple) -> bool:
-        if not chosen:
-            return True
-        return fold_sums(chosen, k) & fold_sums(chosen, l) == 0
-
-    def dfs(i: int, chosen: tuple):
+    def dfs(i: int, chosen: tuple, folds: list):
         explored[0] += 1
         if len(chosen) + (n - i) <= best[0]:
             return
@@ -56,12 +57,15 @@ def max_sumfree_exact(A: IntegerSet, k: int, l: int) -> OracleResult:
             if len(chosen) > best[0]:
                 best[0], best[1] = len(chosen), chosen
             return
-        with_e = chosen + (elems[i],)
-        if feasible(with_e):
-            dfs(i + 1, with_e)
-        dfs(i + 1, chosen)
+        e = elems[i]
+        new = [1]
+        for f in folds[1:]:
+            new.append(f | new[-1] << e)
+        if new[k] & new[l] == 0:
+            dfs(i + 1, chosen + (e,), new)
+        dfs(i + 1, chosen, folds)
 
-    dfs(0, ())
+    dfs(0, (), [1] + [0] * L)
     witness = IntegerSet.of(best[1])
     if not is_kl_sumfree(witness, k, l):
         raise CertificationError(f"oracle witness {witness.elements} is not ({k},{l})-sum-free")

@@ -10,16 +10,21 @@ The balanced functions are
 with Omega_1 = (1/6,1/3), Omega_2 = (2/3,5/6), and Gamma = f1 + f2 (which
 coincides with x -> f(2x)), Lambda = f1 - f2.
 
-Three references sit at the end: the orbit subset in Fractions, extraction
-over the intervals of both canonical (2m,4m) systems, and the L1 report with
-each of G_A, L_A, F_1 and F_2 swept on its own arcs.
+Five references sit at the end: the orbit subset in Fractions, extraction
+over the intervals of both canonical (2m,4m) systems, the L1 report with
+each of G_A, L_A, F_1 and F_2 swept on its own arcs, the lacunary rows with
+one backward chain per size and np.exp for every e(y), and the oracle search
+with every node's sum bitsets rebuilt from its whole subset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
+
+import numpy as np
 
 from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, pullback
 from sumfree.arith import SieveContext, primes_upto, smooth_squarefree
@@ -30,7 +35,8 @@ from sumfree.dilation import (
     weighted_count_function,
 )
 from sumfree.errors import InputError
-from sumfree.sets import IntegerSet, is_kl_sumfree
+from sumfree.lp import GRID_DEGREE_LIMIT, exp_sum_l1
+from sumfree.sets import IntegerSet, fold_sums, is_kl_sumfree
 from sumfree.sieve import MERTENS_BOUND
 
 _SQRT3 = math.sqrt(3.0)
@@ -261,3 +267,57 @@ def l1_report_four_sweeps(A: IntegerSet, ctx: SieveContext) -> dict:
         "winner_argmax": frac(x_at),
         "max_ge_half_l1": max_val >= norms[winner] / 2,
     }
+
+
+@cache
+def triadic_l1_own_chain(exponents: int, samples: int = 200_000, seed: int = 0):
+    """(mean, 3-sigma bar) of ||sum_{j<exponents} e(3^j x)||_1 from a backward
+    chain of its own, each e(y) by np.exp (cached: families share sizes)."""
+    rng = np.random.default_rng(seed)
+    y = rng.random(samples)
+    total = np.zeros(samples, dtype=complex)
+    for _ in range(exponents):
+        total += np.exp(2j * math.pi * y)
+        y = (y + rng.integers(0, 3, samples)) / 3.0
+    vals = np.abs(total)
+    mean = float(vals.mean())
+    stderr = float(vals.std(ddof=1)) / math.sqrt(samples)
+    return mean, 3 * stderr
+
+
+def lacunary_rows_per_chain(family: list[IntegerSet], seed: int = 0) -> list[dict]:
+    """lacunary_l1_diagnostic's rows with one chain per sampled set."""
+    rows = []
+    for A in family:
+        if max(A) > GRID_DEGREE_LIMIT:
+            val, bar = triadic_l1_own_chain(A.N, seed=seed)
+        else:
+            val, bar = exp_sum_l1(A, seed=seed)
+        rows.append({"N": A.N, "l1": val, "l1_error": bar})
+    return rows
+
+
+def max_sumfree_rebuild(A: IntegerSet, k: int, l: int) -> tuple:
+    """(best_size, witness, explored) of the oracle's branch and bound, each
+    candidate's k-fold and l-fold sum bitsets rebuilt from scratch."""
+    elems = sorted(A.elements, reverse=True)
+    n = len(elems)
+    best = [0, ()]
+    explored = 0
+
+    def dfs(i: int, chosen: tuple):
+        nonlocal explored
+        explored += 1
+        if len(chosen) + (n - i) <= best[0]:
+            return
+        if i == n:
+            if len(chosen) > best[0]:
+                best[:] = len(chosen), chosen
+            return
+        with_e = chosen + (elems[i],)
+        if fold_sums(with_e, k) & fold_sums(with_e, l) == 0:
+            dfs(i + 1, with_e)
+        dfs(i + 1, chosen)
+
+    dfs(0, ())
+    return best[0], IntegerSet.of(best[1]), explored

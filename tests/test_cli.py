@@ -135,8 +135,11 @@ def test_exit_code(argv, code, set_file, tmp_path):
         ["report", "--kind", "phi_profile", "--size", "2000000", "--grid", "4"],
         # a 2^34-point grid would ask for hundreds of GiB
         ["phi", "--grid", str(2**34)],
+        # 2*size fits these grids, but the last block's Q_k needs about 8*size
+        ["phi", "--size", "32000", "--grid", "131072"],
+        ["phi", "--size", "16000", "--grid", "65536"],
     ],
-    ids=["phi", "phi_profile", "phi_grid_2_34"],
+    ids=["phi", "phi_profile", "phi_grid_2_34", "phi_block_32000", "phi_block_16000"],
 )
 def test_oversized_phi_size_exits_2_before_allocating(argv):
     tracemalloc.start()

@@ -2,16 +2,24 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from reference import lacunary_rows_per_chain
 from sumfree.errors import InputError
-from sumfree.lp import exp_sum_l1, lacunary_l1_diagnostic, triadic_l1_montecarlo
+from sumfree.lp import _add_e, exp_sum_l1, lacunary_l1_diagnostic, triadic_l1_montecarlo
 from sumfree.sets import IntegerSet
+
+
+def _family(sizes):
+    return [IntegerSet.of([3**j for j in range(n)]) for n in sizes]
 
 
 def test_montecarlo_single_frequency():
     mean, bar = triadic_l1_montecarlo(1, samples=20000, seed=1)
     assert mean == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(InputError):
+        triadic_l1_montecarlo(0)
 
 
 def test_montecarlo_matches_grid():
@@ -41,3 +49,57 @@ def test_lacunary_needs_three_sets():
     # three sets of one size leave the slope undetermined
     with pytest.raises(InputError):
         lacunary_l1_diagnostic([IntegerSet.of([1])] * 3)
+
+
+@pytest.mark.parametrize("sizes", [(16, 32, 64), (8, 16, 32)])
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 909])
+def test_shared_chain_matches_one_chain_per_size(sizes, seed):
+    # (8, 16, 32) mixes a grid row with two sampled rows
+    family = _family(sizes)
+    rows = lacunary_l1_diagnostic(family, seed=seed)["rows"]
+    for row, ref in zip(rows, lacunary_rows_per_chain(family, seed=seed)):
+        assert row["N"] == ref["N"]
+        assert row["l1"] == pytest.approx(ref["l1"], rel=1e-12, abs=0)
+        assert row["l1_error"] == pytest.approx(ref["l1_error"], rel=1e-12, abs=0)
+
+
+def test_shared_chain_draws_once_per_step(monkeypatch):
+    # one chain per size draws 16 + 32 + 64 = 112 times
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+            self.draws = 0
+
+        def random(self, n):
+            return self.rng.random(n)
+
+        def integers(self, *args):
+            self.draws += 1
+            return self.rng.integers(*args)
+
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        made.append(Counting(default_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    lacunary_l1_diagnostic(_family((16, 32, 64)), seed=5)
+    assert [rng.draws for rng in made] == [64]
+
+
+def test_table_exponential_matches_np_exp():
+    d = np.arange(3**8 + 1) / 3**8
+    table = np.exp(2j * math.pi * d)
+    y = np.concatenate(
+        [
+            np.random.default_rng(11).random(10**6),
+            d,
+            np.nextafter(d[1:], 0),
+            np.nextafter(d[:-1], 1),
+        ]
+    )
+    total = np.zeros(len(y), dtype=complex)
+    _add_e(total, y, table)
+    assert np.max(np.abs(total - np.exp(2j * math.pi * y))) <= 1e-14

@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import pytest
 
+from reference import max_sumfree_rebuild
 from sumfree.dilation import extract_certified
 from sumfree.errors import CertificationError, ResourceLimitError
 from sumfree.oracle import OracleResult, compare, max_sumfree_exact
-from sumfree.sets import IntegerSet, is_kl_sumfree
+from sumfree.sets import IntegerSet, check_folds, is_kl_sumfree
 
 
 def test_oracle_small():
@@ -71,6 +72,30 @@ def test_sum_bitsets_over_budget_raise_before_allocating(check):
     try:
         with pytest.raises(ResourceLimitError):
             check(A, 2, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+@pytest.mark.parametrize("kl", [(2, 1), (2, 4), (3, 1)])
+def test_incremental_search_matches_rebuild(kl):
+    rng = random.Random(f"oracle{kl}")
+    for _ in range(100):
+        A = IntegerSet.of(rng.sample(range(1, 121), rng.randint(8, 22)))
+        r = max_sumfree_exact(A, *kl)
+        assert (r.best_size, r.witness, r.explored) == max_sumfree_rebuild(A, *kl)
+
+
+def test_search_stack_over_budget_raises_before_allocating():
+    # 23 frames of 3 bitsets of 2*10**9 bits: check_folds admits the set,
+    # the search's stack does not fit
+    A = IntegerSet.of([*range(1, 22), 10**9])
+    check_folds(A, 2, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            max_sumfree_exact(A, 2, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -15,9 +15,9 @@ the coefficientwise sieve identities exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from math import isqrt
 
 from .errors import InputError
 
@@ -52,12 +52,6 @@ class SieveContext:
             raise InputError(f"Q must be a prime >= 3, got {self.Q}")
         if not is_prime(self.P):
             raise InputError(f"P must be prime, got {self.P}")
-
-
-def chi3(n: int) -> int:
-    """Multiplicative character mod 3: 1, -1, 0 for n = 1, 2, 0 (mod 3)."""
-    r = n % 3
-    return 0 if r == 0 else (1 if r == 1 else -1)
 
 
 def gamma4(n: int) -> int:
@@ -103,10 +97,10 @@ def primes_upto(limit: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), sieve))
 
 
 def squarefree_smooth(primes: list[int], limit: int) -> list[int]:
@@ -132,13 +126,6 @@ def sec2_sieve_set(ctx: SieveContext, limit: int) -> list[int]:
     return squarefree_smooth([p for p in primes_upto(min(ctx.P, limit)) if p < ctx.P], limit)
 
 
-def is_strictly_rough(n: int, ctx: SieveContext) -> bool:
-    """True iff every prime factor of n is > Q (the sieve-complement set N1)."""
-    if n < 1:
-        raise InputError(f"positive integer required, got {n}")
-    return all(p > ctx.Q for p, _ in factorize(n))
-
-
 def rough_integers(limit: int, bound: int) -> list[int]:
     """Integers in [1, limit] all of whose prime factors exceed `bound`.
 
@@ -152,15 +139,6 @@ def rough_integers(limit: int, bound: int) -> list[int]:
     for p in primes_upto(min(bound, limit)):
         sieve[p::p] = bytearray(len(sieve[p::p]))
     return list(compress(range(1, limit + 1), sieve[1:]))
-
-
-def eta(n: int, ctx: SieveContext) -> Fraction:
-    """The sieved-series weight: 1/2 on N1, -3/2 on 3*N1."""
-    if n >= 1 and is_strictly_rough(n, ctx):
-        return Fraction(1, 2)
-    if n % 3 == 0 and is_strictly_rough(n // 3, ctx):
-        return Fraction(-3, 2)
-    raise InputError(f"{n} is in neither N1 nor 3*N1 for Q={ctx.Q}")
 
 
 @lru_cache(maxsize=None)

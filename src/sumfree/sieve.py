@@ -34,8 +34,19 @@ left-side term c(t)/t * hat(n), c integer, sits at F = scale*t*n*m, and
 side is thus one singleton table S[j] = sum_{t | j} c(t) kappa(j/t), an
 integer Dirichlet convolution, scattered onto the frequencies scale*m*j for
 each m in A: the same finite triple sum, regrouped.  The right side is built
-from the rough integers directly, and the sides are equal iff their
-(frequency, numerator) rows are.
+from the rough integers directly.
+
+One buffer.  verify_identity decides an identity in one (2, X+1) int64
+buffer, row 0 at +F and row 1 at -F: the left side's numerators go in with
+sign +1 and the right side's with sign -1, so the identity holds iff the
+buffer is zero.  Every side is built by np.add.at scatters over all its
+index pairs at once, CHUNK pairs a call: (t, n) with t*n <= J for the
+singleton table (one scatter per kappa, whose parity gives the -j row),
+(m, j) for its dilation onto A, and (m, rough n) for the right side.  The
+smooth t, their Mobius signs and the rough n come from one arithmetic table
+per identity (_arith), shared by both sides.  Only a nonzero buffer builds
+the sides as sorted (frequency, numerator) tables, with the same builders
+(sieve_lhs, sieve_rhs), and SieveTable.defect names the witness.
 
 The t-sum for Lambda runs over odd members of N2 only: even t would
 contribute at even frequencies where gamma vanishes on the left side as
@@ -46,8 +57,10 @@ N1 and N2 meet only in 1 and the divisor sums telescope.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -58,8 +71,6 @@ from .arith import (
     mobius,
     odd_smooth_squarefree,
     primes_upto,
-    rough_integers,
-    sec2_sieve_set,
     smooth_squarefree,
 )
 from .dilation import balanced_function, exact_l1, weighted_count_function
@@ -69,16 +80,22 @@ from .sets import IntegerSet, structure
 IDENTITY_IDS = ("sec2_f", "gamma_sieved", "lambda1", "g1", "final")
 MERTENS_BOUND = 10**4  # l1_lower_report's Mertens mass sums 1/t for t up to it
 
-# Peak bytes of a verify_identity call per unit of cutoff X: dense +-F numerator
-# and singleton tables (16 each), rows of both sides (16 per row, at most 2X rows
-# each) and the rough integers; tracemalloc measured 100 at 1.5 rows per unit X.
+# Peak bytes per unit of cutoff X of verify_identity, sieve_lhs and sieve_rhs:
+# the (2, X+1) buffer (16), the arithmetic table (8) and the singleton table
+# with one kappa's part (24), then for a table view its rows (16 per row, at
+# most 2X rows, plus their index arrays).  Scatters run CHUNK pairs at a time,
+# so the pairs add O(1).  tracemalloc read 34-51 for the five identities at
+# X = 2*10**6 on A = {1, 2, 3}.
 BYTES_PER_CUTOFF = 128
 SIEVE_CUTOFF_CAP = MEMORY_BUDGET // BYTES_PER_CUTOFF
+CHUNK = 1 << 16  # pairs per scatter call
 # int64 stays exact under the cap: num(F) gathers at most 3 components of
 # terms scale*m*c(t)*kappa(n) with |c*kappa| <= 4, scale*m | F and
 # t | F/(scale*m), so |num| <= 12*sigma(F)*d(F) on the left, 6*sigma(F) on
 # the right, and below 24*sigma(F)*d(F) for their difference.  For
 # F < 10**9, sigma(F) < 6F and d(F) <= 1344, so |num| < 2*10**14 < 2**63.
+# These bound sums of absolute values, so every partial sum of the buffer,
+# and every singleton entry times d, stays below that too.
 
 
 def _h(r: int) -> Fraction:
@@ -147,78 +164,112 @@ def _table(identity_id: str, num: np.ndarray) -> SieveTable:
     return SieveTable(0 if identity_id == "final" else -1, _UNIT[identity_id], rows)
 
 
-def _signed(ts: list[int], bound: int, chi: bool = True):
-    """Squarefree bound-smooth ts and c(t) = mu(t)chi(t) (or mu(t)), zeros
-    dropped; mu(t) = (-1)^(number of primes <= bound dividing t)."""
-    mu = np.ones(max(ts, default=0) + 1, np.int64)
-    for p in primes_upto(min(bound, len(mu) - 1)):
-        mu[p::p] *= -1
-    ts = np.array(ts, dtype=np.int64)
-    c = mu[ts] * (_CHI[ts % 3] if chi else 1)
-    return ts[c != 0], c[c != 0]
+def _pairs(counts: np.ndarray):
+    """Every (g, k) with 1 <= k <= counts[g], in order, as index arrays of at
+    most CHUNK pairs."""
+    ends = np.cumsum(counts)
+    before = ends - counts - 1
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, CHUNK):
+        p = np.arange(lo, min(lo + CHUNK, total))
+        g = np.searchsorted(ends, p, side="right")
+        yield g, p - before[g]
 
 
-def _lhs_terms(identity_id: str, ctx: SieveContext, J: int):
-    """(t, c(t), kappa) per component: terms c(t)/t * unit*kappa(n)/(2n) at
-    scale*t*n*m, for t*n <= J."""
-    if identity_id == "sec2_f":
-        return [(*_signed(sec2_sieve_set(ctx, J), ctx.P - 1), _KAPPA_F)]
-    if identity_id == "gamma_sieved":
-        return [(*_signed(smooth_squarefree(ctx, J), ctx.Q), _KAPPA_F)]
-    odd = _signed(odd_smooth_squarefree(ctx, J), ctx.Q, chi=False)
+def _arith(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> np.ndarray:
+    """The identity's arithmetic table r over n <= L = X // (scale * min A),
+    every frequency index either side reaches: r[n] = mu(p)*p for p the
+    product of the distinct primes <= bound dividing n (bound P - 1 for
+    sec2_f, Q otherwise).  n is squarefree and bound-smooth iff |r[n]| = n,
+    with mu(n) the sign of r[n]; every prime factor of n exceeds the bound
+    iff r[n] = 1.  r[0] = -1 is neither."""
+    L = X // (_SCALE[identity_id] * min(A)) if len(A) else 0
+    ps = primes_upto(min(ctx.P - 1 if identity_id == "sec2_f" else ctx.Q, L))
+    r = np.ones(L + 1, np.int64)
+    r[0] = -1
+    few = bisect_right(ps, isqrt(L))  # primes with many multiples: one strided pass each
+    for p in ps[:few]:
+        r[p::p] *= -p
+    big = np.array(ps[few:], np.int64)  # the rest: about L*ln(2) pairs, scattered
+    for g, k in _pairs(L // big):
+        np.multiply.at(r, big[g] * k, -big[g])
+    return r
+
+
+def _smooth(r: np.ndarray, odd: bool = False):
+    """The squarefree bound-smooth t of the table (the odd ones only, if
+    asked) and mu(t)."""
+    ts = np.flatnonzero(np.abs(r) == np.arange(len(r)))
+    if odd:
+        ts = ts[ts % 2 == 1]
+    return ts, np.sign(r[ts])
+
+
+def _lhs_terms(identity_id: str, r: np.ndarray):
+    """(t, c(t), kappa) per kappa: terms c(t)/t * unit*kappa(n)/(2n) at
+    scale*t*n*m, for t*n <= J = len(r) - 1, zero c dropped."""
     if identity_id in ("lambda1", "g1"):
-        return [(*odd, _KAPPA_L)]
+        return [(*_smooth(r, odd=True), _KAPPA_L)]
+    ts, mu = _smooth(r)
+    cs = mu * _CHI[ts % 3]
+    ts, cs = ts[cs != 0], cs[cs != 0]
+    if identity_id != "final":
+        return [(ts, cs, _KAPPA_F)]
     # final: -(sqrt3 pi/3) GammaSieve(x) + (sqrt3 pi/3) GammaSieve(3x) + (i pi/2)
     # LambdaSieve(2x), all at scale 2: GammaSieve(3x) takes t -> 3t with c(3t) =
     # 3 mu(t)chi(t), and (i/2) i kappa_L(n)/(2n) = 2h(n)/(2n).  The pi factors
     # cancel the 1/pi of the series, so the result lives over the unit prefactor.
-    ts, c = _signed(smooth_squarefree(ctx, J), ctx.Q)
-    third = ts <= J // 3
-    return [(ts, -c, _KAPPA_F), (3 * ts[third], 3 * c[third], _KAPPA_F), (*odd, -_KAPPA_L // 2)]
+    third = ts <= (len(r) - 1) // 3
+    return [
+        (np.concatenate([ts, 3 * ts[third]]), np.concatenate([-cs, 3 * cs[third]]), _KAPPA_F),
+        (*_smooth(r, odd=True), -_KAPPA_L // 2),
+    ]
 
 
-def _singleton(identity_id: str, ctx: SieveContext, J: int) -> np.ndarray:
-    """S[j] = sum_{t | j} c(t) kappa(j/t) over the components, for j <= J;
-    row 0 at +j, row 1 at -j."""
+def _lhs_side(
+    identity_id: str, A: IntegerSet, X: int, r: np.ndarray, out: np.ndarray, sign: int
+) -> None:
+    """Scatter sign times the left side's numerators into out (row 0 at +F,
+    row 1 at -F): per kappa, the singleton table T[j] = sum_{t | j} c(t)
+    kappa(j/t) over all pairs (t, n) with t*n <= J, whose -j row is +-T as
+    kappa is even or odd; then d*S[j] at d*j for all pairs (m, j), d =
+    scale*m and j <= X // d."""
+    J, terms = len(r) - 1, _lhs_terms(identity_id, r)
     S = np.zeros((2, J + 1), np.int64)
-    j = np.arange(J + 1)
-    for ts, cs, kappa in _lhs_terms(identity_id, ctx, J):
-        kap = np.stack([kappa[j % 12], kappa[-j % 12]])
-        for t, c in zip(ts.tolist(), cs.tolist()):
-            S[:, t::t] += c * kap[:, 1 : J // t + 1]
-    return S
+    for ts, cs, kappa in terms:
+        T = np.zeros(J + 1, np.int64)
+        for g, n in _pairs(J // ts):
+            np.add.at(T, ts[g] * n, cs[g] * kappa[n % 12])
+        S[0] += T
+        if kappa[-1] == kappa[1]:
+            S[1] += T
+        else:
+            S[1] -= T
+    d = _SCALE[identity_id] * np.array(A.elements, np.int64)
+    for g, j in _pairs(X // d):
+        F, w = d[g] * j, sign * d[g]
+        np.add.at(out[0], F, w * S[0, j])
+        np.add.at(out[1], F, w * S[1, j])
 
 
-def sieve_lhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> SieveTable:
-    """Exact truncation of the sieved sum (the 'hard' side of each identity):
-    the singleton table S, built once, dilated onto each m in A."""
-    _check(identity_id, X)
-    scale = _SCALE[identity_id]
-    S = _singleton(identity_id, ctx, X // (scale * min(A)) if len(A) else 0)
-    num = np.zeros((2, X + 1), np.int64)
-    for m in A:
-        d = scale * m
-        num[:, d::d] += d * S[:, 1 : X // d + 1]
-    return _table(identity_id, num)
-
-
-def sieve_rhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> SieveTable:
-    """Exact truncation of each identity's closed-form (sieved-out) side:
-    numerators eps(m)*d*v(n) at +-d*n for d = scale*m and rough n."""
-    _check(identity_id, X)
-    scale = _SCALE[identity_id]
+def _rhs_side(
+    identity_id: str, A: IntegerSet, X: int, r: np.ndarray, out: np.ndarray, sign: int
+) -> None:
+    """Scatter sign times the closed-form side's numerators into out:
+    eps(m)*d*v(+-n) at +-d*n for d = scale*m and every rough n <= X // d,
+    all pairs (m, n) at once."""
     if identity_id in ("g1", "final"):
         rep = structure(A)
-        ms = [(m, rep.epsilon[m]) for m in rep.symdiff]
+        ms = np.array(rep.symdiff, np.int64)
+        eps = np.array([rep.epsilon[m] for m in rep.symdiff], np.int64)
     else:
-        ms = [(m, 1) for m in A]
-    limit = X // (scale * ms[0][0]) if ms else 0
-    bound = ctx.P - 1 if identity_id == "sec2_f" else ctx.Q
-    ns = np.array(rough_integers(limit, bound), dtype=np.int64)
+        ms = np.array(A.elements, np.int64)
+        eps = np.ones_like(ms)
+    ns = np.flatnonzero(r == 1)
     chi = _CHI[ns % 3]
     if identity_id == "lambda1":
         # eta = 1/2 on N1, -3/2 on 3*N1; -2i eta/n = i * (-4 eta) / (2n)
-        ns = np.sort(np.concatenate([ns, 3 * ns[ns <= limit // 3]]))
+        ns = np.sort(np.concatenate([ns, 3 * ns[ns <= (len(r) - 1) // 3]]))
         vals = np.where(ns % 3 == 0, 6, -2)[None, :].repeat(2, axis=0)
     elif identity_id == "g1":  # -i/n on N1
         vals = np.full((2, len(ns)), -2)
@@ -226,27 +277,54 @@ def sieve_rhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> Sie
         vals = np.stack([chi + 1, 1 - chi])
     else:  # fhat(+-n)
         vals = np.stack([-chi, chi])
+    d = _SCALE[identity_id] * ms
+    for g, k in _pairs(np.searchsorted(ns, X // d, side="right")):
+        i, w = k - 1, sign * eps[g] * d[g]
+        np.add.at(out[0], d[g] * ns[i], w * vals[0, i])
+        np.add.at(out[1], d[g] * ns[i], w * vals[1, i])
+
+
+def sieve_lhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> SieveTable:
+    """Exact truncation of the sieved sum (the 'hard' side of each identity)
+    as a table: the singleton table S dilated onto each m in A."""
+    _check(identity_id, X)
     num = np.zeros((2, X + 1), np.int64)
-    for m, eps in ms:
-        d = scale * m
-        k = np.searchsorted(ns, X // d, side="right")
-        num[:, d * ns[:k]] += d * eps * vals[:, :k]
+    _lhs_side(identity_id, A, X, _arith(identity_id, A, ctx, X), num, 1)
+    return _table(identity_id, num)
+
+
+def sieve_rhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> SieveTable:
+    """Exact truncation of each identity's closed-form (sieved-out) side as a
+    table: numerators eps(m)*d*v(n) at +-d*n for d = scale*m and rough n."""
+    _check(identity_id, X)
+    num = np.zeros((2, X + 1), np.int64)
+    _rhs_side(identity_id, A, X, _arith(identity_id, A, ctx, X), num, 1)
     return _table(identity_id, num)
 
 
 def verify_identity(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> dict:
-    """Exact equality decision between the two sides: integer equality of
-    their numerator rows; the defect is built only when they differ."""
-    lhs = sieve_lhs(identity_id, A, ctx, X)
-    rhs = sieve_rhs(identity_id, A, ctx, X)
-    defect, witness = lhs.defect(rhs)
+    """Exact equality decision: the left side scattered into one buffer with
+    sign +1 and the right side with sign -1, equal iff the buffer is zero.
+    Only a nonzero buffer builds the two tables, for the defect and its
+    witness."""
+    _check(identity_id, X)
+    r = _arith(identity_id, A, ctx, X)
+    buf = np.zeros((2, X + 1), np.int64)
+    _lhs_side(identity_id, A, X, r, buf, 1)
+    _rhs_side(identity_id, A, X, r, buf, -1)
+    defect, witness, unit = Fraction(0), None, _UNIT[identity_id]
+    if buf.any():
+        del r, buf
+        lhs = sieve_lhs(identity_id, A, ctx, X)
+        defect, witness = lhs.defect(sieve_rhs(identity_id, A, ctx, X))
+        assert witness is not None, "the signed buffer and the side tables disagree"
     return {
         "identity_id": identity_id,
         "Q": ctx.Q,
         "P": ctx.P,
         "X": X,
         "equal": witness is None,
-        "defect": f"{defect}{lhs.unit}" if defect else "0",
+        "defect": f"{defect}{unit}" if defect else "0",
         "witness": witness,
     }
 

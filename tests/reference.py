@@ -10,6 +10,10 @@ The balanced functions are
 with Omega_1 = (1/6,1/3), Omega_2 = (2/3,5/6), and Gamma = f1 + f2 (which
 coincides with x -> f(2x)), Lambda = f1 - f2.
 
+After the closed forms come the sieve classes by their definitions: chi
+mod 3, the strict roughness predicate of N1 (every prime factor > Q, by
+trial division) and the eta weights, 1/2 on N1 and -3/2 on 3*N1.
+
 Five references sit at the end: the orbit subset in Fractions, extraction
 over the intervals of both canonical (2m,4m) systems, the L1 report with
 each of G_A, L_A, F_1 and F_2 swept on its own arcs, the lacunary rows with
@@ -27,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, pullback
-from sumfree.arith import SieveContext, primes_upto, smooth_squarefree
+from sumfree.arith import SieveContext, factorize, primes_upto, smooth_squarefree
 from sumfree.dilation import (
     ExtractionCertificate,
     exact_l1,
@@ -205,6 +209,28 @@ def eval_exact(kind: str, x) -> Fraction:
         if x == lo % 1 or x == hi % 1:
             raise InputError(f"{x} is a jump point of {kind}")
     return (1 if O.contains(x) else 0) - mean
+
+
+def chi3(n: int) -> int:
+    """Multiplicative character mod 3: 1, -1, 0 for n = 1, 2, 0 (mod 3)."""
+    r = n % 3
+    return 0 if r == 0 else (1 if r == 1 else -1)
+
+
+def is_strictly_rough(n: int, ctx: SieveContext) -> bool:
+    """True iff every prime factor of n is > Q (the sieve-complement set N1)."""
+    if n < 1:
+        raise InputError(f"positive integer required, got {n}")
+    return all(p > ctx.Q for p, _ in factorize(n))
+
+
+def eta(n: int, ctx: SieveContext) -> Fraction:
+    """The sieved-series weight: 1/2 on N1, -3/2 on 3*N1."""
+    if n >= 1 and is_strictly_rough(n, ctx):
+        return Fraction(1, 2)
+    if n % 3 == 0 and is_strictly_rough(n // 3, ctx):
+        return Fraction(-3, 2)
+    raise InputError(f"{n} is in neither N1 nor 3*N1 for Q={ctx.Q}")
 
 
 def orbit_subset_fractions(A: IntegerSet, O: ArcSet, x) -> IntegerSet:

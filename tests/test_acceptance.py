@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from sumfree.arith import SieveContext, is_strictly_rough
+from reference import is_strictly_rough
+from sumfree.arith import SieveContext
 from sumfree.arcs import OMEGA_2, OMEGA_21, canonical_omega, is_arc_kl_sumfree, pullback
 from sumfree.dilation import (
     balanced_function,

@@ -4,15 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from reference import sin_pi3
+from reference import chi3, eta, is_strictly_rough, sin_pi3
 from sumfree.arith import (
     SieveContext,
-    chi3,
-    eta,
     gamma4,
-    is_strictly_rough,
+    is_prime,
     mobius,
     odd_smooth_squarefree,
+    primes_upto,
     rough_integers,
     smooth_squarefree,
 )
@@ -50,6 +49,13 @@ def test_mobius_divisor_sum():
     for n in range(1, 300):
         s = sum(mobius(d) for d in range(1, n + 1) if n % d == 0)
         assert s == (1 if n == 1 else 0)
+
+
+def test_primes_upto_matches_trial_division():
+    # every limit up to 130, and squares of primes, where the sieve's last
+    # crossing-out prime is exactly isqrt(limit)
+    for limit in [*range(131), 960, 961, 962, 10201]:
+        assert primes_upto(limit) == [p for p in range(limit + 1) if is_prime(p)], limit
 
 
 def test_smooth_squarefree_enumeration():

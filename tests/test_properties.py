@@ -4,8 +4,9 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
+from reference import chi3, is_strictly_rough
 from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, pullback
-from sumfree.arith import SieveContext, chi3, gamma4, mobius
+from sumfree.arith import SieveContext, gamma4, mobius
 from sumfree.dilation import (
     balanced_function,
     count_function,
@@ -88,8 +89,6 @@ def test_pullback_measure(m):
 @given(st.integers(1, 5000))
 def test_rough_partition(n):
     ctx = SieveContext(Q=5, P=101)
-    from sumfree.arith import is_strictly_rough
-
     # every n factors uniquely as smooth * rough about the Q cut
     rough_part = n
     for p in (2, 3, 5):

@@ -7,16 +7,25 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from reference import ONE, UNITS, ZERO, ExactScalar, fhat, l1_report_four_sweeps, lambda_hat
+from reference import (
+    ONE,
+    UNITS,
+    ZERO,
+    ExactScalar,
+    chi3,
+    eta,
+    fhat,
+    is_strictly_rough,
+    l1_report_four_sweeps,
+    lambda_hat,
+)
 from sumfree import sieve
 from sumfree.arith import (
     SieveContext,
-    chi3,
-    eta,
     gamma4,
-    is_strictly_rough,
     mobius,
     next_prime_at_least,
     odd_smooth_squarefree,
@@ -153,6 +162,19 @@ def test_kappa_tables_give_the_series_coefficients():
             assert UNITS["i"].scale(Fraction(int(sieve._KAPPA_L[F % 12]), 2 * F)) == lambda_hat(F)
 
 
+def _bump_side(monkeypatch, builder, deltas):
+    """Patch one private side builder so that its numerator at each signed
+    frequency F moves by deltas[F] (scattered with the builder's sign)."""
+    real = getattr(sieve, builder)
+
+    def bumped(identity_id, A, X, r, out, sign):
+        real(identity_id, A, X, r, out, sign)
+        for F, delta in deltas.items():
+            out[int(F < 0), abs(F)] += sign * delta
+
+    monkeypatch.setattr(sieve, builder, bumped)
+
+
 @pytest.mark.parametrize("identity_id", ["gamma_sieved", "lambda1", "final"])  # sqrt3, i, 1
 def test_mismatch_reports_the_exact_defect(monkeypatch, identity_id):
     A = IntegerSet.of([1, 2, 5])
@@ -164,7 +186,8 @@ def test_mismatch_reports_the_exact_defect(monkeypatch, identity_id):
     rows[-3, 1] += 1  # a smaller |delta / F| elsewhere
     altered = dataclasses.replace(real, coeffs=rows)
     F = int(rows[7, 0])
-    monkeypatch.setattr(sieve, "sieve_lhs", lambda *args: altered)
+    _bump_side(monkeypatch, "_lhs_side", {F: 5, int(rows[-3, 0]): 1})
+    assert np.array_equal(sieve_lhs(identity_id, A, CTX, 300).coeffs, rows)
     r = sieve.verify_identity(identity_id, A, CTX, 300)
     assert r["equal"] is False
     assert r["witness"] == F
@@ -174,6 +197,63 @@ def test_mismatch_reports_the_exact_defect(monkeypatch, identity_id):
     dropped = dataclasses.replace(real, coeffs=real.coeffs[1:])
     G = int(real.coeffs[0, 0])
     assert dropped.defect(rhs) == (-rhs.coeff(G), G)
+
+
+@pytest.mark.parametrize("builder", ["_lhs_side", "_rhs_side"])
+@pytest.mark.parametrize("identity_id", IDENTITY_IDS)
+def test_one_bumped_numerator_is_the_defect(monkeypatch, identity_id, builder):
+    # one numerator of either side off by one, at a frequency the side holds
+    # and at a random one: verify reports SieveTable.defect's witness and defect
+    A, X = IntegerSet.of([2, 3, 7]), 400
+    rng = random.Random(f"{identity_id} {builder}")
+    side = sieve_lhs if builder == "_lhs_side" else sieve_rhs
+    rows = side(identity_id, A, CTX, X).coeffs
+    for F in (int(rng.choice(rows)[0]), rng.choice((1, -1)) * rng.randint(1, X)):
+        with monkeypatch.context() as m:
+            _bump_side(m, builder, {F: 1})
+            r = verify_identity(identity_id, A, CTX, X)
+            lhs, rhs = sieve_lhs(identity_id, A, CTX, X), sieve_rhs(identity_id, A, CTX, X)
+        defect, witness = lhs.defect(rhs)
+        assert r["equal"] is False
+        assert r["witness"] == witness == F
+        assert defect == Fraction(1 if side is sieve_lhs else -1, 2 * F)
+        assert r["defect"] == f"{defect}{lhs.unit}"
+
+
+def test_arith_table_matches_the_enumerations():
+    # the smooth sets, Mobius signs and rough integers read off the numpy
+    # table against the list enumerations of sumfree.arith
+    rng = random.Random(57)
+    A = IntegerSet.of([1])  # scale 1 for both ids below, so the table runs to X
+    for trial in range(30):
+        ctx = SieveContext(Q=rng.choice((3, 5, 7)), P=rng.choice((5, 11, 101, 907)))
+        X = trial + 1 if trial < 3 else rng.randint(1, 10**4)
+        # sec2_f's bound is P - 1, lambda1's is Q
+        for identity_id, bound, smooth in (
+            ("sec2_f", ctx.P - 1, sec2_sieve_set),
+            ("lambda1", ctx.Q, smooth_squarefree),
+        ):
+            r = sieve._arith(identity_id, A, ctx, X)
+            ts, mu = sieve._smooth(r)
+            assert ts.tolist() == smooth(ctx, X), (identity_id, ctx, X)
+            assert mu.tolist() == [mobius(t) for t in ts.tolist()]
+            assert np.flatnonzero(r == 1).tolist() == rough_integers(X, bound)
+        odd, mu = sieve._smooth(r, odd=True)
+        assert odd.tolist() == odd_smooth_squarefree(ctx, X)
+        assert mu.tolist() == [mobius(t) for t in odd.tolist()]
+
+
+def test_verify_peak_memory_within_budget():
+    A, X = IntegerSet.of([1, 2, 3]), 2 * 10**6
+    for identity_id in IDENTITY_IDS:
+        tracemalloc.start()
+        try:
+            r = verify_identity(identity_id, A, CTX, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r["equal"], identity_id
+        assert peak <= sieve.BYTES_PER_CUTOFF * X, (identity_id, peak / X)
 
 
 def test_cutoff_cap_raises_before_allocating():

@@ -27,7 +27,6 @@ from . import __version__
 from .arith import SieveContext, is_prime, next_prime_at_least
 from .dilation import extract_certified
 from .errors import CertificationError, InputError, SumfreeError
-from .fourier import sample_grid
 from .lp import lacunary_l1_diagnostic
 from .mps import PHI_GRID_CAP, block_bounds, build_phi, check_grid
 from .oracle import compare
@@ -175,8 +174,7 @@ def _surplus_stage(config: RunConfig) -> list[dict]:
 
 def _phi_profile_stage(config: RunConfig) -> list[dict]:
     B = _phi_interval(config)
-    coeffs, _ = build_phi(B, {m: 1.0 for m in B}, config.base, config.grid)
-    samples = sample_grid(coeffs, config.grid).samples
+    samples, _ = build_phi(B, {m: 1.0 for m in B}, config.base, config.grid)
     step = max(1, config.grid // PROFILE_POINTS)
     return [
         {"x": j / config.grid, "abs_phi": float(abs(samples[j]))}

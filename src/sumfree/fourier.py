@@ -1,6 +1,6 @@
 """The grid layer: coefficient tables {n: complex} <-> samples on M
 equispaced points, and grid norms of trigonometric polynomials with
-certified error bars.
+certified error bars, sup norms bounded from the grid samples alone.
 
 Conventions: frequencies are in cycles, e(t) = exp(2*pi*i*t), and a table
 {n: c_n} stands for sum c_n e(nx).
@@ -36,16 +36,6 @@ class GridFn:
         return np.fft.fft(self.samples) / self.M
 
 
-def grid_size(degree: int, M: int | None = None) -> int:
-    """M checked against the 8x-degree rule of the certified norms, or by
-    default the least power of two >= max(8 * degree, 256)."""
-    if M is None:
-        return 1 << max(8, (8 * degree - 1).bit_length())
-    if M < 8 * max(degree, 1):
-        raise InputError(f"grid {M} too coarse for degree {degree}")
-    return M
-
-
 def sample_grid(coeffs: dict[int, complex], M: int) -> GridFn:
     """Samples of the table {n: c_n} on the M-point grid, via an inverse FFT.
     Frequencies fold mod M, so the samples are exact only when M exceeds the
@@ -62,6 +52,19 @@ def sample_grid(coeffs: dict[int, complex], M: int) -> GridFn:
     return GridFn(samples)
 
 
+def sup_factor(lo: int, hi: int, M: int) -> float:
+    """1/cos(pi*n/M), n = max(hi - c, c - lo) with c = floor((lo + hi)/2):
+    every f with spectrum in [lo, hi] has sup|f| <= this times max_j |f(j/M)|,
+    by van der Corput and Schaake's R(x0 + h) >= R(x0) cos(2 pi n h) for R =
+    Re(e^{-i theta} e(-cx) f) at the peak of |f| (the mps docstring writes the
+    argument out).  InputError unless 2n < M."""
+    c = (lo + hi) // 2
+    n = max(hi - c, c - lo)
+    if 2 * n >= M:
+        raise InputError(f"grid {M} too coarse for spectrum [{lo}, {hi}]")
+    return 1 / math.cos(math.pi * n / M)
+
+
 def grid_norms(coeffs: dict[int, complex], which: str, M: int | None = None) -> tuple[float, float]:
     """(value, certified error bar) for L1 / L2 / Linf of the table {n: c_n}.
 
@@ -69,15 +72,17 @@ def grid_norms(coeffs: dict[int, complex], which: str, M: int | None = None) -> 
     mean with bar ||g'||_2 / M (the Riemann-sum error of |g| is at most the
     total variation over one cell, and Var(|g|) <= ||g'||_1 <= ||g'||_2);
     Linf reports the grid max with bar closing the gap to the certified upper
-    bound gridmax / (1 - pi*degree/M), from the Bernstein derivative
-    inequality.
+    bound gridmax * sup_factor(lo, hi, M), [lo, hi] the table's spectrum.
     """
     if which not in ("L1", "L2", "Linf"):
         raise InputError("which must be L1, L2 or Linf")
     if which == "L2":
         return math.sqrt(sum(abs(c) ** 2 for c in coeffs.values())), 0.0
     d = max(map(abs, coeffs), default=0)
-    M = grid_size(d, M)
+    if M is None:  # the least power of two >= max(8 * degree, 256)
+        M = 1 << max(8, (8 * d - 1).bit_length())
+    elif M < 8 * max(d, 1):
+        raise InputError(f"grid {M} too coarse for degree {d}")
     vals = np.abs(sample_grid(coeffs, M).samples)
     if which == "L1":
         deriv_l2 = math.sqrt(
@@ -85,5 +90,4 @@ def grid_norms(coeffs: dict[int, complex], which: str, M: int | None = None) -> 
         )
         return float(vals.mean()), deriv_l2 / M
     gmax = float(vals.max())
-    upper = gmax / (1 - math.pi * d / M)
-    return gmax, upper - gmax
+    return gmax, gmax * (sup_factor(min(coeffs, default=0), max(coeffs, default=0), M) - 1)

@@ -19,6 +19,16 @@ P_k then keeps ||Phi||_inf below 10 because u/10 + exp(-u) <= 1 on [0, 1].
 The per-block closeness tolerance and the pairing constant are functions of
 the base:  eps(b) = 4 b^{-1/2} / ((1 - b^{-1/2})(1 - b^{-1})) and c(b) =
 (1 - eps(b)) / (2b).
+
+The sup bound is read off the build grid.  Products of samples are samples of
+products, so the recursion's grid values are Phi(j/M); Phi's spectrum lies in
+[-a, b], a = neg_span and b the largest frequency.  Shift by e(-cx), c =
+floor((b - a)/2), so the spectrum is within [-n, n], n = max(b - c, a + c).  If
+|Phi| peaks at x0 with phase theta, R = Re(e^{-i theta} e(-cx) Phi) is real of
+degree n with |R| <= R(x0) = sup|Phi|, so R(x0 + h) >= sup|Phi| cos(2 pi n h)
+for |h| <= 1/(2n) (van der Corput and Schaake, 1935).  A grid point lies within
+1/(2M) of x0: sup|Phi| <= max_j |Phi(j/M)| / cos(pi n/M) (fourier.sup_factor),
+and n <= M/4 on the alias-free grid, so the factor is at most sqrt 2.
 """
 
 from __future__ import annotations
@@ -28,16 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MEMORY_BUDGET, InputError
-from .fourier import GridFn, sample_grid
+from .errors import MEMORY_BUDGET, InputError, ResourceLimitError
+from .fourier import GridFn, sample_grid, sup_factor
 from .sets import IntegerSet
 
-# Peak bytes of a phi op per point of its grid M: the sup bound samples Phi at
-# 40 bytes a point on M2 <= 32M points (M2 >= 20*pi*degree, degree <= M/2);
-# tracemalloc measured 330 per grid point at the defaults (M2 = 8M) and 625
-# at M2 = 16M.  The grid phase (two samplings a block, <= 11 blocks) is less.
-BYTES_PER_GRID_POINT = 32 * 40
-PHI_GRID_CAP = MEMORY_BUDGET // BYTES_PER_GRID_POINT
+# Peak bytes of build_phi per grid point: 32 a block for the P_k and Q_k samples
+# the grid phase holds, plus 160 for the rest, which tracemalloc put at 118 or
+# less on the densest intervals each grid admits.  PHI_GRID_CAP: one block.
+BYTES_PER_GRID_POINT = 160
+BYTES_PER_BLOCK_POINT = 32
+PHI_GRID_CAP = MEMORY_BUDGET // (BYTES_PER_GRID_POINT + BYTES_PER_BLOCK_POINT)
 
 
 def epsilon_of_base(b: int) -> float:
@@ -100,7 +110,8 @@ def partition_blocks(B: IntegerSet, b: int) -> BlockPartition:
 def check_grid(blocks: list[tuple[int, int]], M: int) -> int:
     """Phi's negative spectral span for blocks of these (first, last) frequencies,
     once M is checked: a power of two that holds Phi's spectrum alias-free and,
-    for each block's Q_k, M >= 4*(b_k + w_k).  Else InputError."""
+    for each block's Q_k, M >= 4*(b_k + w_k), else InputError; and a build
+    within MEMORY_BUDGET, else ResourceLimitError."""
     widths = [max(b - a, 1) for a, b in blocks]
     neg_span = sum(widths) + len(widths)
     max_freq = blocks[-1][1]
@@ -108,6 +119,8 @@ def check_grid(blocks: list[tuple[int, int]], M: int) -> int:
         raise InputError(f"grid {M} cannot hold spectrum [-{neg_span}, {max_freq}] alias-free")
     if any(M < 4 * (b + w) for (_, b), w in zip(blocks, widths)):
         raise InputError("grid too coarse for the block spectrum")
+    if M * (BYTES_PER_GRID_POINT + BYTES_PER_BLOCK_POINT * len(blocks)) > MEMORY_BUDGET:
+        raise ResourceLimitError(f"{len(blocks)} blocks on grid {M} exceed {MEMORY_BUDGET} bytes")
     return neg_span
 
 
@@ -138,11 +151,11 @@ def build_qk(part: BlockPartition, k: int, tau: np.ndarray, M: int) -> dict[int,
     return dict(zip((-d[keep]).tolist(), c[keep].tolist()))
 
 
-def _grid_phase(pks: list, qks: list, M: int) -> tuple[np.ndarray, float, list[float]]:
-    """Sample every P_k and Q_k once; return Phi's DFT coefficients from the
-    recursion Phi_k = Q_k Phi_{k-1} + P_k, their largest distance from the
-    explicit expansion Phi = sum_k (prod_{j>k} Q_j) P_k, and per block
-    max(|P_k|/10 + |Q_k|) on the grid."""
+def _grid_phase(pks: list, qks: list, M: int) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+    """Sample every P_k and Q_k once; return Phi's samples from the recursion
+    Phi_k = Q_k Phi_{k-1} + P_k, their DFT coefficients, the coefficients'
+    largest distance from the explicit expansion Phi = sum_k (prod_{j>k} Q_j)
+    P_k, and per block max(|P_k|/10 + |Q_k|) on the grid."""
     P = [sample_grid(pk, M).samples for pk in pks]
     Q = [sample_grid(qk, M).samples for qk in qks]
     phi = P[0]
@@ -157,7 +170,7 @@ def _grid_phase(pks: list, qks: list, M: int) -> tuple[np.ndarray, float, list[f
         explicit += term
     agreement = float(np.max(np.abs(GridFn(explicit).coefficients() - spec)))
     pq_sups = [float(np.max(np.abs(p) / 10 + np.abs(q))) for p, q in zip(P, Q)]
-    return spec, agreement, pq_sups
+    return phi, spec, agreement, pq_sups
 
 
 @dataclass(frozen=True)
@@ -166,7 +179,7 @@ class PhiCertificate:
     grid: int
     widths: tuple[int, ...]
     sup_bound: float
-    coeff_table: dict[int, complex]
+    coeff_table: dict[str, list[float]]  # Phi-hat on B, {str(m): [re, im]}
     per_block: tuple[dict, ...]
     pairing_value: complex
     pairing_target: float
@@ -179,9 +192,7 @@ class PhiCertificate:
             "grid": self.grid,
             "widths": list(self.widths),
             "sup_bound": self.sup_bound,
-            "coeff_table": {
-                str(m): [c.real, c.imag] for m, c in sorted(self.coeff_table.items())
-            },
+            "coeff_table": self.coeff_table,
             "per_block": list(self.per_block),
             "pairing": [self.pairing_value.real, self.pairing_value.imag],
             "pairing_target": self.pairing_target,
@@ -193,13 +204,12 @@ class PhiCertificate:
 def build_phi(B: IntegerSet, w: dict[int, complex], b: int, M: int):
     """Run the recursion and certify every step.
 
-    Returns (coefficient table of Phi, PhiCertificate).  w is a dict
+    Returns (Phi's samples on the M-point grid, PhiCertificate).  w is a dict
     {m: weight} with |w(m)| <= 1, a missing m weighing 0; tau(m) =
     conj(w(m))/|w(m)|, and 1 where w(m) = 0.
     """
     part = partition_blocks(B, b)
     widths = tuple(part.width(k) for k in range(part.k0 + 1))
-    max_freq = max(B)
     neg_span = check_grid([part.interval(k) for k in range(part.k0 + 1)], M)
     weights = np.array([w.get(m, 0) for m in B], dtype=complex)
     mods = np.abs(weights)
@@ -208,10 +218,8 @@ def build_phi(B: IntegerSet, w: dict[int, complex], b: int, M: int):
     taus = [tau[lo:hi] for lo, hi in zip(ends, ends[1:])]
     pks = [build_pk(part, k, t) for k, t in enumerate(taus)]
     qks = [build_qk(part, k, t, M) for k, t in enumerate(taus)]
-    spec, explicit_agreement, pq_sups = _grid_phase(pks, qks, M)
-
+    phi, spec, explicit_agreement, pq_sups = _grid_phase(pks, qks, M)
     coeffs = spec[np.array(B.elements) % M]
-    coeff_table = dict(zip(B.elements, coeffs.tolist()))
 
     per_block = []
     for k, (pk, qk) in enumerate(zip(pks, qks)):
@@ -232,26 +240,16 @@ def build_phi(B: IntegerSet, w: dict[int, complex], b: int, M: int):
             }
         )
 
-    # Certified sup bound on an oversampled grid.
-    degree = max(max_freq, neg_span)
-    M2 = M
-    while math.pi * degree / M2 > 0.05:
-        M2 *= 2
-    idx = np.flatnonzero(np.abs(spec) > 1e-14)
-    nz = dict(zip(np.where(idx < M // 2, idx, idx - M).tolist(), spec[idx].tolist()))
-    sup_grid = float(np.max(np.abs(sample_grid(nz, M2).samples)))
-    sup_bound = sup_grid / (1 - math.pi * degree / M2)
-
     cert = PhiCertificate(
         base=b,
         grid=M,
         widths=widths,
-        sup_bound=sup_bound,
-        coeff_table=coeff_table,
+        sup_bound=float(np.max(np.abs(phi))) * sup_factor(-neg_span, max(B), M),
+        coeff_table=dict(zip(map(str, B.elements), np.c_[coeffs.real, coeffs.imag].tolist())),
         per_block=tuple(per_block),
         pairing_value=complex(np.sum(weights * coeffs)),
         pairing_target=float(np.sum(mods / np.arange(1, B.N + 1))),
         pairing_constant=pairing_constant(b),
         explicit_agreement=explicit_agreement,
     )
-    return nz, cert
+    return phi, cert

@@ -117,6 +117,8 @@ def _exit_code(argv) -> int:
         (["extract", "--input", "{large}"], 3),
         (["oracle", "--input", "{thirty}"], 3),
         (["analyze", "--input", "{set}", "--threshold-exp", "1"], 0),
+        # within the --grid cap, but 11 blocks on 2^24 points exceed the budget
+        (["phi", "--grid", str(1 << 24), "--base", "4", "--size", "2000000"], 3),
     ],
 )
 def test_exit_code(argv, code, set_file, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from reference import ZERO, eval_exact, fhat, fhat_t, series_truncated, to_complex
 from sumfree.errors import InputError
-from sumfree.fourier import grid_norms, sample_grid
+from sumfree.fourier import grid_norms, sample_grid, sup_factor
 
 
 def _eval(coeffs, x):
@@ -144,6 +144,22 @@ def test_linf_bound_is_upper():
     xs = np.linspace(0, 1, 100001)
     brute = max(abs(_eval(p, x)) for x in xs[::100])
     assert value + bar >= brute - 1e-9
+
+
+@pytest.mark.parametrize("n, c, M", [(5, 0, 64), (40, 17, 512), (100, -60, 2048), (64, 3, 256)])
+def test_sup_factor_covers_shifted_dirichlet(n, c, M):
+    # e(cx) * sum_{|k| <= n} e(k(x - x0)) has sup 2n + 1 at x0, half a cell
+    # from the nearest grid point
+    x0 = 1 / (2 * M)
+    kernel = {c + k: complex(np.exp(-2j * np.pi * k * x0)) for k in range(-n, n + 1)}
+    grid_max = float(np.max(np.abs(sample_grid(kernel, M).samples)))
+    assert grid_max < 2 * n + 1 - 1e-6
+    assert grid_max * sup_factor(c - n, c + n, M) >= 2 * n + 1
+    if M >= 8 * max(map(abs, kernel)):
+        value, bar = grid_norms(kernel, "Linf", M=M)
+        assert value + bar >= 2 * n + 1
+    with pytest.raises(InputError):
+        sup_factor(c - n, c + n, 2 * n)
 
 
 def test_resolution_error():

@@ -1,12 +1,17 @@
 """Hilbert transform and the Phi test-function build."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sumfree.fourier import sample_grid
+from sumfree.cli import RunConfig, run
+from sumfree.errors import ResourceLimitError
+from sumfree.fourier import GridFn, sample_grid
 from sumfree.mps import (
+    BYTES_PER_BLOCK_POINT,
+    BYTES_PER_GRID_POINT,
     build_phi,
     build_pk,
     build_qk,
@@ -15,7 +20,7 @@ from sumfree.mps import (
     pairing_constant,
     partition_blocks,
 )
-from sumfree.sets import IntegerSet
+from sumfree.sets import IntegerSet, generate
 
 
 def test_hilbert_multiplier():
@@ -73,7 +78,7 @@ def test_qk_support():
 def test_build_phi_small():
     B = IntegerSet.of(range(1, 51))
     w = {m: 1.0 for m in B.elements}
-    coeffs, cert = build_phi(B, w, b=4, M=4096)
+    samples, cert = build_phi(B, w, b=4, M=4096)
     assert cert.sup_bound < 10
     assert cert.explicit_agreement < 1e-8
     # at base 4 the pairing constant is negative, so the bound is weak but
@@ -82,8 +87,10 @@ def test_build_phi_small():
     for row in cert.per_block:
         assert row["support_ok"]
         assert row["l2_one_minus_q"] <= row["l2_bound"] + 1e-6
-    # sum_m w(m) Phi-hat(m) over the returned table reproduces the recorded value
-    pairing = sum(w[m] * coeffs.get(m, 0) for m in B.elements)
+    # sum_m w(m) Phi-hat(m), Phi-hat read off the returned samples, reproduces
+    # the recorded value
+    coeffs = GridFn(samples).coefficients()
+    pairing = sum(w[m] * coeffs[m % 4096] for m in B.elements)
     assert pairing == pytest.approx(cert.pairing_value, rel=1e-9)
 
 
@@ -96,18 +103,73 @@ def test_build_phi_random_weights():
     assert cert.pairing_value.real >= cert.pairing_constant * cert.pairing_target
 
 
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def test_build_phi_samples_each_block_once(monkeypatch):
-    # P_k, Q_k and the unwindowed phase sum behind Q_k once per block, plus
-    # the oversampled sup bound
+    # P_k, Q_k and the unwindowed phase sum behind Q_k once per block
     calls = []
-
-    def counting(coeffs, M):
-        calls.append(M)
-        return sample_grid(coeffs, M)
-
-    monkeypatch.setattr("sumfree.mps.sample_grid", counting)
+    monkeypatch.setattr("sumfree.mps.sample_grid", _counting(calls, "sample_grid", sample_grid))
     B = IntegerSet.of(range(1, 51))
     _, cert = build_phi(B, {m: 1.0 for m in B.elements}, b=4, M=4096)
     blocks = len(cert.per_block)
     assert blocks == 3
-    assert len(calls) <= 3 * blocks + 1
+    assert len(calls) == 3 * blocks
+
+
+def test_phi_profile_samples_only_in_build_phi(monkeypatch):
+    calls = []
+    monkeypatch.setattr("sumfree.mps.sample_grid", _counting(calls, "sample_grid", sample_grid))
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, _counting(calls, name, getattr(np.fft, name)))
+    B = generate("interval", n=50)
+    build_phi(B, {m: 1.0 for m in B}, 4, 4096)
+    in_build, calls[:] = list(calls), []
+    run(RunConfig(command="report", kind="phi_profile", size=50, base=4, grid=4096))
+    assert calls == in_build
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sup_bound_covers_fine_grid_max(seed):
+    rng = np.random.default_rng(seed)
+    B = generate("interval", n=int(rng.integers(20, 301)))
+    w = dict(zip(B.elements, np.exp(2j * math.pi * rng.random(B.N)).tolist()))
+    samples, cert = build_phi(B, w, 4, 4096)
+    # Phi's spectrum lies in (-2048, 2048); zero-pad it onto 2^18 points
+    spec = GridFn(samples).coefficients()
+    fine = np.zeros(1 << 18, dtype=complex)
+    fine[:2048], fine[-2048:] = spec[:2048], spec[2048:]
+    fine_max = float(np.max(np.abs(np.fft.ifft(fine)))) * (1 << 18)
+    assert fine_max <= cert.sup_bound <= 10
+
+
+@pytest.mark.parametrize("size, base, M", [(10101, 100, 1 << 17), (8000, 4, 1 << 16)])
+def test_build_phi_peak_within_bytes_per_grid_point(size, base, M):
+    B = generate("interval", n=size)
+    w = {m: 1.0 for m in B}
+    tracemalloc.start()
+    try:
+        _, cert = build_phi(B, w, base, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = len(cert.per_block)
+    assert peak <= (BYTES_PER_GRID_POINT + BYTES_PER_BLOCK_POINT * blocks) * M, peak / M
+
+
+def test_build_phi_refuses_oversized_grid_before_allocating():
+    B = IntegerSet.of(range(1, 51))
+    w = {m: 1.0 for m in B}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            build_phi(B, w, 4, 1 << 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

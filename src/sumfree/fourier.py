@@ -53,11 +53,9 @@ def sample_grid(coeffs: dict[int, complex], M: int) -> GridFn:
 
 
 def sup_factor(lo: int, hi: int, M: int) -> float:
-    """1/cos(pi*n/M), n = max(hi - c, c - lo) with c = floor((lo + hi)/2):
-    every f with spectrum in [lo, hi] has sup|f| <= this times max_j |f(j/M)|,
-    by van der Corput and Schaake's R(x0 + h) >= R(x0) cos(2 pi n h) for R =
-    Re(e^{-i theta} e(-cx) f) at the peak of |f| (the mps docstring writes the
-    argument out).  InputError unless 2n < M."""
+    """1/cos(pi*n/M), n = max(hi - c, c - lo), c = floor((lo + hi)/2): every f
+    with spectrum in [lo, hi] has sup|f| <= this times max_j |f(j/M)| (van der
+    Corput and Schaake; argument in the mps docstring).  InputError unless 2n < M."""
     c = (lo + hi) // 2
     n = max(hi - c, c - lo)
     if 2 * n >= M:

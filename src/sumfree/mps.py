@@ -23,12 +23,11 @@ the base:  eps(b) = 4 b^{-1/2} / ((1 - b^{-1/2})(1 - b^{-1})) and c(b) =
 The sup bound is read off the build grid.  Products of samples are samples of
 products, so the recursion's grid values are Phi(j/M); Phi's spectrum lies in
 [-a, b], a = neg_span and b the largest frequency.  Shift by e(-cx), c =
-floor((b - a)/2), so the spectrum is within [-n, n], n = max(b - c, a + c).  If
-|Phi| peaks at x0 with phase theta, R = Re(e^{-i theta} e(-cx) Phi) is real of
-degree n with |R| <= R(x0) = sup|Phi|, so R(x0 + h) >= sup|Phi| cos(2 pi n h)
-for |h| <= 1/(2n) (van der Corput and Schaake, 1935).  A grid point lies within
-1/(2M) of x0: sup|Phi| <= max_j |Phi(j/M)| / cos(pi n/M) (fourier.sup_factor),
-and n <= M/4 on the alias-free grid, so the factor is at most sqrt 2.
+floor((b - a)/2), to the spectrum [-n, n], n = max(b - c, a + c).  If |Phi|
+peaks at x0 with phase theta, R = Re(e^{-i theta} e(-cx) Phi) is real of degree
+n with |R| <= R(x0) = sup|Phi|, so R(x0 + h) >= sup|Phi| cos(2 pi n h) for |h|
+<= 1/(2n) (van der Corput and Schaake, 1935).  The grid point nearest x0 gives
+sup|Phi| <= max_j |Phi(j/M)| / cos(pi n/M), at most sqrt 2 times it (n <= M/4).
 """
 
 from __future__ import annotations
@@ -156,8 +155,11 @@ def _grid_phase(pks: list, qks: list, M: int) -> tuple[np.ndarray, np.ndarray, f
     Phi_k = Q_k Phi_{k-1} + P_k, their DFT coefficients, the coefficients'
     largest distance from the explicit expansion Phi = sum_k (prod_{j>k} Q_j)
     P_k, and per block max(|P_k|/10 + |Q_k|) on the grid."""
-    P = [sample_grid(pk, M).samples for pk in pks]
-    Q = [sample_grid(qk, M).samples for qk in qks]
+    # One array for all the samples: once glibc's malloc has freed a block this
+    # large, it keeps later builds' arrays in its heap instead of the kernel's.
+    P, Q = PQ = np.empty((2, len(pks), M), dtype=complex)
+    for row, table in zip(PQ.reshape(-1, M), pks + qks):
+        row[:] = sample_grid(table, M).samples
     phi = P[0]
     for k in range(1, len(P)):
         phi = Q[k] * phi + P[k]

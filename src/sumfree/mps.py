@@ -60,12 +60,14 @@ def pairing_constant(b: int) -> float:
 
 def hilbert(samples: np.ndarray) -> np.ndarray:
     """Conjugate-function multiplier -i sgn(n), applied by FFT to samples on
-    the M-point grid."""
-    M = len(samples)
-    mult = np.zeros(M, dtype=complex)
-    mult[1 : M // 2] = -1j
-    mult[M // 2 + 1 :] = 1j
-    return np.fft.ifft(np.fft.fft(samples) * mult)
+    the M-point grid.  Real samples take a real FFT and give real samples; the
+    multiplier is real-linear, so complex samples transform part by part."""
+    if np.iscomplexobj(samples):
+        return hilbert(samples.real) + 1j * hilbert(samples.imag)
+    spec = np.fft.rfft(samples)
+    spec[0] = spec[-1] = 0  # the mean and the Nyquist frequency
+    spec *= -1j
+    return np.fft.irfft(spec, len(samples))
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def build_qk(part: BlockPartition, k: int, tau: np.ndarray, M: int) -> dict[int,
     that passes check_grid."""
     blk = part.blocks[k]
     u = np.abs(sample_grid(dict(zip(blk, (tau / len(blk)).tolist())), M).samples)
-    v = hilbert(u).real
+    v = hilbert(u)
     spec = GridFn(np.exp(-(u - 1j * v))).coefficients()
     C = part.width(k) + 1
     d = np.arange(C)
@@ -181,7 +183,6 @@ class PhiCertificate:
     grid: int
     widths: tuple[int, ...]
     sup_bound: float
-    coeff_table: dict[str, list[float]]  # Phi-hat on B, {str(m): [re, im]}
     per_block: tuple[dict, ...]
     pairing_value: complex
     pairing_target: float
@@ -194,7 +195,6 @@ class PhiCertificate:
             "grid": self.grid,
             "widths": list(self.widths),
             "sup_bound": self.sup_bound,
-            "coeff_table": self.coeff_table,
             "per_block": list(self.per_block),
             "pairing": [self.pairing_value.real, self.pairing_value.imag],
             "pairing_target": self.pairing_target,
@@ -227,7 +227,8 @@ def build_phi(B: IntegerSet, w: dict[int, complex], b: int, M: int):
     for k, (pk, qk) in enumerate(zip(pks, qks)):
         blk = part.blocks[k]
         p = np.array(list(pk.values()))
-        ratios = np.abs(coeffs[ends[k] : ends[k + 1]] - p) / np.abs(p)
+        c = coeffs[ends[k] : ends[k + 1]]
+        ratios = np.abs(c - p) / np.abs(p)
         one_minus_q = {**qk, 0: qk.get(0, 0) - 1}
         per_block.append(
             {
@@ -238,6 +239,7 @@ def build_phi(B: IntegerSet, w: dict[int, complex], b: int, M: int):
                 "l2_bound": 2 / math.sqrt(len(blk)),
                 "support_ok": -part.width(k) <= min(qk, default=0) and max(qk, default=0) <= 0,
                 "closeness_ratio": float(np.max(ratios)),
+                "coeff_l2": float(np.linalg.norm(c)),
                 "pq_sup": pq_sups[k],
             }
         )
@@ -247,7 +249,6 @@ def build_phi(B: IntegerSet, w: dict[int, complex], b: int, M: int):
         grid=M,
         widths=widths,
         sup_bound=float(np.max(np.abs(phi))) * sup_factor(-neg_span, max(B), M),
-        coeff_table=dict(zip(map(str, B.elements), np.c_[coeffs.real, coeffs.imag].tolist())),
         per_block=tuple(per_block),
         pairing_value=complex(np.sum(weights * coeffs)),
         pairing_target=float(np.sum(mods / np.arange(1, B.N + 1))),

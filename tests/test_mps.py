@@ -1,5 +1,6 @@
 """Hilbert transform and the Phi test-function build."""
 
+import json
 import math
 import tracemalloc
 
@@ -40,6 +41,19 @@ def test_hilbert_grid_matches_poly():
     grid_h = hilbert(sample_grid(p, M).samples)
     poly_h = sample_grid({n: -1j * np.sign(n) * c for n, c in p.items()}, M)
     assert np.allclose(grid_h, poly_h.samples, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hilbert_real_fft_matches_complex_multiplier(seed):
+    rng = np.random.default_rng(seed)
+    M = 1 << int(rng.integers(2, 13))
+    x = rng.standard_normal(M)
+    mult = np.zeros(M, dtype=complex)
+    mult[1 : M // 2] = -1j
+    mult[M // 2 + 1 :] = 1j
+    h = hilbert(x)
+    assert not np.iscomplexobj(h)
+    assert np.allclose(h, np.fft.ifft(np.fft.fft(x) * mult), rtol=0, atol=1e-12)
 
 
 def test_constants():
@@ -101,6 +115,24 @@ def test_build_phi_random_weights():
     _, cert = build_phi(B, w, b=4, M=4096)
     assert cert.sup_bound < 10
     assert cert.pairing_value.real >= cert.pairing_constant * cert.pairing_target
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_coeff_l2_is_the_norm_of_each_block_of_phi_hat(seed):
+    rng = np.random.default_rng(seed)
+    B = generate("interval", n=int(rng.integers(20, 301)))
+    w = dict(zip(B.elements, (rng.random(B.N) * np.exp(2j * math.pi * rng.random(B.N))).tolist()))
+    samples, cert = build_phi(B, w, 4, 4096)
+    spec = np.fft.fft(samples) / 4096
+    blocks = partition_blocks(B, 4).blocks
+    assert len(cert.per_block) == len(blocks)
+    for row, blk in zip(cert.per_block, blocks):
+        assert row["coeff_l2"] == pytest.approx(np.linalg.norm(spec[np.array(blk) % 4096]), rel=1e-12)
+
+
+def test_default_phi_report_holds_no_per_frequency_table():
+    report = run(RunConfig(command="phi"))
+    assert len(json.dumps(report, indent=2, default=str)) < 16 * 1024
 
 
 def _counting(calls, name, fn):

@@ -1,5 +1,5 @@
 """Command-line orchestration: analyze | extract | verify | phi | lp |
-oracle | report.
+oracle | report | check.
 
 Reports are JSON with the full configuration echoed back, exact rationals as
 [numerator, denominator] pairs, and floats only where an error bar travels
@@ -34,6 +34,7 @@ from .sets import IntegerSet, generate, load_set, structure
 from .sieve import IDENTITY_IDS, SIEVE_CUTOFF_CAP, l1_lower_report, verify_identity
 
 PROFILE_POINTS = 2048  # about this many |Phi| samples per phi_profile report
+CHECK_TOLERANCE = 1e-12  # relative and absolute, for a float that check re-runs
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,49 @@ def _phi_profile_stage(config: RunConfig) -> list[dict]:
     ]
 
 
+def _mismatches(got, want, where: str):
+    """Paths at which a re-run stage differs from the stored one: floats by
+    more than CHECK_TOLERANCE, anything else at all."""
+    if isinstance(want, float) and isinstance(got, float):
+        if not math.isclose(got, want, rel_tol=CHECK_TOLERANCE, abs_tol=CHECK_TOLERANCE):
+            yield where
+    elif isinstance(want, dict) and isinstance(got, dict):
+        if sorted(got) != sorted(want):
+            yield where
+        else:
+            for key in want:
+                yield from _mismatches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list) and isinstance(got, list):
+        if len(got) != len(want):
+            yield where
+        else:
+            for i, (g, w) in enumerate(zip(got, want)):
+                yield from _mismatches(g, w, f"{where}[{i}]")
+    elif type(got) is not type(want) or got != want:
+        yield where
+
+
+def _check_stage(config: RunConfig) -> dict:
+    """Re-run a stored report from its echoed configuration and compare the
+    stages.  Only a report that names no input file can be re-run."""
+    with open(config.input, "rb") as fh:
+        text = fh.read()
+    try:
+        report = json.loads(text)
+        echoed = RunConfig(**dict(report["config"], sizes=tuple(report["config"]["sizes"])))
+        stored = report["stages"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{config.input} is not a sumfree JSON report ({exc!r})") from exc
+    if echoed.input is not None:
+        raise InputError(
+            f"a {echoed.command} report names its input set by path ({echoed.input}); "
+            "checking it needs the set embedded in the report (ROADMAP D7)"
+        )
+    rerun = json.loads(json.dumps(run(echoed)["stages"], default=str))
+    mismatches = list(_mismatches(rerun, stored, "stages"))
+    return {"command": echoed.command, "equal": not mismatches, "mismatches": mismatches}
+
+
 def run(config: RunConfig) -> dict:
     """Dispatch one subcommand and assemble the report."""
     t0 = time.perf_counter()
@@ -211,6 +255,8 @@ def run(config: RunConfig) -> dict:
             stages["phi_profile"] = _phi_profile_stage(config)
         else:
             raise InputError(f"unknown report kind {config.kind!r}")
+    elif config.command == "check":
+        stages["check"] = _check_stage(config)
     else:
         raise InputError(f"unknown command {config.command!r}")
     return {
@@ -286,6 +332,7 @@ _COMMAND_FLAGS = {
     "lp": ("sizes", "seed", "out"),
     "oracle": ("input", "format", "k", "l", "out"),
     "report": ("kind", "sizes", "k", "l", "q", "p", "size", "base", "grid", "out"),
+    "check": ("out",),
 }
 
 
@@ -298,6 +345,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, flags in _COMMAND_FLAGS.items():
         sp = sub.add_parser(name)
+        if name == "check":
+            sp.add_argument("input", metavar="REPORT.json", help="a JSON report of phi or lp")
         for flag in flags:
             sp.add_argument(
                 "--" + flag.replace("_", "-"),
@@ -313,6 +362,9 @@ def main(argv=None) -> int:
         report = run(config)
         if config.command == "verify" and not report["stages"]["verify"]["all_equal"]:
             raise CertificationError("identity verification failed")
+        if config.command == "check" and not report["stages"]["check"]["equal"]:
+            mismatches = report["stages"]["check"]["mismatches"]
+            raise CertificationError(f"the report does not reproduce at {', '.join(mismatches)}")
         if config.command == "report":
             payload = emit_plotdata(report, config.kind)
         else:

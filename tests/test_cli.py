@@ -193,3 +193,77 @@ def test_flags_belong_to_their_subcommand(set_file, capsys):
     assert "--sizes" in help_text and "--seed" in help_text
     assert "--input" not in help_text and "--cutoff" not in help_text
 
+
+
+_CHECKED = {
+    "phi": ["phi", "--size", "120", "--base", "4", "--grid", "4096", "--weights", "random", "--seed", "3"],
+    "lp": ["lp", "--sizes", "4,6,8"],
+}
+
+
+@pytest.fixture(scope="module")
+def checked_reports(tmp_path_factory):
+    """The phi and lp golden configurations, written by the CLI."""
+    paths = {}
+    for name, argv in _CHECKED.items():
+        paths[name] = str(tmp_path_factory.mktemp("reports") / f"{name}.json")
+        assert main([*argv, "--out", paths[name]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(_CHECKED))
+def test_check_reproduces_report(name, checked_reports, capsys):
+    assert main(["check", checked_reports[name]]) == 0
+    stage = json.loads(capsys.readouterr().out)["stages"]["check"]
+    assert stage == {"command": name, "equal": True, "mismatches": []}
+
+
+def _scale(factor, *path):
+    def mutate(report):
+        *inner, last = path
+        node = report["stages"]
+        for key in inner:
+            node = node[key]
+        node[last] *= factor
+    return mutate
+
+
+_PHI = ("phi", "certificate")
+
+
+@pytest.mark.parametrize(
+    "name, mutate, code",
+    [
+        ("phi", _scale(1 + 1e-9, *_PHI, "sup_bound"), 1),
+        ("phi", _scale(1 + 1e-9, *_PHI, "per_block", 2, "coeff_l2"), 1),
+        ("phi", _scale(1 + 1e-9, *_PHI, "pairing", 0), 1),
+        ("lp", _scale(1 + 1e-9, "lp", "rows", 1, "l1"), 1),
+        # inside the 1e-12 tolerance that absorbs other numpy builds
+        ("phi", _scale(1 + 1e-14, *_PHI, "sup_bound"), 0),
+    ],
+    ids=["sup_bound", "coeff_l2", "pairing", "lp_l1", "sup_bound_within_tolerance"],
+)
+def test_check_exit_code_on_mutated_report(name, mutate, code, checked_reports, tmp_path, capsys):
+    with open(checked_reports[name]) as fh:
+        report = json.load(fh)
+    mutate(report)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(report))
+    assert main(["check", str(path)]) == code
+    if code:
+        assert "does not reproduce" in capsys.readouterr().err
+
+
+def test_check_refuses_report_of_an_input_file(set_file, tmp_path, capsys):
+    path = str(tmp_path / "extract.json")
+    assert main(["extract", "--input", set_file, "--out", path]) == 0
+    assert main(["check", path]) == 2
+    assert "embedded" in capsys.readouterr().err
+
+
+def test_check_refuses_what_is_not_a_report(tmp_path):
+    (tmp_path / "text.json").write_text("not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert main(["check", str(tmp_path / "text.json")]) == 2
+    assert main(["check", str(tmp_path / "list.json")]) == 2
+    assert main(["check", str(tmp_path / "missing.json")]) == 2

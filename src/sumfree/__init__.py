@@ -10,11 +10,8 @@ from .arcs import ArcSet, canonical_omega, is_arc_kl_sumfree, pullback
 from .arith import SieveContext
 from .dilation import (
     ExtractionCertificate,
-    PiecewiseConstantFn,
-    balanced_function,
-    count_function,
-    exact_l1,
     extract_certified,
+    l1_and_max,
     maximize_count,
     orbit_subset,
 )
@@ -33,16 +30,12 @@ __all__ = [
     "InputError",
     "IntegerSet",
     "OracleResult",
-    "PiecewiseConstantFn",
     "ResourceLimitError",
     "SieveContext",
     "SumfreeError",
-    "balanced_function",
     "build_phi",
     "canonical_omega",
     "compare",
-    "count_function",
-    "exact_l1",
     "extract_certified",
     "generate",
     "grid_norms",
@@ -50,6 +43,7 @@ __all__ = [
     "inner_sum_decomposition",
     "is_arc_kl_sumfree",
     "is_kl_sumfree",
+    "l1_and_max",
     "l1_lower_report",
     "lacunary_l1_diagnostic",
     "load_set",

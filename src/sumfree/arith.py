@@ -121,26 +121,6 @@ def odd_smooth_squarefree(ctx: SieveContext, limit: int) -> list[int]:
     return squarefree_smooth([p for p in primes_upto(ctx.Q) if p > 2], limit)
 
 
-def sec2_sieve_set(ctx: SieveContext, limit: int) -> list[int]:
-    """Squarefree integers generated by primes strictly below P, up to limit."""
-    return squarefree_smooth([p for p in primes_upto(min(ctx.P, limit)) if p < ctx.P], limit)
-
-
-def rough_integers(limit: int, bound: int) -> list[int]:
-    """Integers in [1, limit] all of whose prime factors exceed `bound`.
-
-    With bound = Q this is N1 up to limit: exactly the frequencies surviving
-    the Mobius sieve over N2, so 1 is a member and N1 meets the Q-smooth
-    numbers only in {1}.
-    """
-    if limit < 1:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    for p in primes_upto(min(bound, limit)):
-        sieve[p::p] = bytearray(len(sieve[p::p]))
-    return list(compress(range(1, limit + 1), sieve[1:]))
-
-
 @lru_cache(maxsize=None)
 def next_prime_at_least(n: int) -> int:
     p = max(n, 2)

@@ -1,5 +1,5 @@
-"""The dilation machine: exact counting step functions, L1 norms, and
-certified sum-free subset extraction.
+"""The dilation machine: exact sweeps of counting step functions, their L1
+norms, and certified sum-free subset extraction.
 
 For a set A and an arc system O, x -> |{n in A : n*x mod 1 in O}| is a step
 function whose breakpoints are the points (e + j)/n for endpoints e of O.
@@ -11,11 +11,11 @@ exactly only the runs of buckets where the maximum can be.
 
 Memory budget: errors.MEMORY_BUDGET = 4 GiB per computation, checked before
 the large allocation, which raises ResourceLimitError instead.
-- A full step function (count_function and the L1 reports) peaks at
+- A sweep of all of [0, 1] (l1_and_max, and so the L1 reports) peaks at
   BYTES_PER_BREAKPOINT = 80 bytes per int64 breakpoint (BREAKPOINT_CAP,
   about 53.7M, counts 2*sum(A) per arc), and at most 256 plus one byte per
   bit of the largest denominator on the Python ints used where n*d exceeds
-  INT64_DEN.
+  INT64_DEN; the L1 norm is then summed on the sweep's own arrays.
 - maximize_count, and so extraction, uses BYTES_PER_BUCKET = 24 bytes per
   bucket (the bound, and the copy and index array of its top-bucket
   selection) for at most sum(A)/2 buckets, plus one chunk of BOUND_CHUNK
@@ -26,8 +26,7 @@ the large allocation, which raises ResourceLimitError instead.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -63,87 +62,6 @@ def _exact_order(p: np.ndarray, q: np.ndarray):
         run = sorted(range(s, e), key=lambda i: Fraction(int(p[i]), int(q[i])))
         order[s:e], p[s:e], q[s:e] = order[run], p[run], q[run]
     return order, p, q
-
-
-@dataclass(frozen=True, eq=False)
-class PiecewiseConstantFn:
-    """Step function on [0,1): levels[i] + shift on the open piece from
-    breakpoints[i] to breakpoints[i+1], the last piece ending at 1.
-
-    `breakpoints` holds one (numerator, denominator) row per piece, strictly
-    ascending from 0; `levels` holds one integer per piece.  Both are int64,
-    or Python ints where int64 could overflow.
-    """
-
-    breakpoints: np.ndarray
-    levels: np.ndarray
-    shift: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if len(self.levels) == 0 or self.breakpoints.shape != (len(self.levels), 2):
-            raise InputError("need one (numerator, denominator) row per piece")
-
-    def _point(self, i: int) -> Fraction:
-        """Breakpoint i, or 1 for i = len(levels), where the last piece ends."""
-        return Fraction(*map(int, self.breakpoints[i])) if i < len(self.levels) else Fraction(1)
-
-    def _value(self, i: int) -> Fraction:
-        return int(self.levels[i]) + self.shift
-
-    def _integrate(self, absolute: bool) -> Fraction:
-        """Exact integral of the values, or of their absolute values.
-
-        With value u_i/D on piece i and breakpoints b_0 = 0 < b_1 < ... the
-        integral telescopes to (u_last + sum_{i>0} (u_{i-1} - u_i) b_i) / D;
-        the b_i terms are summed in integers per denominator, then over the
-        lcm of the denominators.
-        """
-        b, D = self.shift.as_integer_ratio()
-        p, q = self.breakpoints[1:, 0], self.breakpoints[1:, 1]
-        u_max = D * int(np.abs(self.levels).max()) + abs(b)
-        wide = 2 * u_max * int(self.breakpoints[:, 1].max()) * len(self.levels) >= 2**63
-        u = self.levels.astype(object if wide else np.int64) * D + b
-        u = np.abs(u) if absolute else u
-        c = u[:-1] - u[1:]
-        nz = np.flatnonzero(c)
-        by_q = nz[np.argsort(q[nz])]
-        q = q[by_q]
-        starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]]) if len(q) else by_q
-        sums = np.add.reduceat(c[by_q] * p[by_q], starts)
-        dens = [int(d) for d in q[starts]]
-        L = lcm(*dens)
-        total = int(u[-1]) * L + sum(int(s) * (L // d) for s, d in zip(sums, dens))
-        return Fraction(total, L * D)
-
-    def integral(self) -> Fraction:
-        return self._integrate(absolute=False)
-
-    def eval(self, x) -> Fraction:
-        """Value at x mod 1; x must not be a breakpoint."""
-        x = Fraction(x)
-        a, b = x.numerator % x.denominator, x.denominator
-
-        def side(i: int) -> int:
-            # sign of breakpoint i minus a/b, by an integer cross product
-            d = int(self.breakpoints[i, 0]) * b - a * int(self.breakpoints[i, 1])
-            return (d > 0) - (d < 0)
-
-        i = bisect_right(range(len(self.levels)), 0, key=side) - 1
-        if side(i) == 0:
-            raise InputError(f"{Fraction(a, b)} is a breakpoint")
-        return self._value(i)
-
-    def shift_const(self, c: Fraction) -> "PiecewiseConstantFn":
-        return replace(self, shift=self.shift + c)
-
-    def max_with_witness(self) -> tuple[Fraction, Fraction]:
-        """(max value, lowest midpoint of a maximizing piece)."""
-        i = int(np.argmax(self.levels))
-        return self._value(i), (self._point(i) + self._point(i + 1)) / 2
-
-
-def exact_l1(g: PiecewiseConstantFn) -> Fraction:
-    return g._integrate(absolute=True)
 
 
 def orbit_subset(A: IntegerSet, O: ArcSet, x) -> IntegerSet:
@@ -214,27 +132,49 @@ def _sweep(A: IntegerSet, edges, s: np.ndarray, e: np.ndarray, M: int):
     return p[starts], q[starts], levels, first
 
 
-def weighted_count_function(A: IntegerSet, weighted_arcs) -> PiecewiseConstantFn:
-    """Exact step function sum_{n in A} sum_{arcs} weight * 1_arc(n*x), for
-    arcs 0 <= lo < hi <= 1 with integer weights.
-
-    Arc edge e = a/d pulled back by n gives the breakpoints (a + j*d)/(n*d),
-    j < n, each carrying the edge's signed weight; an edge at 1 sits at 0
-    of the circle.
-    """
+def _edges(weighted_arcs) -> list[tuple[Fraction, int]]:
+    """The signed edges of arcs 0 <= lo < hi <= 1 with integer weights: an
+    arc opens with its weight at lo and closes with it at hi."""
     arcs = [(Fraction(lo), Fraction(hi), w) for lo, hi, w in weighted_arcs]
     if any(not 0 <= lo < hi <= 1 for lo, hi, _ in arcs):
         raise InputError("weighted arcs need 0 <= lo < hi <= 1")
     if any(not isinstance(w, int) for *_, w in arcs):
         raise InputError("arc weights must be integers")
-    edges = [(e, sign * w) for lo, hi, w in arcs for e, sign in ((lo, 1), (hi, -1))]
+    return [(e, sign * w) for lo, hi, w in arcs for e, sign in ((lo, 1), (hi, -1))]
+
+
+def l1_and_max(A: IntegerSet, weighted_arcs, shift) -> tuple[Fraction, Fraction, Fraction]:
+    """(||g + shift||_1, max(g + shift), lowest maximizing midpoint) for the
+    step function g(x) = sum_{n in A} sum_{arcs} weight * 1_arc(n*x), arcs
+    0 <= lo < hi <= 1 with integer weights, from one exact sweep of [0, 1].
+
+    Arc edge e = a/d pulled back by n gives the breakpoints (a + j*d)/(n*d),
+    j < n, each carrying the edge's signed weight; an edge at 1 sits at 0
+    of the circle.  With value u_i/D on piece i and breakpoints b_0 = 0 <
+    b_1 < ... the L1 norm telescopes to (|u_last| + sum_{i>0} (|u_{i-1}| -
+    |u_i|) b_i) / D; the b_i terms are summed in integers per denominator,
+    then over the lcm of the denominators.
+    """
+    edges = _edges(weighted_arcs)
     p, q, levels, _ = _sweep(A, edges, np.zeros(1, np.int64), np.ones(1, np.int64), 1)
-    return PiecewiseConstantFn(np.stack([p, q], axis=1), levels)
-
-
-def count_function(A: IntegerSet, O: ArcSet) -> PiecewiseConstantFn:
-    """x -> |A_x| as an exact step function."""
-    return weighted_count_function(A, [(lo, hi, 1) for lo, hi in O.arcs])
+    shift = Fraction(shift)
+    b, D = shift.as_integer_ratio()
+    u_max = D * int(np.abs(levels).max()) + abs(b)
+    wide = 2 * u_max * int(q.max()) * len(levels) >= 2**63
+    u = np.abs(levels.astype(object if wide else np.int64) * D + b)
+    c = u[:-1] - u[1:]
+    nz = np.flatnonzero(c)
+    by_q = nz[np.argsort(q[1:][nz])]
+    dens = q[1:][by_q]
+    starts = np.flatnonzero(np.r_[True, dens[1:] != dens[:-1]]) if len(dens) else by_q
+    sums = np.add.reduceat(c[by_q] * p[1:][by_q], starts)
+    dens = [int(d) for d in dens[starts]]
+    L = lcm(*dens)
+    total = int(u[-1]) * L + sum(int(s) * (L // d) for s, d in zip(sums, dens))
+    i = int(np.argmax(levels))
+    end = Fraction(int(p[i + 1]), int(q[i + 1])) if i + 1 < len(levels) else Fraction(1)
+    witness = (Fraction(int(p[i]), int(q[i])) + end) / 2
+    return Fraction(total, L * D), int(levels[i]) + shift, witness
 
 
 def _bucket_bound(A: IntegerSet, O: ArcSet, M: int, half: bool = False) -> np.ndarray:
@@ -327,11 +267,6 @@ def maximize_count(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
     or is the piece around 1/2, whose midpoint 1/2 is then the witness.
     """
     return _maximize_by_buckets(A, O, 1 << max(sum(A) // 2, 1).bit_length() - 1)
-
-
-def balanced_function(A: IntegerSet, O: ArcSet) -> PiecewiseConstantFn:
-    """count_function minus its mean N*measure(O); integrates to zero."""
-    return count_function(A, O).shift_const(-A.N * O.measure)
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,9 @@ index pairs at once, CHUNK pairs a call: (t, n) with t*n <= J for the
 singleton table (one scatter per kappa, whose parity gives the -j row),
 (m, j) for its dilation onto A, and (m, rough n) for the right side.  The
 smooth t, their Mobius signs and the rough n come from one arithmetic table
-per identity (_arith), shared by both sides.  Only a nonzero buffer builds
-the sides as sorted (frequency, numerator) tables, with the same builders
-(sieve_lhs, sieve_rhs), and SieveTable.defect names the witness.
+per identity (_arith), shared by both sides.  A nonzero buffer holds the
+difference of the sides, so the witness and the defect are read straight
+off it (_defect): the frequency of largest |difference|/|F|.
 
 The t-sum for Lambda runs over odd members of N2 only: even t would
 contribute at even frequencies where gamma vanishes on the left side as
@@ -58,7 +58,6 @@ N1 and N2 meet only in 1 and the divisor sums telescope.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -73,19 +72,20 @@ from .arith import (
     primes_upto,
     smooth_squarefree,
 )
-from .dilation import balanced_function, exact_l1, weighted_count_function
+from .dilation import l1_and_max
 from .errors import MEMORY_BUDGET, InputError
 from .sets import IntegerSet, structure
 
 IDENTITY_IDS = ("sec2_f", "gamma_sieved", "lambda1", "g1", "final")
 MERTENS_BOUND = 10**4  # l1_lower_report's Mertens mass sums 1/t for t up to it
 
-# Peak bytes per unit of cutoff X of verify_identity, sieve_lhs and sieve_rhs:
-# the (2, X+1) buffer (16), the arithmetic table (8) and the singleton table
-# with one kappa's part (24), then for a table view its rows (16 per row, at
-# most 2X rows, plus their index arrays).  Scatters run CHUNK pairs at a time,
-# so the pairs add O(1).  tracemalloc read 34-51 for the five identities at
-# X = 2*10**6 on A = {1, 2, 3}.
+# Peak bytes per unit of cutoff X of verify_identity: the (2, X+1) buffer
+# (16), the arithmetic table (8) and the singleton table with one kappa's
+# part (24); on a mismatch, the buffer and at most five arrays of 16 over its
+# nonzero entries (96).  Scatters run CHUNK pairs at a time, so the pairs add
+# O(1).  tracemalloc read 34-51 for the five identities at X = 2*10**6 on
+# A = {1, 2, 3}, the same with one numerator bumped, and 96 with every
+# entry of the buffer nonzero.
 BYTES_PER_CUTOFF = 128
 SIEVE_CUTOFF_CAP = MEMORY_BUDGET // BYTES_PER_CUTOFF
 CHUNK = 1 << 16  # pairs per scatter call
@@ -112,56 +112,11 @@ _SCALE = {"sec2_f": 1, "gamma_sieved": 2, "lambda1": 1, "g1": 1, "final": 2}
 _UNIT = {"sec2_f": "*sqrt3", "gamma_sieved": "*sqrt3", "lambda1": "i", "g1": "i", "final": ""}
 
 
-@dataclass(frozen=True, eq=False)
-class SieveTable:
-    """pi**pi_exp * sum_F unit * num(F)/(2F) e(Fx), held as a sorted int64
-    array of (F, num) rows, one per nonzero coefficient; the unit is sqrt3,
-    i or 1, named by its printed suffix."""
-
-    pi_exp: int
-    unit: str
-    coeffs: np.ndarray
-
-    def coeff(self, n: int) -> Fraction:
-        """The coefficient of e(nx) as a rational multiple of the unit."""
-        i = int(np.searchsorted(self.coeffs[:, 0], n))
-        if i == len(self.coeffs) or self.coeffs[i, 0] != n:
-            return Fraction(0)
-        return Fraction(int(self.coeffs[i, 1]), 2 * n)
-
-    def defect(self, other: "SieveTable") -> tuple[Fraction, int | None]:
-        """(self - other at the witness as a multiple of the unit, witness):
-        the witness is the differing frequency of largest |coefficient|;
-        (0, None) if equal."""
-        if (self.pi_exp, self.unit) != (other.pi_exp, other.unit):
-            raise InputError("tables over different prefactors or units")
-        if np.array_equal(self.coeffs, other.coeffs):
-            return Fraction(0), None
-        diff = dict(self.coeffs.tolist())
-        for F, num in other.coeffs.tolist():
-            diff[F] = diff.get(F, 0) - num
-        witness, worst = None, 0
-        for F, d in sorted(diff.items()):
-            # |d/F| > |worst/witness|, by an integer cross product
-            if d and (witness is None or abs(d * witness) > abs(worst * F)):
-                witness, worst = F, d
-        return (Fraction(0) if witness is None else Fraction(worst, 2 * witness)), witness
-
-
 def _check(identity_id: str, X: int) -> None:
     if identity_id not in IDENTITY_IDS:
         raise InputError(f"unknown identity {identity_id!r}")
     if not 1 <= X <= SIEVE_CUTOFF_CAP:
         raise InputError(f"cutoff must be in [1, {SIEVE_CUTOFF_CAP}], got {X}")
-
-
-def _table(identity_id: str, num: np.ndarray) -> SieveTable:
-    """Sorted rows of a dense table whose row 0 holds +F and row 1 holds -F."""
-    neg, pos = np.flatnonzero(num[1])[::-1], np.flatnonzero(num[0])
-    rows = np.empty((len(neg) + len(pos), 2), np.int64)
-    rows[: len(neg), 0], rows[: len(neg), 1] = -neg, num[1, neg]
-    rows[len(neg) :, 0], rows[len(neg) :, 1] = pos, num[0, pos]
-    return SieveTable(0 if identity_id == "final" else -1, _UNIT[identity_id], rows)
 
 
 def _pairs(counts: np.ndarray):
@@ -284,29 +239,30 @@ def _rhs_side(
         np.add.at(out[1], d[g] * ns[i], w * vals[1, i])
 
 
-def sieve_lhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> SieveTable:
-    """Exact truncation of the sieved sum (the 'hard' side of each identity)
-    as a table: the singleton table S dilated onto each m in A."""
-    _check(identity_id, X)
-    num = np.zeros((2, X + 1), np.int64)
-    _lhs_side(identity_id, A, X, _arith(identity_id, A, ctx, X), num, 1)
-    return _table(identity_id, num)
+def _defect(buf: np.ndarray) -> tuple[Fraction, int]:
+    """(d/(2F), F) at the nonzero entry d of buf, row 1 standing for -F, of
+    largest |d|/|F|, the smallest signed F on ties.
 
-
-def sieve_rhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> SieveTable:
-    """Exact truncation of each identity's closed-form (sieved-out) side as a
-    table: numerators eps(m)*d*v(n) at +-d*n for d = scale*m and rough n."""
-    _check(identity_id, X)
-    num = np.zeros((2, X + 1), np.int64)
-    _rhs_side(identity_id, A, X, _arith(identity_id, A, ctx, X), num, 1)
-    return _table(identity_id, num)
+    The float ratios are |d|/|F| correctly rounded (both are exact doubles
+    below 2**53), so monotone: the exact maximum is among the entries at
+    the float maximum, which are settled in Python ints, as |d|*|F'| can
+    pass 2**63.
+    """
+    flat = np.flatnonzero(buf)
+    d, F = buf.ravel()[flat], flat % buf.shape[1]
+    ratio = np.abs(d) / F
+    top = np.flatnonzero(ratio == ratio.max())
+    signed = np.where(flat[top] < buf.shape[1], F[top], -F[top])
+    ties = sorted(zip(signed.tolist(), d[top].tolist()))
+    witness, worst = max(ties, key=lambda t: Fraction(abs(t[1]), abs(t[0])))
+    return Fraction(worst, 2 * witness), witness
 
 
 def verify_identity(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> dict:
     """Exact equality decision: the left side scattered into one buffer with
     sign +1 and the right side with sign -1, equal iff the buffer is zero.
-    Only a nonzero buffer builds the two tables, for the defect and its
-    witness."""
+    A nonzero buffer is the difference of the sides, and the defect and its
+    witness are read off it."""
     _check(identity_id, X)
     r = _arith(identity_id, A, ctx, X)
     buf = np.zeros((2, X + 1), np.int64)
@@ -314,10 +270,8 @@ def verify_identity(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) 
     _rhs_side(identity_id, A, X, r, buf, -1)
     defect, witness, unit = Fraction(0), None, _UNIT[identity_id]
     if buf.any():
-        del r, buf
-        lhs = sieve_lhs(identity_id, A, ctx, X)
-        defect, witness = lhs.defect(sieve_rhs(identity_id, A, ctx, X))
-        assert witness is not None, "the signed buffer and the side tables disagree"
+        del r
+        defect, witness = _defect(buf)
     return {
         "identity_id": identity_id,
         "Q": ctx.Q,
@@ -360,21 +314,21 @@ def l1_lower_report(A: IntegerSet, ctx: SieveContext) -> dict:
     three sweeps: G_A(x) = F(2x) for F the balanced function of (1/3, 2/3),
     and x -> 2x preserves measure; L_A weighs Omega_1 by +1 and Omega_2 by
     -1; F_2(x) = F_1(-x) as Omega_2 = -Omega_1, so F_2 has F_1's L1 and max."""
-    F1 = balanced_function(A, OMEGA_1)
-    arcs = [(lo, hi, w) for O, w in ((OMEGA_1, 1), (OMEGA_2, -1)) for lo, hi in O.arcs]
-    norms = {
-        "G": exact_l1(balanced_function(A, OMEGA_21)),
-        "L": exact_l1(weighted_count_function(A, arcs)),
-        "F1": exact_l1(F1),
-    }
-    norms["F2"] = norms["F1"]
+    def arcs(*systems):
+        return [(lo, hi, w) for O, w in systems for lo, hi in O.arcs]
+
+    # L first: with 4 edges and denominator 6 its sweep's budget bound is at
+    # least G's and F1's, so an oversized A is refused before any sweep runs
+    l1_L, _, _ = l1_and_max(A, arcs((OMEGA_1, 1), (OMEGA_2, -1)), 0)
+    l1_G, _, _ = l1_and_max(A, arcs((OMEGA_21, 1)), -A.N * OMEGA_21.measure)
+    l1_F1, max_val, x_at = l1_and_max(A, arcs((OMEGA_1, 1)), -A.N * OMEGA_1.measure)
+    norms = {"G": l1_G, "L": l1_L, "F1": l1_F1, "F2": l1_F1}
     mass = sum(
         (Fraction(1, t) for t in smooth_squarefree(ctx, MERTENS_BOUND)), Fraction(0)
     )
     mertens_product = Fraction(1)
     for p in primes_upto(ctx.Q):
         mertens_product *= 1 + Fraction(1, p)
-    max_val, x_at = F1.max_with_witness()
     frac = lambda q: [q.numerator, q.denominator]
     return {
         "N": A.N,

@@ -12,7 +12,16 @@ coincides with x -> f(2x)), Lambda = f1 - f2.
 
 After the closed forms come the sieve classes by their definitions: chi
 mod 3, the strict roughness predicate of N1 (every prime factor > Q, by
-trial division) and the eta weights, 1/2 on N1 and -3/2 on 3*N1.
+trial division), the eta weights, 1/2 on N1 and -3/2 on 3*N1, and the
+rough integers and the sec2_f index set as lists.
+
+Then the object views of what the library keeps as arrays.  A
+PiecewiseConstantFn holds a whole step function from dilation._sweep, with
+exact values, integral, L1 norm (exact_l1) and maximum; count_function,
+balanced_function and weighted_count_function build it.  A SieveTable holds
+one side of a sieve identity as sorted (F, numerator) rows, built by
+sieve_lhs and sieve_rhs from the library's private side builders, and
+SieveTable.defect names the witness of two differing sides.
 
 Five references sit at the end: the orbit subset in Fractions, extraction
 over the intervals of both canonical (2m,4m) systems, the L1 report with
@@ -24,20 +33,24 @@ with every node's sum bitsets rebuilt from its whole subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
+from sumfree import dilation, sieve
 from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, pullback
-from sumfree.arith import SieveContext, factorize, primes_upto, smooth_squarefree
-from sumfree.dilation import (
-    ExtractionCertificate,
-    exact_l1,
-    maximize_count,
-    weighted_count_function,
+from sumfree.arith import (
+    SieveContext,
+    factorize,
+    primes_upto,
+    smooth_squarefree,
+    squarefree_smooth,
 )
+from sumfree.dilation import ExtractionCertificate, maximize_count
 from sumfree.errors import InputError
 from sumfree.lp import GRID_DEGREE_LIMIT, exp_sum_l1
 from sumfree.sets import IntegerSet, fold_sums, is_kl_sumfree
@@ -231,6 +244,188 @@ def eta(n: int, ctx: SieveContext) -> Fraction:
     if n % 3 == 0 and is_strictly_rough(n // 3, ctx):
         return Fraction(-3, 2)
     raise InputError(f"{n} is in neither N1 nor 3*N1 for Q={ctx.Q}")
+
+
+def rough_integers(limit: int, bound: int) -> list[int]:
+    """Integers in [1, limit] all of whose prime factors exceed `bound`.
+
+    With bound = Q this is N1 up to limit: exactly the frequencies surviving
+    the Mobius sieve over N2, so 1 is a member and N1 meets the Q-smooth
+    numbers only in {1}.
+    """
+    if limit < 1:
+        return []
+    marks = bytearray([1]) * (limit + 1)
+    for p in primes_upto(min(bound, limit)):
+        marks[p::p] = bytearray(len(marks[p::p]))
+    return list(compress(range(1, limit + 1), marks[1:]))
+
+
+def sec2_sieve_set(ctx: SieveContext, limit: int) -> list[int]:
+    """Squarefree integers generated by primes strictly below P, up to limit."""
+    return squarefree_smooth([p for p in primes_upto(min(ctx.P, limit)) if p < ctx.P], limit)
+
+
+@dataclass(frozen=True, eq=False)
+class PiecewiseConstantFn:
+    """Step function on [0,1): levels[i] + shift on the open piece from
+    breakpoints[i] to breakpoints[i+1], the last piece ending at 1.
+
+    `breakpoints` holds one (numerator, denominator) row per piece, strictly
+    ascending from 0; `levels` holds one integer per piece.  Both are int64,
+    or Python ints where int64 could overflow.
+    """
+
+    breakpoints: np.ndarray
+    levels: np.ndarray
+    shift: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        if len(self.levels) == 0 or self.breakpoints.shape != (len(self.levels), 2):
+            raise InputError("need one (numerator, denominator) row per piece")
+
+    def _point(self, i: int) -> Fraction:
+        """Breakpoint i, or 1 for i = len(levels), where the last piece ends."""
+        return Fraction(*map(int, self.breakpoints[i])) if i < len(self.levels) else Fraction(1)
+
+    def _value(self, i: int) -> Fraction:
+        return int(self.levels[i]) + self.shift
+
+    def _integrate(self, absolute: bool) -> Fraction:
+        """Exact integral of the values, or of their absolute values.
+
+        With value u_i/D on piece i and breakpoints b_0 = 0 < b_1 < ... the
+        integral telescopes to (u_last + sum_{i>0} (u_{i-1} - u_i) b_i) / D;
+        the b_i terms are summed in integers per denominator, then over the
+        lcm of the denominators.
+        """
+        b, D = self.shift.as_integer_ratio()
+        p, q = self.breakpoints[1:, 0], self.breakpoints[1:, 1]
+        u_max = D * int(np.abs(self.levels).max()) + abs(b)
+        wide = 2 * u_max * int(self.breakpoints[:, 1].max()) * len(self.levels) >= 2**63
+        u = self.levels.astype(object if wide else np.int64) * D + b
+        u = np.abs(u) if absolute else u
+        c = u[:-1] - u[1:]
+        nz = np.flatnonzero(c)
+        by_q = nz[np.argsort(q[nz])]
+        q = q[by_q]
+        starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]]) if len(q) else by_q
+        sums = np.add.reduceat(c[by_q] * p[by_q], starts)
+        dens = [int(d) for d in q[starts]]
+        L = math.lcm(*dens)
+        total = int(u[-1]) * L + sum(int(s) * (L // d) for s, d in zip(sums, dens))
+        return Fraction(total, L * D)
+
+    def integral(self) -> Fraction:
+        return self._integrate(absolute=False)
+
+    def eval(self, x) -> Fraction:
+        """Value at x mod 1; x must not be a breakpoint."""
+        x = Fraction(x)
+        a, b = x.numerator % x.denominator, x.denominator
+
+        def side(i: int) -> int:
+            # sign of breakpoint i minus a/b, by an integer cross product
+            d = int(self.breakpoints[i, 0]) * b - a * int(self.breakpoints[i, 1])
+            return (d > 0) - (d < 0)
+
+        i = bisect_right(range(len(self.levels)), 0, key=side) - 1
+        if side(i) == 0:
+            raise InputError(f"{Fraction(a, b)} is a breakpoint")
+        return self._value(i)
+
+    def shift_const(self, c: Fraction) -> "PiecewiseConstantFn":
+        return replace(self, shift=self.shift + c)
+
+    def max_with_witness(self) -> tuple[Fraction, Fraction]:
+        """(max value, lowest midpoint of a maximizing piece)."""
+        i = int(np.argmax(self.levels))
+        return self._value(i), (self._point(i) + self._point(i + 1)) / 2
+
+
+def exact_l1(g: PiecewiseConstantFn) -> Fraction:
+    return g._integrate(absolute=True)
+
+
+def weighted_count_function(A: IntegerSet, weighted_arcs) -> PiecewiseConstantFn:
+    """Exact step function sum_{n in A} sum_{arcs} weight * 1_arc(n*x), for
+    arcs 0 <= lo < hi <= 1 with integer weights, swept over all of [0, 1]."""
+    edges = dilation._edges(weighted_arcs)
+    p, q, levels, _ = dilation._sweep(A, edges, np.zeros(1, np.int64), np.ones(1, np.int64), 1)
+    return PiecewiseConstantFn(np.stack([p, q], axis=1), levels)
+
+
+def count_function(A: IntegerSet, O: ArcSet) -> PiecewiseConstantFn:
+    """x -> |A_x| as an exact step function."""
+    return weighted_count_function(A, [(lo, hi, 1) for lo, hi in O.arcs])
+
+
+def balanced_function(A: IntegerSet, O: ArcSet) -> PiecewiseConstantFn:
+    """count_function minus its mean N*measure(O); integrates to zero."""
+    return count_function(A, O).shift_const(-A.N * O.measure)
+
+
+@dataclass(frozen=True, eq=False)
+class SieveTable:
+    """pi**pi_exp * sum_F unit * num(F)/(2F) e(Fx), held as a sorted int64
+    array of (F, num) rows, one per nonzero coefficient; the unit is sqrt3,
+    i or 1, named by its printed suffix."""
+
+    pi_exp: int
+    unit: str
+    coeffs: np.ndarray
+
+    def coeff(self, n: int) -> Fraction:
+        """The coefficient of e(nx) as a rational multiple of the unit."""
+        i = int(np.searchsorted(self.coeffs[:, 0], n))
+        if i == len(self.coeffs) or self.coeffs[i, 0] != n:
+            return Fraction(0)
+        return Fraction(int(self.coeffs[i, 1]), 2 * n)
+
+    def defect(self, other: "SieveTable") -> tuple[Fraction, int | None]:
+        """(self - other at the witness as a multiple of the unit, witness):
+        the witness is the differing frequency of largest |coefficient|;
+        (0, None) if equal."""
+        if (self.pi_exp, self.unit) != (other.pi_exp, other.unit):
+            raise InputError("tables over different prefactors or units")
+        if np.array_equal(self.coeffs, other.coeffs):
+            return Fraction(0), None
+        diff = dict(self.coeffs.tolist())
+        for F, num in other.coeffs.tolist():
+            diff[F] = diff.get(F, 0) - num
+        witness, worst = None, 0
+        for F, d in sorted(diff.items()):
+            # |d/F| > |worst/witness|, by an integer cross product
+            if d and (witness is None or abs(d * witness) > abs(worst * F)):
+                witness, worst = F, d
+        return (Fraction(0) if witness is None else Fraction(worst, 2 * witness)), witness
+
+
+def _table(identity_id: str, num: np.ndarray) -> SieveTable:
+    """Sorted rows of a dense table whose row 0 holds +F and row 1 holds -F."""
+    neg, pos = np.flatnonzero(num[1])[::-1], np.flatnonzero(num[0])
+    rows = np.empty((len(neg) + len(pos), 2), np.int64)
+    rows[: len(neg), 0], rows[: len(neg), 1] = -neg, num[1, neg]
+    rows[len(neg) :, 0], rows[len(neg) :, 1] = pos, num[0, pos]
+    return SieveTable(0 if identity_id == "final" else -1, sieve._UNIT[identity_id], rows)
+
+
+def sieve_lhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> SieveTable:
+    """The sieved sum (the 'hard' side of each identity) as a table: the
+    singleton table S dilated onto each m in A."""
+    sieve._check(identity_id, X)
+    num = np.zeros((2, X + 1), np.int64)
+    sieve._lhs_side(identity_id, A, X, sieve._arith(identity_id, A, ctx, X), num, 1)
+    return _table(identity_id, num)
+
+
+def sieve_rhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> SieveTable:
+    """Each identity's closed-form (sieved-out) side as a table: numerators
+    eps(m)*d*v(n) at +-d*n for d = scale*m and rough n."""
+    sieve._check(identity_id, X)
+    num = np.zeros((2, X + 1), np.int64)
+    sieve._rhs_side(identity_id, A, X, sieve._arith(identity_id, A, ctx, X), num, 1)
+    return _table(identity_id, num)
 
 
 def orbit_subset_fractions(A: IntegerSet, O: ArcSet, x) -> IntegerSet:

@@ -11,15 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from reference import is_strictly_rough
+from reference import balanced_function, exact_l1, is_strictly_rough
 from sumfree.arith import SieveContext
 from sumfree.arcs import OMEGA_2, OMEGA_21, canonical_omega, is_arc_kl_sumfree, pullback
-from sumfree.dilation import (
-    balanced_function,
-    exact_l1,
-    extract_certified,
-    maximize_count,
-)
+from sumfree.dilation import extract_certified, l1_and_max, maximize_count
 from sumfree.lp import exp_sum_l1, lacunary_l1_diagnostic
 from sumfree.mps import build_phi, epsilon_of_base, pairing_constant
 from sumfree.oracle import max_sumfree_exact
@@ -143,14 +138,23 @@ def test_criterion_5_oracle_dominance():
 def test_criterion_6_exact_l1():
     l1_one = exact_l1(balanced_function(IntegerSet.of([1]), OMEGA_21))
     ok = l1_one == Fraction(4, 9)
-    for A in _random_sets(20, 12, 500, seed=606):
+    sets = _random_sets(20, 12, 500, seed=606)
+    for A in sets:
         g = balanced_function(A, OMEGA_21)
         ok &= g.integral() == 0
         mx, _ = g.max_with_witness()
         ok &= mx >= exact_l1(g) / 2
+    # the library's engine reads the step function's L1 norm, maximum and
+    # witness off its one sweep
+    arcs = [(lo, hi, 1) for lo, hi in OMEGA_21.arcs]
+    for A in [IntegerSet.of([1]), *sets]:
+        g = balanced_function(A, OMEGA_21)
+        want = (exact_l1(g), *g.max_with_witness())
+        ok &= l1_and_max(A, arcs, -A.N * OMEGA_21.measure) == want
     _report(
         6, "exact L1 engine", ok,
-        f"||F||_1 = {l1_one} for A={{1}}, integral 0 and max >= L1/2 on 20 sets",
+        f"||F||_1 = {l1_one} for A={{1}}, integral 0 and max >= L1/2 on 20 sets, "
+        f"l1_and_max equal to the step function on all 21",
     )
 
 

@@ -67,3 +67,21 @@ def test_fft_only_in_the_grid_layer():
                 assert path.name == "fourier.py" or (path.name, fn) == ("mps.py", "hilbert"), (
                     f"{path.name}:{node.lineno} calls np.fft in {fn}"
                 )
+
+
+def test_every_public_definition_is_used_or_exported():
+    # a public module-level function or class that no src/ code refers to
+    # and that __all__ does not export is dead API
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    referred = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                assert node.name in referred or node.name in sumfree.__all__, (
+                    f"{name}:{node.lineno} defines {node.name}, which src/ never uses"
+                )

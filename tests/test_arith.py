@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import chi3, eta, is_strictly_rough, sin_pi3
+from reference import chi3, eta, is_strictly_rough, rough_integers, sin_pi3
 from sumfree.arith import (
     SieveContext,
     gamma4,
@@ -12,7 +12,6 @@ from sumfree.arith import (
     mobius,
     odd_smooth_squarefree,
     primes_upto,
-    rough_integers,
     smooth_squarefree,
 )
 

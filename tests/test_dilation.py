@@ -8,19 +8,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import extract_both_systems, orbit_subset_fractions
-from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, canonical_omega, pullback
-from sumfree.dilation import (
-    ExtractionCertificate,
+from reference import (
     PiecewiseConstantFn,
-    _maximize_by_buckets,
     balanced_function,
     count_function,
     exact_l1,
+    extract_both_systems,
+    orbit_subset_fractions,
+    weighted_count_function,
+)
+from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, canonical_omega, pullback
+from sumfree.dilation import (
+    ExtractionCertificate,
+    _maximize_by_buckets,
     extract_certified,
+    l1_and_max,
     maximize_count,
     orbit_subset,
-    weighted_count_function,
 )
 from sumfree.errors import InputError, ResourceLimitError
 from sumfree.sets import IntegerSet, is_kl_sumfree
@@ -121,6 +125,29 @@ def test_count_function_edges_at_zero_and_one():
     for lo, hi in ((F(1, 2), F(3, 2)), (F(-1, 4), F(1, 4)), (F(1, 2), F(1, 3))):
         with pytest.raises(ValueError):
             weighted_count_function(A, [(lo, hi, 1)])
+
+
+def test_l1_and_max_matches_the_step_function():
+    # random integer weights on Omega_1 and Omega_2 and random rational
+    # shifts; arcs with denominators near 10^15 take the Python-int sweep
+    # and the Python-int integral
+    rng = random.Random(71)
+    for case in range(300):
+        A = IntegerSet.of(rng.sample(range(1, rng.choice((20, 300, 3000))), rng.randint(1, 12)))
+        if case % 10:
+            arcs = [(lo, hi, rng.randint(-3, 3)) for O in (OMEGA_1, OMEGA_2) for lo, hi in O.arcs]
+        else:
+            A = IntegerSet.of(rng.sample(range(1, 40), rng.randint(1, 5)))
+            ends = sorted(F(rng.randrange(10**15), 10**15 - rng.randrange(10)) for _ in range(4))
+            arcs = [(ends[0], ends[1], rng.randint(-3, 3)), (ends[2], ends[3], rng.randint(-3, 3))]
+        shift = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        g = weighted_count_function(A, arcs).shift_const(shift)
+        want = (exact_l1(g), *g.max_with_witness())
+        assert l1_and_max(A, arcs, shift) == want, (A.elements, arcs, shift)
+    # the same checks on the arcs as the step function's
+    for arcs in ([(F(1, 3), F(2, 3), F(1, 2))], [(F(1, 2), F(1, 3), 1)], [(F(-1, 4), F(1, 4), 1)]):
+        with pytest.raises(InputError):
+            l1_and_max(IntegerSet.of([1]), arcs, 0)
 
 
 def test_piecewise_constant_needs_one_row_per_piece():

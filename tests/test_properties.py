@@ -4,16 +4,17 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from reference import chi3, is_strictly_rough
-from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, pullback
-from sumfree.arith import SieveContext, gamma4, mobius
-from sumfree.dilation import (
+from reference import (
     balanced_function,
+    chi3,
     count_function,
     exact_l1,
-    orbit_subset,
+    is_strictly_rough,
     weighted_count_function,
 )
+from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, pullback
+from sumfree.arith import SieveContext, gamma4, mobius
+from sumfree.dilation import orbit_subset
 from sumfree.sets import IntegerSet, structure
 
 small_sets = st.sets(st.integers(1, 200), min_size=1, max_size=10).map(sorted)

@@ -15,32 +15,34 @@ from reference import (
     UNITS,
     ZERO,
     ExactScalar,
+    _table,
     chi3,
     eta,
     fhat,
     is_strictly_rough,
     l1_report_four_sweeps,
     lambda_hat,
+    rough_integers,
+    sec2_sieve_set,
+    sieve_lhs,
+    sieve_rhs,
 )
-from sumfree import sieve
+from sumfree import dilation, sieve
 from sumfree.arith import (
     SieveContext,
     gamma4,
     mobius,
     next_prime_at_least,
     odd_smooth_squarefree,
-    rough_integers,
-    sec2_sieve_set,
     smooth_squarefree,
 )
-from sumfree.sets import IntegerSet, structure
+from sumfree.errors import ResourceLimitError
+from sumfree.sets import IntegerSet, generate, structure
 from sumfree.sieve import (
     IDENTITY_IDS,
     SIEVE_CUTOFF_CAP,
     inner_sum_decomposition,
     l1_lower_report,
-    sieve_lhs,
-    sieve_rhs,
     verify_identity,
 )
 
@@ -220,9 +222,35 @@ def test_one_bumped_numerator_is_the_defect(monkeypatch, identity_id, builder):
         assert r["defect"] == f"{defect}{lhs.unit}"
 
 
+def test_defect_read_off_the_buffer_matches_the_tables():
+    # verify reads the defect off the signed buffer; SieveTable.defect finds
+    # it from the rows of the same buffer against an empty table
+    X = 10**5
+    empty = _table("sec2_f", np.zeros((2, X + 1), np.int64))
+    # d1/F1 - d2/F2 = 1/(F1*F2): equal as doubles, settled in Python ints
+    F1, F2, d1, d2 = 99999, 99997, 99999000049999, 99997000049998
+    assert d1 / F1 == d2 / F2 and d1 * F2 - d2 * F1 == 1
+    near = np.zeros((2, X + 1), np.int64)
+    near[1, F2], near[0, F1] = d2, d1
+    # exact ties: the smallest signed F wins
+    ties = np.zeros((2, X + 1), np.int64)
+    ties[0, 5], ties[1, 5], ties[0, 10] = 3, -3, 6
+    rng = random.Random(8)
+    bufs = [near, ties]
+    for _ in range(50):
+        buf = np.zeros((2, X + 1), np.int64)
+        for _ in range(rng.randint(1, 6)):
+            buf[rng.randint(0, 1), rng.randint(1, X)] = rng.choice((1, -1)) * rng.randint(1, 10**14)
+        bufs.append(buf)
+    for buf in bufs:
+        assert sieve._defect(buf) == _table("sec2_f", buf).defect(empty)
+    assert sieve._defect(near) == (Fraction(d1, 2 * F1), F1)
+    assert sieve._defect(ties) == (Fraction(3, 10), -5)
+
+
 def test_arith_table_matches_the_enumerations():
     # the smooth sets, Mobius signs and rough integers read off the numpy
-    # table against the list enumerations of sumfree.arith
+    # table against the list enumerations of sumfree.arith and the reference
     rng = random.Random(57)
     A = IntegerSet.of([1])  # scale 1 for both ids below, so the table runs to X
     for trial in range(30):
@@ -243,17 +271,24 @@ def test_arith_table_matches_the_enumerations():
         assert mu.tolist() == [mobius(t) for t in odd.tolist()]
 
 
-def test_verify_peak_memory_within_budget():
+def test_verify_peak_memory_within_budget(monkeypatch):
+    # the equal path, then a mismatch, one numerator bumped, whose defect is
+    # read off the buffer
     A, X = IntegerSet.of([1, 2, 3]), 2 * 10**6
-    for identity_id in IDENTITY_IDS:
-        tracemalloc.start()
-        try:
-            r = verify_identity(identity_id, A, CTX, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert r["equal"], identity_id
-        assert peak <= sieve.BYTES_PER_CUTOFF * X, (identity_id, peak / X)
+    for bumped in (False, True):
+        for identity_id in IDENTITY_IDS:
+            with monkeypatch.context() as m:
+                if bumped:
+                    _bump_side(m, "_lhs_side", {-7: 1})
+                tracemalloc.start()
+                try:
+                    r = verify_identity(identity_id, A, CTX, X)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert r["equal"] is not bumped, identity_id
+            assert r["witness"] == (-7 if bumped else None), identity_id
+            assert peak <= sieve.BYTES_PER_CUTOFF * X, (identity_id, bumped, peak / X)
 
 
 def test_cutoff_cap_raises_before_allocating():
@@ -327,6 +362,22 @@ def test_l1_lower_report():
     num, den = rep["max_l1_GL"]
     assert Fraction(num, den) > 0
     assert rep["winner"] in ("G", "L", "F1", "F2")
+
+
+def test_l1_report_checks_its_budget_before_any_sweep(monkeypatch):
+    # L_A's sweep has the largest budget bound (72,036,001 breakpoints at
+    # N = 6000), so it runs first and is refused before G_A's and F_1's run
+    calls = []
+    real = dilation._sweep
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dilation, "_sweep", counted)
+    with pytest.raises(ResourceLimitError):
+        l1_lower_report(generate("interval", n=6000), CTX)
+    assert len(calls) == 1
 
 
 def test_l1_report_matches_four_sweeps():

@@ -1,4 +1,4 @@
-"""Multiplicative characters, the Mobius function, and smooth/rough classes.
+"""Primes, the character gamma mod 4, and the sieve thresholds.
 
 The sieving machinery works with two complementary families parametrised by a
 prime threshold Q:
@@ -9,7 +9,8 @@ prime threshold Q:
 
 With Q prime these intersect exactly in {1}, and the Mobius sum
 sum_{t in N2, t | n} mu(t) is the indicator of n in N1, which is what makes
-the coefficientwise sieve identities exact.
+the coefficientwise sieve identities exact.  Both classes, with the Mobius
+signs of N2, are read off one numpy table in sieve.
 """
 
 from __future__ import annotations
@@ -60,38 +61,6 @@ def gamma4(n: int) -> int:
     return 1 if r == 1 else (-1 if r == 3 else 0)
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization, (prime, exponent) pairs in order."""
-    if n < 1:
-        raise InputError(f"positive integer required, got {n}")
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def mobius(n: int) -> int:
-    if n < 1:
-        raise InputError(f"positive integer required, got {n}")
-    if n == 1:
-        return 1
-    m = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        m = -m
-    return m
-
-
 def primes_upto(limit: int) -> list[int]:
     if limit < 2:
         return []
@@ -101,24 +70,6 @@ def primes_upto(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
     return list(compress(range(limit + 1), sieve))
-
-
-def squarefree_smooth(primes: list[int], limit: int) -> list[int]:
-    """Sorted squarefree products of the given primes, capped at `limit`."""
-    out = [1]
-    for p in primes:
-        out.extend([v * p for v in out if v * p <= limit])
-    return sorted(v for v in out if v <= limit)
-
-
-def smooth_squarefree(ctx: SieveContext, limit: int) -> list[int]:
-    """N2 intersected with [1, limit]: squarefree with all prime factors <= Q."""
-    return squarefree_smooth(primes_upto(ctx.Q), limit)
-
-
-def odd_smooth_squarefree(ctx: SieveContext, limit: int) -> list[int]:
-    """Odd members of N2 up to `limit` (the index set of the Lambda sieve)."""
-    return squarefree_smooth([p for p in primes_upto(ctx.Q) if p > 2], limit)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
-"""The grid layer: coefficient tables {n: complex} <-> samples on M
-equispaced points, and grid norms of trigonometric polynomials with
+"""The grid layer: aligned frequency and coefficient arrays <-> samples on
+M equispaced points, and grid norms of trigonometric polynomials with
 certified error bars, sup norms bounded from the grid samples alone.
 
-Conventions: frequencies are in cycles, e(t) = exp(2*pi*i*t), and a table
-{n: c_n} stands for sum c_n e(nx).
+Conventions: frequencies are in cycles, e(t) = exp(2*pi*i*t), and arrays
+(n, c) stand for sum_j c_j e(n_j x).  grid_norms takes its polynomial as a
+table {n: c_n}.
 """
 
 from __future__ import annotations
@@ -36,17 +37,12 @@ class GridFn:
         return np.fft.fft(self.samples) / self.M
 
 
-def sample_grid(coeffs: dict[int, complex], M: int) -> GridFn:
-    """Samples of the table {n: c_n} on the M-point grid, via an inverse FFT.
-    Frequencies fold mod M, so the samples are exact only when M exceeds the
-    spread of the spectrum."""
+def sample_grid(freqs: np.ndarray, coeffs: np.ndarray, M: int) -> GridFn:
+    """Samples of sum_j coeffs[j] e(freqs[j] x) on the M-point grid, via an
+    inverse FFT.  Frequencies fold mod M and equal ones add, so the samples
+    are exact only when M exceeds the spread of the spectrum."""
     spec = np.zeros(M, dtype=complex)
-    n = len(coeffs)
-    np.add.at(
-        spec,
-        np.fromiter(coeffs, dtype=np.int64, count=n) % M,
-        np.fromiter(coeffs.values(), dtype=complex, count=n),
-    )
+    np.add.at(spec, freqs % M, coeffs)
     samples = np.fft.ifft(spec)
     samples *= M
     return GridFn(samples)
@@ -81,7 +77,9 @@ def grid_norms(coeffs: dict[int, complex], which: str, M: int | None = None) -> 
         M = 1 << max(8, (8 * d - 1).bit_length())
     elif M < 8 * max(d, 1):
         raise InputError(f"grid {M} too coarse for degree {d}")
-    vals = np.abs(sample_grid(coeffs, M).samples)
+    freqs = np.fromiter(coeffs, np.int64, len(coeffs))
+    values = np.fromiter(coeffs.values(), complex, len(coeffs))
+    vals = np.abs(sample_grid(freqs, values, M).samples)
     if which == "L1":
         deriv_l2 = math.sqrt(
             sum((2 * math.pi * abs(n) * abs(c)) ** 2 for n, c in coeffs.items())

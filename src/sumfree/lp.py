@@ -81,25 +81,11 @@ def _triadic_chain(sizes, samples: int = 200_000, seed: int = 0) -> dict:
     return estimates
 
 
-def triadic_l1_montecarlo(
-    exponents: int, samples: int = 200_000, seed: int = 0
-) -> tuple[float, float]:
-    """(mean, 3-sigma bar) Monte Carlo estimate of ||sum_j e(3^j x)||_1 for
-    j < exponents, using the exact backward orbit sampler."""
-    return _triadic_chain({exponents}, samples, seed)[exponents]
-
-
-def exp_sum_l1(
-    A: IntegerSet, seed: int = 0, M: int | None = None
-) -> tuple[float, float]:
-    """(value, error bar) for the L1 norm of sum_{a in A} e(ax)."""
-    if max(A) <= GRID_DEGREE_LIMIT:
-        return grid_norms({a: 1.0 for a in A}, "L1", M=M)
-    if _is_triadic_powers(A):
-        return triadic_l1_montecarlo(len(A), seed=seed)
-    raise InputError(
-        "set has infeasible degree and no triadic sampling structure"
-    )
+def exp_sum_l1(A: IntegerSet, M: int | None = None) -> tuple[float, float]:
+    """(value, error bar) for the L1 norm of sum_{a in A} e(ax), on a grid."""
+    if max(A) > GRID_DEGREE_LIMIT:
+        raise InputError("set has infeasible degree and no triadic sampling structure")
+    return grid_norms({a: 1.0 for a in A}, "L1", M=M)
 
 
 def lacunary_l1_diagnostic(family: list[IntegerSet], seed: int = 0) -> dict:
@@ -109,13 +95,15 @@ def lacunary_l1_diagnostic(family: list[IntegerSet], seed: int = 0) -> dict:
     least-squares slope and a worst-case slope over the error-bar box (bars
     pushed adversarially down at large N and up at small N).
     """
+    if not all(A.N for A in family):
+        raise InputError("every set of the family needs an element")
     if len(family) < 3 or len({A.N for A in family}) < 2:
         raise InputError("need at least 3 sets, of at least 2 sizes, to fit a slope")
     sampled = {A for A in family if max(A) > GRID_DEGREE_LIMIT and _is_triadic_powers(A)}
     chain = _triadic_chain({A.N for A in sampled}, seed=seed) if sampled else {}
     rows = []
     for A in family:
-        val, bar = chain[A.N] if A in sampled else exp_sum_l1(A, seed=seed)
+        val, bar = chain[A.N] if A in sampled else exp_sum_l1(A)
         rows.append({"N": A.N, "l1": val, "l1_error": bar})
     xs = np.log([r["N"] for r in rows])
     ys = np.log([r["l1"] for r in rows])

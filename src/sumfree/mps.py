@@ -70,28 +70,6 @@ def hilbert(samples: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, len(samples))
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    base: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def k0(self) -> int:
-        return len(self.blocks) - 1
-
-    def interval(self, k: int) -> tuple[int, int]:
-        blk = self.blocks[k]
-        return blk[0], blk[-1]
-
-    def center(self, k: int) -> int:
-        a, b = self.interval(k)
-        return (a + b) // 2
-
-    def width(self, k: int) -> int:
-        a, b = self.interval(k)
-        return max(b - a, 1)
-
-
 def block_bounds(M: int, b: int) -> list[tuple[int, int]]:
     """Index ranges [lo, hi) of the blocks of M frequencies: |B_0| = 1,
     |B_k| = b^k, remainder absorbed by the last block."""
@@ -103,16 +81,13 @@ def block_bounds(M: int, b: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(ends, ends[1:] + [M]) if hi > lo]
 
 
-def partition_blocks(B: IntegerSet, b: int) -> BlockPartition:
-    """|B_0| = 1, |B_k| = b^k, remainder absorbed by the last block."""
-    return BlockPartition(b, tuple(B.elements[lo:hi] for lo, hi in block_bounds(B.N, b)))
-
-
 def check_grid(blocks: list[tuple[int, int]], M: int) -> int:
     """Phi's negative spectral span for blocks of these (first, last) frequencies,
     once M is checked: a power of two that holds Phi's spectrum alias-free and,
     for each block's Q_k, M >= 4*(b_k + w_k), else InputError; and a build
-    within MEMORY_BUDGET, else ResourceLimitError."""
+    within MEMORY_BUDGET, else ResourceLimitError.  No blocks: InputError."""
+    if not blocks:
+        raise InputError("no frequencies to build Phi on")
     widths = [max(b - a, 1) for a, b in blocks]
     neg_span = sum(widths) + len(widths)
     max_freq = blocks[-1][1]
@@ -130,29 +105,32 @@ def _fejer(d: np.ndarray, C: int) -> np.ndarray:
     return (C - np.abs(d)) / C
 
 
-def build_pk(part: BlockPartition, k: int, tau: np.ndarray) -> dict[int, complex]:
-    """Coefficient table of P_k: tau(m)/|B_k| times the triangular window,
-    tau the block's slice of the unimodular phases."""
-    blk = part.blocks[k]
-    window = _fejer(np.array(blk) - part.center(k), part.width(k) + 1)
-    return dict(zip(blk, (tau * window / len(blk)).tolist()))
+def _width(blk: np.ndarray) -> int:
+    """w_k = max(last - first, 1) for the block's sorted frequencies."""
+    return max(int(blk[-1] - blk[0]), 1)
 
 
-def build_qk(part: BlockPartition, k: int, tau: np.ndarray, M: int) -> dict[int, complex]:
-    """Coefficient table of Q_k, supported exactly in [-w_k, 0], on a grid M
-    that passes check_grid."""
-    blk = part.blocks[k]
-    u = np.abs(sample_grid(dict(zip(blk, (tau / len(blk)).tolist())), M).samples)
+def build_pk(blk: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """P_k's coefficients at the block's frequencies blk: tau(m)/|B_k| times
+    the triangular window about the centre, tau the block's slice of the
+    unimodular phases."""
+    window = _fejer(blk - (blk[0] + blk[-1]) // 2, _width(blk) + 1)
+    return tau * window / len(blk)
+
+
+def build_qk(blk: np.ndarray, tau: np.ndarray, M: int) -> np.ndarray:
+    """Q_k's coefficients at the frequencies 0, -1, ..., -w_k, which hold its
+    whole spectrum, on a grid M that passes check_grid."""
+    u = np.abs(sample_grid(blk, tau / len(blk), M).samples)
     v = hilbert(u)
     spec = GridFn(np.exp(-(u - 1j * v))).coefficients()
-    C = part.width(k) + 1
-    d = np.arange(C)
-    c = spec[-d % M] * _fejer(d, C)
-    keep = c != 0
-    return dict(zip((-d[keep]).tolist(), c[keep].tolist()))
+    d = np.arange(_width(blk) + 1)
+    return spec[-d % M] * _fejer(d, len(d))
 
 
-def _grid_phase(pks: list, qks: list, M: int) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+def _grid_phase(
+    blks: list, pks: list, qks: list, M: int
+) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Sample every P_k and Q_k once; return Phi's samples from the recursion
     Phi_k = Q_k Phi_{k-1} + P_k, their DFT coefficients, the coefficients'
     largest distance from the explicit expansion Phi = sum_k (prod_{j>k} Q_j)
@@ -160,8 +138,9 @@ def _grid_phase(pks: list, qks: list, M: int) -> tuple[np.ndarray, np.ndarray, f
     # One array for all the samples: once glibc's malloc has freed a block this
     # large, it keeps later builds' arrays in its heap instead of the kernel's.
     P, Q = PQ = np.empty((2, len(pks), M), dtype=complex)
-    for row, table in zip(PQ.reshape(-1, M), pks + qks):
-        row[:] = sample_grid(table, M).samples
+    freqs = blks + [-np.arange(len(q)) for q in qks]
+    for row, f, c in zip(PQ.reshape(-1, M), freqs, pks + qks):
+        row[:] = sample_grid(f, c, M).samples
     phi = P[0]
     for k in range(1, len(P)):
         phi = Q[k] * phi + P[k]
@@ -210,34 +189,35 @@ def build_phi(B: IntegerSet, w: dict[int, complex], b: int, M: int):
     {m: weight} with |w(m)| <= 1, a missing m weighing 0; tau(m) =
     conj(w(m))/|w(m)|, and 1 where w(m) = 0.
     """
-    part = partition_blocks(B, b)
-    widths = tuple(part.width(k) for k in range(part.k0 + 1))
-    neg_span = check_grid([part.interval(k) for k in range(part.k0 + 1)], M)
+    bounds = block_bounds(B.N, b)
+    neg_span = check_grid([(B.elements[lo], B.elements[hi - 1]) for lo, hi in bounds], M)
+    freqs = np.array(B.elements)
     weights = np.array([w.get(m, 0) for m in B], dtype=complex)
     mods = np.abs(weights)
     tau = np.divide(weights.conj(), mods, out=np.ones_like(weights), where=mods != 0)
-    ends = np.cumsum([0] + [len(blk) for blk in part.blocks])
-    taus = [tau[lo:hi] for lo, hi in zip(ends, ends[1:])]
-    pks = [build_pk(part, k, t) for k, t in enumerate(taus)]
-    qks = [build_qk(part, k, t, M) for k, t in enumerate(taus)]
-    phi, spec, explicit_agreement, pq_sups = _grid_phase(pks, qks, M)
-    coeffs = spec[np.array(B.elements) % M]
+    blks = [freqs[lo:hi] for lo, hi in bounds]
+    taus = [tau[lo:hi] for lo, hi in bounds]
+    widths = tuple(_width(blk) for blk in blks)
+    pks = [build_pk(blk, t) for blk, t in zip(blks, taus)]
+    qks = [build_qk(blk, t, M) for blk, t in zip(blks, taus)]
+    phi, spec, explicit_agreement, pq_sups = _grid_phase(blks, pks, qks, M)
+    coeffs = spec[freqs % M]
 
     per_block = []
-    for k, (pk, qk) in enumerate(zip(pks, qks)):
-        blk = part.blocks[k]
-        p = np.array(list(pk.values()))
-        c = coeffs[ends[k] : ends[k + 1]]
+    for k, ((lo, hi), p, q) in enumerate(zip(bounds, pks, qks)):
+        c = coeffs[lo:hi]
         ratios = np.abs(c - p) / np.abs(p)
-        one_minus_q = {**qk, 0: qk.get(0, 0) - 1}
+        one_minus_q = q.copy()
+        one_minus_q[0] -= 1
         per_block.append(
             {
                 "k": k,
-                "size": len(blk),
-                "width": part.width(k),
-                "l2_one_minus_q": float(np.linalg.norm(list(one_minus_q.values()))),
-                "l2_bound": 2 / math.sqrt(len(blk)),
-                "support_ok": -part.width(k) <= min(qk, default=0) and max(qk, default=0) <= 0,
+                "size": hi - lo,
+                "width": widths[k],
+                "l2_one_minus_q": float(np.linalg.norm(one_minus_q)),
+                "l2_bound": 2 / math.sqrt(hi - lo),
+                # q holds frequencies 0, -1, ..., 1 - len(q)
+                "support_ok": len(q) <= widths[k] + 1,
                 "closeness_ratio": float(np.max(ratios)),
                 "coeff_l2": float(np.linalg.norm(c)),
                 "pq_sup": pq_sups[k],

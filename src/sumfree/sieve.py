@@ -44,9 +44,11 @@ index pairs at once, CHUNK pairs a call: (t, n) with t*n <= J for the
 singleton table (one scatter per kappa, whose parity gives the -j row),
 (m, j) for its dilation onto A, and (m, rough n) for the right side.  The
 smooth t, their Mobius signs and the rough n come from one arithmetic table
-per identity (_arith), shared by both sides.  A nonzero buffer holds the
-difference of the sides, so the witness and the defect are read straight
-off it (_defect): the frequency of largest |difference|/|F|.
+(_table; _arith picks its bound and range per identity), shared by both
+sides.  The table is the only source of the smooth and rough classes: the
+L1 report reads the Mertens mass of N2 off it too.  A nonzero buffer holds
+the difference of the sides, so the witness and the defect are read
+straight off it (_defect): the frequency of largest |difference|/|F|.
 
 The t-sum for Lambda runs over odd members of N2 only: even t would
 contribute at even frequencies where gamma vanishes on the left side as
@@ -64,14 +66,7 @@ from math import isqrt
 import numpy as np
 
 from .arcs import OMEGA_1, OMEGA_2, OMEGA_21
-from .arith import (
-    SieveContext,
-    gamma4,
-    mobius,
-    odd_smooth_squarefree,
-    primes_upto,
-    smooth_squarefree,
-)
+from .arith import SieveContext, gamma4, primes_upto
 from .dilation import l1_and_max
 from .errors import MEMORY_BUDGET, InputError
 from .sets import IntegerSet, structure
@@ -131,15 +126,12 @@ def _pairs(counts: np.ndarray):
         yield g, p - before[g]
 
 
-def _arith(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> np.ndarray:
-    """The identity's arithmetic table r over n <= L = X // (scale * min A),
-    every frequency index either side reaches: r[n] = mu(p)*p for p the
-    product of the distinct primes <= bound dividing n (bound P - 1 for
-    sec2_f, Q otherwise).  n is squarefree and bound-smooth iff |r[n]| = n,
-    with mu(n) the sign of r[n]; every prime factor of n exceeds the bound
-    iff r[n] = 1.  r[0] = -1 is neither."""
-    L = X // (_SCALE[identity_id] * min(A)) if len(A) else 0
-    ps = primes_upto(min(ctx.P - 1 if identity_id == "sec2_f" else ctx.Q, L))
+def _table(bound: int, L: int) -> np.ndarray:
+    """The arithmetic table r over 0 <= n <= L: r[n] = mu(p)*p for p the
+    product of the distinct primes <= bound dividing n.  n is squarefree and
+    bound-smooth iff |r[n]| = n, with mu(n) the sign of r[n]; every prime
+    factor of n exceeds the bound iff r[n] = 1.  r[0] = -1 is neither."""
+    ps = primes_upto(min(bound, L))
     r = np.ones(L + 1, np.int64)
     r[0] = -1
     few = bisect_right(ps, isqrt(L))  # primes with many multiples: one strided pass each
@@ -149,6 +141,13 @@ def _arith(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> np.nda
     for g, k in _pairs(L // big):
         np.multiply.at(r, big[g] * k, -big[g])
     return r
+
+
+def _arith(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> np.ndarray:
+    """The identity's table over n <= X // (scale * min A), every frequency
+    index either side reaches, with bound P - 1 for sec2_f and Q otherwise."""
+    L = X // (_SCALE[identity_id] * min(A)) if len(A) else 0
+    return _table(ctx.P - 1 if identity_id == "sec2_f" else ctx.Q, L)
 
 
 def _smooth(r: np.ndarray, odd: bool = False):
@@ -292,8 +291,13 @@ def inner_sum_decomposition(n: int, ctx: SieveContext) -> dict:
     """
     if n < 1:
         raise InputError("n must be positive")
-    divisors = [m for m in odd_smooth_squarefree(ctx, n) if n % m == 0]
-    total = Fraction(0)
+    # the odd squarefree Q-smooth divisors t of n, with mu(t): the products
+    # of the subsets of the odd primes <= Q that divide n
+    divisors = [(1, 1)]
+    for p in primes_upto(ctx.Q)[1:]:
+        if n % p == 0:
+            divisors += [(t * p, -mu) for t, mu in divisors]
+    total = sum((mu * _h(n // t) for t, mu in divisors), Fraction(0))
     parts = {"I1": Fraction(0), "I2": Fraction(0), "I3": Fraction(0)}
     if n % 3 != 0:
         key = "I1"
@@ -301,8 +305,6 @@ def inner_sum_decomposition(n: int, ctx: SieveContext) -> dict:
         key = "I2"
     else:
         key = "I3"
-    for m in divisors:
-        total += mobius(m) * _h(n // m)
     parts[key] = total
     parts["total"] = total
     return parts
@@ -323,9 +325,8 @@ def l1_lower_report(A: IntegerSet, ctx: SieveContext) -> dict:
     l1_G, _, _ = l1_and_max(A, arcs((OMEGA_21, 1)), -A.N * OMEGA_21.measure)
     l1_F1, max_val, x_at = l1_and_max(A, arcs((OMEGA_1, 1)), -A.N * OMEGA_1.measure)
     norms = {"G": l1_G, "L": l1_L, "F1": l1_F1, "F2": l1_F1}
-    mass = sum(
-        (Fraction(1, t) for t in smooth_squarefree(ctx, MERTENS_BOUND)), Fraction(0)
-    )
+    ts, _ = _smooth(_table(ctx.Q, MERTENS_BOUND))
+    mass = sum((Fraction(1, t) for t in ts.tolist()), Fraction(0))
     mertens_product = Fraction(1)
     for p in primes_upto(ctx.Q):
         mertens_product *= 1 + Fraction(1, p)

@@ -10,10 +10,12 @@ The balanced functions are
 with Omega_1 = (1/6,1/3), Omega_2 = (2/3,5/6), and Gamma = f1 + f2 (which
 coincides with x -> f(2x)), Lambda = f1 - f2.
 
-After the closed forms come the sieve classes by their definitions: chi
-mod 3, the strict roughness predicate of N1 (every prime factor > Q, by
-trial division), the eta weights, 1/2 on N1 and -3/2 on 3*N1, and the
-rough integers and the sec2_f index set as lists.
+After the closed forms come the arithmetic by its definitions, where the
+library reads everything off one numpy table: chi mod 3, trial-division
+factorization and the Mobius function, the smooth class N2 (and its odd
+members) as sorted lists of squarefree products, the strict roughness
+predicate of N1 (every prime factor > Q), the eta weights, 1/2 on N1 and
+-3/2 on 3*N1, and the rough integers and the sec2_f index set as lists.
 
 Then the object views of what the library keeps as arrays.  A
 PiecewiseConstantFn holds a whole step function from dilation._sweep, with
@@ -43,13 +45,7 @@ import numpy as np
 
 from sumfree import dilation, sieve
 from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, pullback
-from sumfree.arith import (
-    SieveContext,
-    factorize,
-    primes_upto,
-    smooth_squarefree,
-    squarefree_smooth,
-)
+from sumfree.arith import SieveContext, primes_upto
 from sumfree.dilation import ExtractionCertificate, maximize_count
 from sumfree.errors import InputError
 from sumfree.lp import GRID_DEGREE_LIMIT, exp_sum_l1
@@ -228,6 +224,56 @@ def chi3(n: int) -> int:
     """Multiplicative character mod 3: 1, -1, 0 for n = 1, 2, 0 (mod 3)."""
     r = n % 3
     return 0 if r == 0 else (1 if r == 1 else -1)
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Trial-division factorization, (prime, exponent) pairs in order."""
+    if n < 1:
+        raise InputError(f"positive integer required, got {n}")
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def mobius(n: int) -> int:
+    if n < 1:
+        raise InputError(f"positive integer required, got {n}")
+    if n == 1:
+        return 1
+    m = 1
+    for _, e in factorize(n):
+        if e > 1:
+            return 0
+        m = -m
+    return m
+
+
+def squarefree_smooth(primes: list[int], limit: int) -> list[int]:
+    """Sorted squarefree products of the given primes, capped at `limit`."""
+    out = [1]
+    for p in primes:
+        out.extend([v * p for v in out if v * p <= limit])
+    return sorted(v for v in out if v <= limit)
+
+
+def smooth_squarefree(ctx: SieveContext, limit: int) -> list[int]:
+    """N2 intersected with [1, limit]: squarefree with all prime factors <= Q."""
+    return squarefree_smooth(primes_upto(ctx.Q), limit)
+
+
+def odd_smooth_squarefree(ctx: SieveContext, limit: int) -> list[int]:
+    """Odd members of N2 up to `limit` (the index set of the Lambda sieve)."""
+    return squarefree_smooth([p for p in primes_upto(ctx.Q) if p > 2], limit)
 
 
 def is_strictly_rough(n: int, ctx: SieveContext) -> bool:
@@ -513,7 +559,7 @@ def lacunary_rows_per_chain(family: list[IntegerSet], seed: int = 0) -> list[dic
         if max(A) > GRID_DEGREE_LIMIT:
             val, bar = triadic_l1_own_chain(A.N, seed=seed)
         else:
-            val, bar = exp_sum_l1(A, seed=seed)
+            val, bar = exp_sum_l1(A)
         rows.append({"N": A.N, "l1": val, "l1_error": bar})
     return rows
 

@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from reference import chi3, eta, is_strictly_rough, rough_integers, sin_pi3
-from sumfree.arith import (
-    SieveContext,
-    gamma4,
-    is_prime,
+from reference import (
+    chi3,
+    eta,
+    is_strictly_rough,
     mobius,
     odd_smooth_squarefree,
-    primes_upto,
+    rough_integers,
+    sin_pi3,
     smooth_squarefree,
 )
+from sumfree.arith import SieveContext, gamma4, is_prime, primes_upto
 
 CTX5 = SieveContext(Q=5, P=101)
 

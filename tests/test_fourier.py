@@ -18,6 +18,11 @@ def _eval(coeffs, x):
     return complex(np.sum(cs * np.exp(2j * np.pi * ns * x)))
 
 
+def _sample(coeffs, M):
+    """sample_grid of a float table {n: c_n}."""
+    return sample_grid(np.array(list(coeffs)), np.array(list(coeffs.values())), M)
+
+
 def test_fhat_values():
     assert fhat(0).is_zero()
     assert fhat(3).is_zero()
@@ -152,7 +157,7 @@ def test_sup_factor_covers_shifted_dirichlet(n, c, M):
     # from the nearest grid point
     x0 = 1 / (2 * M)
     kernel = {c + k: complex(np.exp(-2j * np.pi * k * x0)) for k in range(-n, n + 1)}
-    grid_max = float(np.max(np.abs(sample_grid(kernel, M).samples)))
+    grid_max = float(np.max(np.abs(_sample(kernel, M).samples)))
     assert grid_max < 2 * n + 1 - 1e-6
     assert grid_max * sup_factor(c - n, c + n, M) >= 2 * n + 1
     if M >= 8 * max(map(abs, kernel)):
@@ -170,7 +175,7 @@ def test_resolution_error():
 
 def test_grid_round_trip():
     want = to_complex(series_truncated("Lambda", 30))
-    g = sample_grid(want, 512)
+    g = _sample(want, 512)
     back = g.coefficients()  # indexed by n mod M
     for n, c in want.items():
         assert abs(back[n % 512] - c) < 1e-10
@@ -178,5 +183,5 @@ def test_grid_round_trip():
 
 def test_sample_grid_folds_frequencies_mod_M():
     M = 64
-    folded = sample_grid({1: 1.0, 1 + M: 2.0}, M).samples
-    assert np.allclose(folded, sample_grid({1: 3.0}, M).samples, atol=1e-12)
+    folded = sample_grid(np.array([1, 1 + M]), np.array([1.0, 2.0]), M).samples
+    assert np.allclose(folded, sample_grid(np.array([1]), np.array([3.0]), M).samples, atol=1e-12)

@@ -7,7 +7,7 @@ import pytest
 
 from reference import lacunary_rows_per_chain
 from sumfree.errors import InputError
-from sumfree.lp import _add_e, exp_sum_l1, lacunary_l1_diagnostic, triadic_l1_montecarlo
+from sumfree.lp import _add_e, _triadic_chain, exp_sum_l1, lacunary_l1_diagnostic
 from sumfree.sets import IntegerSet
 
 
@@ -16,17 +16,17 @@ def _family(sizes):
 
 
 def test_montecarlo_single_frequency():
-    mean, bar = triadic_l1_montecarlo(1, samples=20000, seed=1)
+    mean, bar = _triadic_chain({1}, 20000, 1)[1]
     assert mean == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(InputError):
-        triadic_l1_montecarlo(0)
+        _triadic_chain({0})
 
 
 def test_montecarlo_matches_grid():
     # |e(x) + e(3x)| has L1 = 4/pi; both engines must agree
     freqs = IntegerSet.of([1, 3])
     grid_value, grid_bar = exp_sum_l1(freqs)
-    mc, mc_bar = triadic_l1_montecarlo(2, samples=200000, seed=2)
+    mc, mc_bar = _triadic_chain({2}, 200000, 2)[2]
     assert abs(grid_value - 4 / math.pi) <= grid_bar + 1e-6
     assert abs(mc - grid_value) <= mc_bar + grid_bar
 
@@ -49,6 +49,11 @@ def test_lacunary_needs_three_sets():
     # three sets of one size leave the slope undetermined
     with pytest.raises(InputError):
         lacunary_l1_diagnostic([IntegerSet.of([1])] * 3)
+
+
+def test_lacunary_refuses_an_empty_set():
+    with pytest.raises(InputError):
+        lacunary_l1_diagnostic([IntegerSet(()), IntegerSet.of([1]), IntegerSet.of([1, 3])])
 
 
 @pytest.mark.parametrize("sizes", [(16, 32, 64), (8, 16, 32)])

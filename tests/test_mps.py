@@ -8,25 +8,25 @@ import numpy as np
 import pytest
 
 from sumfree.cli import RunConfig, run
-from sumfree.errors import ResourceLimitError
+from sumfree.errors import InputError, ResourceLimitError
 from sumfree.fourier import GridFn, sample_grid
 from sumfree.mps import (
     BYTES_PER_BLOCK_POINT,
     BYTES_PER_GRID_POINT,
+    block_bounds,
     build_phi,
     build_pk,
     build_qk,
     epsilon_of_base,
     hilbert,
     pairing_constant,
-    partition_blocks,
 )
 from sumfree.sets import IntegerSet, generate
 
 
 def test_hilbert_multiplier():
     M = 64
-    h = hilbert(sample_grid({1: 1.0, -1: 1.0}, M).samples)
+    h = hilbert(sample_grid(np.array([1, -1]), np.ones(2), M).samples)
     spec = np.fft.fft(h) / M
     # H(2cos) = 2sin: coefficients -i at n=1, +i at n=-1, nothing else
     assert spec[1] == pytest.approx(-1j)
@@ -36,10 +36,10 @@ def test_hilbert_multiplier():
 
 
 def test_hilbert_grid_matches_poly():
-    p = {n: 1.0 for n in (-3, -1, 2, 5)}
+    n, c = np.array([-3, -1, 2, 5]), np.ones(4)
     M = 128
-    grid_h = hilbert(sample_grid(p, M).samples)
-    poly_h = sample_grid({n: -1j * np.sign(n) * c for n, c in p.items()}, M)
+    grid_h = hilbert(sample_grid(n, c, M).samples)
+    poly_h = sample_grid(n, -1j * np.sign(n) * c, M)
     assert np.allclose(grid_h, poly_h.samples, atol=1e-10)
 
 
@@ -64,29 +64,34 @@ def test_constants():
 
 def test_partition_blocks():
     B = IntegerSet.of(range(1, 51))
-    part = partition_blocks(B, 4)
-    sizes = [len(blk) for blk in part.blocks]
+    bounds = block_bounds(B.N, 4)
+    sizes = [len(B.elements[lo:hi]) for lo, hi in bounds]
     # |B_0| = 1, |B_1| = 4, remainder goes to the last block
     assert sizes == [1, 4, 45]
-    assert part.k0 == 2
+    assert len(bounds) - 1 == 2
 
 
 def test_pk_support_and_mass():
     B = IntegerSet.of(range(1, 51))
-    part = partition_blocks(B, 4)
-    pk = build_pk(part, 2, np.ones(len(part.blocks[2]), dtype=complex))
-    lo, hi = part.interval(2)
-    assert all(lo <= m <= hi for m in pk)
+    lo, hi = block_bounds(B.N, 4)[2]
+    blk = np.array(B.elements[lo:hi])
+    pk = build_pk(blk, np.ones(len(blk), dtype=complex))
+    # one coefficient per frequency of the block, all inside its interval
+    assert len(pk) == len(blk)
+    assert all(blk[0] <= m <= blk[-1] for m in blk)
     # center weight is 1/|B_k| by construction
-    assert abs(pk[part.center(2)]) == pytest.approx(1 / len(part.blocks[2]))
+    center = (blk[0] + blk[-1]) // 2
+    assert abs(pk[np.searchsorted(blk, center)]) == pytest.approx(1 / len(blk))
 
 
 def test_qk_support():
     B = IntegerSet.of(range(1, 51))
-    part = partition_blocks(B, 4)
-    qk = build_qk(part, 1, np.ones(len(part.blocks[1]), dtype=complex), M=2048)
-    width = part.width(1)
-    assert all(-width <= n <= 0 for n in qk)
+    lo, hi = block_bounds(B.N, 4)[1]
+    blk = np.array(B.elements[lo:hi])
+    qk = build_qk(blk, np.ones(len(blk), dtype=complex), M=2048)
+    width = max(blk[-1] - blk[0], 1)
+    # qk holds the coefficients at the frequencies 0, -1, -2, ...
+    assert all(-width <= n <= 0 for n in -np.arange(len(qk)))
 
 
 def test_build_phi_small():
@@ -124,7 +129,7 @@ def test_coeff_l2_is_the_norm_of_each_block_of_phi_hat(seed):
     w = dict(zip(B.elements, (rng.random(B.N) * np.exp(2j * math.pi * rng.random(B.N))).tolist()))
     samples, cert = build_phi(B, w, 4, 4096)
     spec = np.fft.fft(samples) / 4096
-    blocks = partition_blocks(B, 4).blocks
+    blocks = [B.elements[lo:hi] for lo, hi in block_bounds(B.N, 4)]
     assert len(cert.per_block) == len(blocks)
     for row, blk in zip(cert.per_block, blocks):
         assert row["coeff_l2"] == pytest.approx(np.linalg.norm(spec[np.array(blk) % 4096]), rel=1e-12)
@@ -192,6 +197,11 @@ def test_build_phi_peak_within_bytes_per_grid_point(size, base, M):
         tracemalloc.stop()
     blocks = len(cert.per_block)
     assert peak <= (BYTES_PER_GRID_POINT + BYTES_PER_BLOCK_POINT * blocks) * M, peak / M
+
+
+def test_build_phi_refuses_an_empty_set():
+    with pytest.raises(InputError):
+        build_phi(IntegerSet(()), {}, 4, 64)
 
 
 def test_build_phi_refuses_oversized_grid_before_allocating():

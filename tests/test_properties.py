@@ -10,10 +10,11 @@ from reference import (
     count_function,
     exact_l1,
     is_strictly_rough,
+    mobius,
     weighted_count_function,
 )
 from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, pullback
-from sumfree.arith import SieveContext, gamma4, mobius
+from sumfree.arith import SieveContext, gamma4
 from sumfree.dilation import orbit_subset
 from sumfree.sets import IntegerSet, structure
 

@@ -22,20 +22,17 @@ from reference import (
     is_strictly_rough,
     l1_report_four_sweeps,
     lambda_hat,
+    mobius,
+    odd_smooth_squarefree,
     rough_integers,
     sec2_sieve_set,
     sieve_lhs,
     sieve_rhs,
-)
-from sumfree import dilation, sieve
-from sumfree.arith import (
-    SieveContext,
-    gamma4,
-    mobius,
-    next_prime_at_least,
-    odd_smooth_squarefree,
+    sin_pi6,
     smooth_squarefree,
 )
+from sumfree import dilation, sieve
+from sumfree.arith import SieveContext, gamma4, next_prime_at_least
 from sumfree.errors import ResourceLimitError
 from sumfree.sets import IntegerSet, generate, structure
 from sumfree.sieve import (
@@ -250,7 +247,7 @@ def test_defect_read_off_the_buffer_matches_the_tables():
 
 def test_arith_table_matches_the_enumerations():
     # the smooth sets, Mobius signs and rough integers read off the numpy
-    # table against the list enumerations of sumfree.arith and the reference
+    # table against the reference's list enumerations
     rng = random.Random(57)
     A = IntegerSet.of([1])  # scale 1 for both ids below, so the table runs to X
     for trial in range(30):
@@ -335,11 +332,33 @@ def test_inner_sum_examples():
         assert inner_sum_decomposition(n, CTX)["total"] == 0
 
 
+def _inner_sum_exact(n, ctx):
+    # the same sum in Fractions: gamma kills even n/t, and sin((n/t) pi/6) is
+    # rational at odd n/t
+    return sum(
+        (
+            mobius(t) * gamma4(n // t) * sin_pi6(n // t).a
+            for t in odd_smooth_squarefree(ctx, n)
+            if n % t == 0
+        ),
+        Fraction(0),
+    )
+
+
 def test_inner_sum_matches_brute_force():
-    for n in range(1, 400):
-        r = inner_sum_decomposition(n, CTX)
-        assert r["total"] == r["I1"] + r["I2"] + r["I3"]
-        assert abs(float(r["total"]) - _inner_sum_numeric(n, CTX)) < 1e-9
+    # two large n: many odd squarefree smooth numbers below them, and all the
+    # odd primes up to 23 dividing the second
+    for Q in (3, 5, 7, 11, 101):
+        ctx = SieveContext(Q=Q, P=101)
+        for n in range(1, 400):
+            r = inner_sum_decomposition(n, ctx)
+            assert r["total"] == r["I1"] + r["I2"] + r["I3"]
+            assert abs(float(r["total"]) - _inner_sum_numeric(n, ctx)) < 1e-9
+            assert r["total"] == _inner_sum_exact(n, ctx), (n, Q)
+        for n in (3 * 10**9, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23):
+            r = inner_sum_decomposition(n, ctx)
+            assert r["total"] == r["I1"] + r["I2"] + r["I3"]
+            assert r["total"] == _inner_sum_exact(n, ctx), (n, Q)
 
 
 def test_inner_sum_support():
@@ -385,9 +404,12 @@ def test_l1_report_matches_four_sweeps():
     rng = random.Random(12)
     sets = [range(1, 31), range(1, 101)]
     sets += [rng.sample(range(1, 401), rng.randint(1, 30)) for _ in range(200)]
-    for elems in sets:
+    # and a few at other thresholds, for the Mertens mass read off the table
+    runs = [(elems, CTX) for elems in sets]
+    runs += [(elems, SieveContext(Q=Q, P=101)) for Q in (3, 7, 101) for elems in sets[:4]]
+    for elems, ctx in runs:
         A = IntegerSet.of(elems)
-        rep, ref = l1_lower_report(A, CTX), l1_report_four_sweeps(A, CTX)
+        rep, ref = l1_lower_report(A, ctx), l1_report_four_sweeps(A, ctx)
         assert list(rep) == list(ref) and list(rep["l1"]) == list(ref["l1"])
         for key in ref:
             assert rep[key] == ref[key], (key, A.elements)

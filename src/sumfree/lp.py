@@ -84,7 +84,7 @@ def _triadic_chain(sizes, samples: int = 200_000, seed: int = 0) -> dict:
 def exp_sum_l1(A: IntegerSet, M: int | None = None) -> tuple[float, float]:
     """(value, error bar) for the L1 norm of sum_{a in A} e(ax), on a grid."""
     if max(A) > GRID_DEGREE_LIMIT:
-        raise InputError("set has infeasible degree and no triadic sampling structure")
+        raise InputError(f"degree {max(A)} exceeds the grid limit {GRID_DEGREE_LIMIT}")
     return grid_norms({a: 1.0 for a in A}, "L1", M=M)
 
 

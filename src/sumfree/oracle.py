@@ -1,12 +1,28 @@
 """Exhaustive maximum (k,l)-sum-free subset search for small instances.
 
-Branch and bound over descending element order (large elements constrain
-sums the most), include-first, pruning branches that cannot beat the best
-size found so far.  Each DFS frame carries folds[j], the bitset of the j-fold
-sums of its chosen subset for j <= L = max(k, l) (folds[0] = 1, the empty
-sum).  Adding e updates them incrementally, new[j] = folds[j] | new[j-1] << e,
-which is the OR over t <= j of folds[j-t] << t*e, and the candidate is
-feasible iff new[k] & new[l] == 0.
+Forward-checked branch and bound over descending element order (large
+elements constrain sums the most), include-first.  Each DFS frame carries
+folds, the bitsets F_j of the j-fold sums of its chosen subset for
+j = 1, ..., L = max(k, l) (folds[j - 1] = F_j), and its candidates: the
+remaining elements, in descending order, each of which the subset admits.
+Adding e updates the bitsets incrementally, F'_j = F_j | F'_{j-1} << e with
+F'_0 = 1 (the empty sum), which is the OR over t <= j of F_{j-t} << t*e, and
+e is admitted iff F'_k & F'_l == 0.  Including the first candidate keeps
+only the later ones the grown subset admits; excluding it drops it.
+
+A frame is pruned when len(chosen) + len(candidates) <= best, which drops
+only subtrees that hold no strict improvement.  The witness is still the
+first optimum in descending include-first order: an element a subset does
+not admit is refused by every superset too, so dropping it only skips the
+failed includes of a search that tries every remaining element, in the same
+order.  Every element of that first optimum is a candidate all along its
+path, so the bound never prunes the path before best reaches its size.
+
+Memory: the DFS stack holds up to N + 1 frames of L bitsets of at most
+L*max(A) bits (candidates are plain ints), one admission test at a time
+builds L more, and each fold update holds one shifted temporary; so
+(N + 2)(L + 1) such bitsets are checked against the budget before the search
+starts.
 """
 
 from __future__ import annotations
@@ -41,31 +57,39 @@ def max_sumfree_exact(A: IntegerSet, k: int, l: int) -> OracleResult:
     if A.N > SIZE_CAP:
         raise ResourceLimitError(f"instance size {A.N} exceeds cap {SIZE_CAP}")
     L = max(k, l)
-    # the DFS stack holds up to N + 1 frames of L + 1 bitsets of L*max(A) bits
-    if (A.N + 1) * (L + 1) * L * max(A.elements, default=0) // 8 > MEMORY_BUDGET:
+    # N + 1 stack frames and one admission test, each L bitsets of L*max(A)
+    # bits and a shifted temporary
+    if (A.N + 2) * (L + 1) * L * max(A.elements, default=0) // 8 > MEMORY_BUDGET:
         raise ResourceLimitError(f"the search's sum bitsets exceed the {MEMORY_BUDGET}-byte budget")
-    elems = sorted(A.elements, reverse=True)
-    n = len(elems)
     best: list = [0, ()]
     explored = [0]
 
-    def dfs(i: int, chosen: tuple, folds: list):
-        explored[0] += 1
-        if len(chosen) + (n - i) <= best[0]:
-            return
-        if i == n:
-            if len(chosen) > best[0]:
-                best[0], best[1] = len(chosen), chosen
-            return
-        e = elems[i]
-        new = [1]
-        for f in folds[1:]:
-            new.append(f | new[-1] << e)
-        if new[k] & new[l] == 0:
-            dfs(i + 1, chosen + (e,), new)
-        dfs(i + 1, chosen, folds)
+    def grow(folds: list, e: int) -> list:
+        new, prev = [], 1
+        for f in folds:
+            prev = f | prev << e
+            new.append(prev)
+        return new
 
-    dfs(0, (), [1] + [0] * L)
+    def dfs(chosen: tuple, folds: list, cands: list):
+        explored[0] += 1
+        if len(chosen) + len(cands) <= best[0]:
+            return
+        if not cands:
+            best[0], best[1] = len(chosen), chosen
+            return
+        e, rest = cands[0], cands[1:]
+        new = grow(folds, e)
+        admitted = []
+        for c in rest:
+            g = grow(new, c)
+            if g[k - 1] & g[l - 1] == 0:
+                admitted.append(c)
+        dfs(chosen + (e,), new, admitted)
+        dfs(chosen, folds, rest)
+
+    # k != l, so the empty subset admits every element
+    dfs((), [0] * L, sorted(A.elements, reverse=True))
     witness = IntegerSet.of(best[1])
     if not is_kl_sumfree(witness, k, l):
         raise CertificationError(f"oracle witness {witness.elements} is not ({k},{l})-sum-free")

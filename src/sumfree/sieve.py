@@ -327,9 +327,6 @@ def l1_lower_report(A: IntegerSet, ctx: SieveContext) -> dict:
     norms = {"G": l1_G, "L": l1_L, "F1": l1_F1, "F2": l1_F1}
     ts, _ = _smooth(_table(ctx.Q, MERTENS_BOUND))
     mass = sum((Fraction(1, t) for t in ts.tolist()), Fraction(0))
-    mertens_product = Fraction(1)
-    for p in primes_upto(ctx.Q):
-        mertens_product *= 1 + Fraction(1, p)
     frac = lambda q: [q.numerator, q.denominator]
     return {
         "N": A.N,
@@ -337,7 +334,6 @@ def l1_lower_report(A: IntegerSet, ctx: SieveContext) -> dict:
         "l1": {k: frac(v) for k, v in norms.items()},
         "max_l1_GL": frac(max(norms["G"], norms["L"])),
         "mertens_mass": frac(mass),
-        "mertens_product": frac(mertens_product),
         "winner": "F1",
         "winner_max": frac(max_val),
         "winner_argmax": frac(x_at),

@@ -25,11 +25,13 @@ one side of a sieve identity as sorted (F, numerator) rows, built by
 sieve_lhs and sieve_rhs from the library's private side builders, and
 SieveTable.defect names the witness of two differing sides.
 
-Five references sit at the end: the orbit subset in Fractions, extraction
+Six references sit at the end: the orbit subset in Fractions, extraction
 over the intervals of both canonical (2m,4m) systems, the L1 report with
 each of G_A, L_A, F_1 and F_2 swept on its own arcs, the lacunary rows with
-one backward chain per size and np.exp for every e(y), and the oracle search
-with every node's sum bitsets rebuilt from its whole subset.
+one backward chain per size and np.exp for every e(y), and two oracle
+searches with every sum bitset rebuilt from its whole subset: the plain
+branch and bound over every remaining element, and the forward-checked one
+over the still-admitted candidates.
 """
 
 from __future__ import annotations
@@ -516,9 +518,6 @@ def l1_report_four_sweeps(A: IntegerSet, ctx: SieveContext) -> dict:
     mass = sum(
         (Fraction(1, t) for t in smooth_squarefree(ctx, MERTENS_BOUND)), Fraction(0)
     )
-    mertens_product = Fraction(1)
-    for p in primes_upto(ctx.Q):
-        mertens_product *= 1 + Fraction(1, p)
     winner = "F1" if norms["F1"] >= norms["F2"] else "F2"
     max_val, x_at = (F1 if winner == "F1" else F2).max_with_witness()
     frac = lambda q: [q.numerator, q.denominator]
@@ -528,7 +527,6 @@ def l1_report_four_sweeps(A: IntegerSet, ctx: SieveContext) -> dict:
         "l1": {k: frac(v) for k, v in norms.items()},
         "max_l1_GL": frac(max(norms["G"], norms["L"])),
         "mertens_mass": frac(mass),
-        "mertens_product": frac(mertens_product),
         "winner": winner,
         "winner_max": frac(max_val),
         "winner_argmax": frac(x_at),
@@ -587,4 +585,29 @@ def max_sumfree_rebuild(A: IntegerSet, k: int, l: int) -> tuple:
         dfs(i + 1, chosen)
 
     dfs(0, ())
+    return best[0], IntegerSet.of(best[1]), explored
+
+
+def max_sumfree_forward_rebuild(A: IntegerSet, k: int, l: int) -> tuple:
+    """(best_size, witness, explored) of the oracle's forward-checked search,
+    each admission test's k-fold and l-fold sum bitsets rebuilt from scratch."""
+    best = [0, ()]
+    explored = 0
+
+    def admits(subset: tuple) -> bool:
+        return fold_sums(subset, k) & fold_sums(subset, l) == 0
+
+    def dfs(chosen: tuple, cands: list):
+        nonlocal explored
+        explored += 1
+        if len(chosen) + len(cands) <= best[0]:
+            return
+        if not cands:
+            best[:] = len(chosen), chosen
+            return
+        with_e = chosen + (cands[0],)
+        dfs(with_e, [c for c in cands[1:] if admits(with_e + (c,))])
+        dfs(chosen, cands[1:])
+
+    dfs((), [e for e in sorted(A.elements, reverse=True) if admits((e,))])
     return best[0], IntegerSet.of(best[1]), explored

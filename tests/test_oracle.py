@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from reference import max_sumfree_rebuild
+from reference import max_sumfree_forward_rebuild, max_sumfree_rebuild
 from sumfree.dilation import extract_certified
 from sumfree.errors import CertificationError, ResourceLimitError
 from sumfree.oracle import OracleResult, compare, max_sumfree_exact
@@ -78,13 +78,18 @@ def test_sum_bitsets_over_budget_raise_before_allocating(check):
     assert peak < 10**6
 
 
-@pytest.mark.parametrize("kl", [(2, 1), (2, 4), (3, 1)])
+@pytest.mark.parametrize("kl", [(2, 1), (2, 4), (3, 1), (4, 8), (1, 2)])
 def test_incremental_search_matches_rebuild(kl):
+    # the forward-checked search's exact trace, and the plain branch and
+    # bound's optimum and witness in no fewer nodes
     rng = random.Random(f"oracle{kl}")
     for _ in range(100):
         A = IntegerSet.of(rng.sample(range(1, 121), rng.randint(8, 22)))
         r = max_sumfree_exact(A, *kl)
-        assert (r.best_size, r.witness, r.explored) == max_sumfree_rebuild(A, *kl)
+        assert (r.best_size, r.witness, r.explored) == max_sumfree_forward_rebuild(A, *kl)
+        best_size, witness, explored = max_sumfree_rebuild(A, *kl)
+        assert (r.best_size, r.witness) == (best_size, witness)
+        assert r.explored <= explored
 
 
 def test_search_stack_over_budget_raises_before_allocating():

@@ -1,6 +1,7 @@
 """Mobius sieve identities and the inner-sum decomposition."""
 
 import dataclasses
+import json
 import math
 import random
 import time
@@ -381,6 +382,12 @@ def test_l1_lower_report():
     num, den = rep["max_l1_GL"]
     assert Fraction(num, den) > 0
     assert rep["winner"] in ("G", "L", "F1", "F2")
+
+
+def test_l1_report_at_a_large_threshold_serializes():
+    # every number in the report stays small however many primes are <= Q
+    rep = l1_lower_report(IntegerSet.of([1, 2, 5]), SieveContext(Q=100003, P=100019))
+    json.dumps(rep)
 
 
 def test_l1_report_checks_its_budget_before_any_sweep(monkeypatch):

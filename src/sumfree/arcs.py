@@ -64,10 +64,7 @@ class ArcSet:
         return [ArcSet(arcs=(arc,)) for arc in self.arcs]
 
     def to_json(self) -> list[list[int]]:
-        return [
-            [lo.numerator, lo.denominator, hi.numerator, hi.denominator]
-            for lo, hi in self.arcs
-        ]
+        return [[*lo.as_integer_ratio(), *hi.as_integer_ratio()] for lo, hi in self.arcs]
 
     @staticmethod
     def from_json(data) -> "ArcSet":

@@ -72,10 +72,6 @@ def _context(config: RunConfig, N: int) -> SieveContext:
     return SieveContext(Q=config.q, P=P)
 
 
-def _frac(q: Fraction) -> list[int]:
-    return [q.numerator, q.denominator]
-
-
 def _structure_stage(A: IntegerSet, config: RunConfig) -> dict:
     rep = structure(A, Fraction(config.threshold_exp).limit_denominator(1000))
     return {
@@ -93,7 +89,7 @@ def _extract_stage(A: IntegerSet, config: RunConfig, geometric: bool) -> dict:
     return {
         "certificate": cert.to_json(),
         "count": cert.count,
-        "baseline": _frac(Fraction(A.N, config.k + config.l)),
+        "baseline": list(Fraction(A.N, config.k + config.l).as_integer_ratio()),
         "route": "lacunary" if geometric else "balanced-arcs",
     }
 
@@ -116,20 +112,15 @@ def _phi_interval(config: RunConfig) -> IntegerSet:
 def _phi_stage(config: RunConfig) -> dict:
     B = _phi_interval(config)
     if config.weights == "unit":
-        w = {m: 1.0 for m in B}
+        w = np.ones(B.N)
     else:
-        phases = np.random.default_rng(config.seed).random(B.N)
-        w = dict(zip(B.elements, np.exp(2j * math.pi * phases).tolist()))
+        w = np.exp(2j * math.pi * np.random.default_rng(config.seed).random(B.N))
     _, cert = build_phi(B, w, config.base, config.grid)
     return {"certificate": cert.to_json(), "weights": config.weights}
 
 
 def _lp_stage(config: RunConfig) -> dict:
-    sizes = config.sizes or (16, 32, 64)
-    family = [
-        IntegerSet.of([3**j for j in range(n)]) for n in sizes
-    ]
-    return lacunary_l1_diagnostic(family, seed=config.seed)
+    return lacunary_l1_diagnostic(config.sizes or (16, 32, 64), seed=config.seed)
 
 
 def _oracle_stage(A: IntegerSet, config: RunConfig) -> dict:
@@ -175,7 +166,7 @@ def _surplus_stage(config: RunConfig) -> list[dict]:
 
 def _phi_profile_stage(config: RunConfig) -> list[dict]:
     B = _phi_interval(config)
-    samples, _ = build_phi(B, {m: 1.0 for m in B}, config.base, config.grid)
+    samples, _ = build_phi(B, np.ones(B.N), config.base, config.grid)
     step = max(1, config.grid // PROFILE_POINTS)
     return [
         {"x": j / config.grid, "abs_phi": float(abs(samples[j]))}
@@ -216,6 +207,7 @@ def _check_stage(config: RunConfig) -> dict:
         stored = report["stages"]
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{config.input} is not a sumfree JSON report ({exc!r})") from exc
+    _check_flags(echoed)
     if echoed.input is not None:
         raise InputError(
             f"a {echoed.command} report names its input set by path ({echoed.input}); "
@@ -334,6 +326,20 @@ _COMMAND_FLAGS = {
     "report": ("kind", "sizes", "k", "l", "q", "p", "size", "base", "grid", "out"),
     "check": ("out",),
 }
+
+
+def _check_flags(config: RunConfig) -> None:
+    """InputError unless each field of config is None or what its flag's
+    _FLAGS type and choices make of some text."""
+    for flag, spec in _FLAGS.items():
+        value = getattr(config, flag)
+        text = ",".join(map(str, value)) if flag == "sizes" else str(value)
+        try:
+            ok = spec.get("type", str)(text) == value and value in spec.get("choices", (value,))
+        except (ValueError, argparse.ArgumentTypeError):
+            ok = False
+        if value is not None and not ok:
+            raise InputError(f"{value!r} is not a valid --{flag.replace('_', '-')}")
 
 
 def _parser() -> argparse.ArgumentParser:

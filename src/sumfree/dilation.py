@@ -282,14 +282,14 @@ class ExtractionCertificate:
 
     def to_json(self) -> dict:
         return {
-            "x_star": [self.x_star.numerator, self.x_star.denominator],
+            "x_star": list(self.x_star.as_integer_ratio()),
             "subset": list(self.subset.elements),
             "count": self.count,
             "arc_used": self.arc_used.to_json(),
             "k": self.k,
             "l": self.l,
             "sumfree_checked": self.sumfree_checked,
-            "surplus": [self.surplus.numerator, self.surplus.denominator],
+            "surplus": list(self.surplus.as_integer_ratio()),
         }
 
     @staticmethod

@@ -3,8 +3,8 @@ M equispaced points, and grid norms of trigonometric polynomials with
 certified error bars, sup norms bounded from the grid samples alone.
 
 Conventions: frequencies are in cycles, e(t) = exp(2*pi*i*t), and arrays
-(n, c) stand for sum_j c_j e(n_j x).  grid_norms takes its polynomial as a
-table {n: c_n}.
+(n, c) stand for sum_j c_j e(n_j x).  sample_grid and grid_norms both take
+their polynomial as such aligned arrays; grid_norms wants the n_j distinct.
 """
 
 from __future__ import annotations
@@ -59,31 +59,34 @@ def sup_factor(lo: int, hi: int, M: int) -> float:
     return 1 / math.cos(math.pi * n / M)
 
 
-def grid_norms(coeffs: dict[int, complex], which: str, M: int | None = None) -> tuple[float, float]:
-    """(value, certified error bar) for L1 / L2 / Linf of the table {n: c_n}.
+def grid_norms(freqs: np.ndarray, coeffs: np.ndarray, which: str, M: int | None = None):
+    """(value, certified error bar) for L1 / L2 / Linf of sum_j coeffs[j]
+    e(freqs[j] x), the frequencies distinct and at least one.
 
-    L2 is exact via the coefficient table (Parseval, bar 0); L1 is a grid
+    L2 is exact via the coefficients (Parseval, bar 0); L1 is a grid
     mean with bar ||g'||_2 / M (the Riemann-sum error of |g| is at most the
     total variation over one cell, and Var(|g|) <= ||g'||_1 <= ||g'||_2);
     Linf reports the grid max with bar closing the gap to the certified upper
-    bound gridmax * sup_factor(lo, hi, M), [lo, hi] the table's spectrum.
+    bound gridmax * sup_factor(lo, hi, M), [lo, hi] the polynomial's spectrum.
     """
     if which not in ("L1", "L2", "Linf"):
         raise InputError("which must be L1, L2 or Linf")
+    freqs, coeffs = np.asarray(freqs, np.int64), np.asarray(coeffs, complex)
+    if not 0 < len(freqs) == len(coeffs) or len(np.unique(freqs)) < len(freqs):
+        raise InputError("grid_norms needs aligned arrays of distinct frequencies, at least one")
     if which == "L2":
-        return math.sqrt(sum(abs(c) ** 2 for c in coeffs.values())), 0.0
-    d = max(map(abs, coeffs), default=0)
+        return float(np.linalg.norm(coeffs)), 0.0
+    lo, hi = int(freqs.min()), int(freqs.max())
+    d = max(-lo, hi)
     if M is None:  # the least power of two >= max(8 * degree, 256)
         M = 1 << max(8, (8 * d - 1).bit_length())
     elif M < 8 * max(d, 1):
         raise InputError(f"grid {M} too coarse for degree {d}")
-    freqs = np.fromiter(coeffs, np.int64, len(coeffs))
-    values = np.fromiter(coeffs.values(), complex, len(coeffs))
-    vals = np.abs(sample_grid(freqs, values, M).samples)
+    vals = np.abs(sample_grid(freqs, coeffs, M).samples)
     if which == "L1":
         deriv_l2 = math.sqrt(
-            sum((2 * math.pi * abs(n) * abs(c)) ** 2 for n, c in coeffs.items())
+            sum((2 * math.pi * n * abs(c)) ** 2 for n, c in zip(freqs.tolist(), coeffs.tolist()))
         )
         return float(vals.mean()), deriv_l2 / M
     gmax = float(vals.max())
-    return gmax, gmax * (sup_factor(min(coeffs, default=0), max(coeffs, default=0), M) - 1)
+    return gmax, gmax * (sup_factor(lo, hi, M) - 1)

@@ -1,14 +1,13 @@
-"""Lacunary L1 growth diagnostics.
+"""Lacunary L1 growth diagnostics for the triadic sums sum_{j<n} e(3^j x).
 
 The L1 norm of a unit-coefficient exponential sum over a frequency set is
-measured either on a grid (small degree, certified error bar) or — for
-triadic geometric frequencies, whose degree can exceed any feasible grid —
-by an exact-distribution Monte Carlo scheme: for x uniform on [0,1) the
-orbit y_j = 3^j x mod 1 is sampled backwards via y_{j-1} = (y_j + r_j)/3
-with r_j uniform on {0,1,2}, which reproduces the joint law without ever
-forming 3^j.
+measured on a grid (`exp_sum_l1`, certified error bar) while the degree
+3^(n-1) fits GRID_DEGREE_LIMIT.  Past it, an exact-distribution Monte Carlo
+scheme: for x uniform on [0,1) the orbit y_j = 3^j x mod 1 is sampled
+backwards via y_{j-1} = (y_j + r_j)/3 with r_j uniform on {0,1,2}, which
+reproduces the joint law without ever forming 3^j.
 
-One chain serves every size of a family: it runs to the largest size and
+One chain serves every sampled size: it runs to the largest size and
 reads each smaller size's (mean, 3-sigma bar) at its step.  It draws its
 randomness in the order of a chain run to that size alone, so each row is
 the one-size estimate.  e(y) comes from a table and a Taylor step (`_add_e`).
@@ -29,10 +28,6 @@ _TABLE = 3**8
 _CHUNK = 1 << 14
 # cos and sin Taylor coefficients for the angle 2*pi*f/_TABLE, as powers of f
 _TAYLOR = tuple((2 * math.pi / _TABLE) ** n / math.factorial(n) for n in (2, 4, 1, 3, 5))
-
-
-def _is_triadic_powers(A: IntegerSet) -> bool:
-    return all(a == 3 ** round(math.log(a, 3)) for a in A)
 
 
 def _add_e(total: np.ndarray, y: np.ndarray, table: np.ndarray) -> None:
@@ -85,26 +80,27 @@ def exp_sum_l1(A: IntegerSet, M: int | None = None) -> tuple[float, float]:
     """(value, error bar) for the L1 norm of sum_{a in A} e(ax), on a grid."""
     if max(A) > GRID_DEGREE_LIMIT:
         raise InputError(f"degree {max(A)} exceeds the grid limit {GRID_DEGREE_LIMIT}")
-    return grid_norms({a: 1.0 for a in A}, "L1", M=M)
+    return grid_norms(np.array(A.elements), np.ones(A.N), "L1", M=M)
 
 
-def lacunary_l1_diagnostic(family: list[IntegerSet], seed: int = 0) -> dict:
-    """log-log growth fit of ||g||_1 against N over a family of sets.
+def lacunary_l1_diagnostic(sizes: tuple[int, ...], seed: int = 0) -> dict:
+    """log-log growth fit of ||sum_{j<n} e(3^j x)||_1 against n over the sizes.
 
-    The sampled sets share one chain.  Returns the per-set table plus the
-    least-squares slope and a worst-case slope over the error-bar box (bars
-    pushed adversarially down at large N and up at small N).
+    Sizes whose degree 3^(n-1) passes GRID_DEGREE_LIMIT share one chain.
+    Returns the per-size table plus the least-squares slope and a worst-case
+    slope over the error-bar box (bars pushed adversarially down at large n
+    and up at small n).
     """
-    if not all(A.N for A in family):
-        raise InputError("every set of the family needs an element")
-    if len(family) < 3 or len({A.N for A in family}) < 2:
-        raise InputError("need at least 3 sets, of at least 2 sizes, to fit a slope")
-    sampled = {A for A in family if max(A) > GRID_DEGREE_LIMIT and _is_triadic_powers(A)}
-    chain = _triadic_chain({A.N for A in sampled}, seed=seed) if sampled else {}
+    if len(sizes) < 3 or len(set(sizes)) < 2:
+        raise InputError("need at least 3 sizes, at least 2 of them distinct, to fit a slope")
+    if min(sizes) < 1:
+        raise InputError("the number of exponents must be >= 1")
+    sampled = {n for n in sizes if 3 ** (n - 1) > GRID_DEGREE_LIMIT}
+    chain = _triadic_chain(sampled, seed=seed) if sampled else {}
     rows = []
-    for A in family:
-        val, bar = chain[A.N] if A in sampled else exp_sum_l1(A)
-        rows.append({"N": A.N, "l1": val, "l1_error": bar})
+    for n in sizes:
+        val, bar = chain[n] if n in chain else exp_sum_l1(IntegerSet.of([3**j for j in range(n)]))
+        rows.append({"N": n, "l1": val, "l1_error": bar})
     xs = np.log([r["N"] for r in rows])
     ys = np.log([r["l1"] for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])

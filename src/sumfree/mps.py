@@ -1,9 +1,9 @@
 """The bounded test-function machine witnessing L1 lower bounds.
 
-Given frequencies B = {m_1 < ... < m_M} and weights w, the construction
-builds Phi with a small certified sup norm whose coefficients on B stay
-close to those of per-block Fejer-windowed phase sums P_k, so that the
-pairing sum_j w(m_j) Phi-hat(m_j) dominates sum_j |w(m_j)|/j.
+Given frequencies B = {m_1 < ... < m_M} and weights w, an array aligned
+with B, the construction builds Phi with a small certified sup norm whose
+coefficients on B stay close to those of per-block Fejer-windowed phase sums
+P_k, so that the pairing sum_j w(m_j) Phi-hat(m_j) dominates sum_j |w(m_j)|/j.
 
 Blocks grow geometrically with base b (|B_k| = b^k, remainder in the last
 block).  Per block, with C_k = width + 1:
@@ -182,17 +182,19 @@ class PhiCertificate:
         }
 
 
-def build_phi(B: IntegerSet, w: dict[int, complex], b: int, M: int):
+def build_phi(B: IntegerSet, weights: np.ndarray, b: int, M: int):
     """Run the recursion and certify every step.
 
-    Returns (Phi's samples on the M-point grid, PhiCertificate).  w is a dict
-    {m: weight} with |w(m)| <= 1, a missing m weighing 0; tau(m) =
+    Returns (Phi's samples on the M-point grid, PhiCertificate).  weights is
+    a complex array aligned with B.elements, |w(m)| <= 1; tau(m) =
     conj(w(m))/|w(m)|, and 1 where w(m) = 0.
     """
+    weights = np.asarray(weights, dtype=complex)
+    if weights.shape != (B.N,):
+        raise InputError(f"{weights.size} weights for {B.N} frequencies")
     bounds = block_bounds(B.N, b)
     neg_span = check_grid([(B.elements[lo], B.elements[hi - 1]) for lo, hi in bounds], M)
     freqs = np.array(B.elements)
-    weights = np.array([w.get(m, 0) for m in B], dtype=complex)
     mods = np.abs(weights)
     tau = np.divide(weights.conj(), mods, out=np.ones_like(weights), where=mods != 0)
     blks = [freqs[lo:hi] for lo, hi in bounds]

@@ -45,10 +45,10 @@ singleton table (one scatter per kappa, whose parity gives the -j row),
 (m, j) for its dilation onto A, and (m, rough n) for the right side.  The
 smooth t, their Mobius signs and the rough n come from one arithmetic table
 (_table; _arith picks its bound and range per identity), shared by both
-sides.  The table is the only source of the smooth and rough classes: the
-L1 report reads the Mertens mass of N2 off it too.  A nonzero buffer holds
-the difference of the sides, so the witness and the defect are read
-straight off it (_defect): the frequency of largest |difference|/|F|.
+sides.  The table is the only source of the smooth and rough classes.  A
+nonzero buffer holds the difference of the sides, so the witness and the
+defect are read straight off it (_defect): the frequency of largest
+|difference|/|F|.
 
 The t-sum for Lambda runs over odd members of N2 only: even t would
 contribute at even frequencies where gamma vanishes on the left side as
@@ -72,7 +72,6 @@ from .errors import MEMORY_BUDGET, InputError
 from .sets import IntegerSet, structure
 
 IDENTITY_IDS = ("sec2_f", "gamma_sieved", "lambda1", "g1", "final")
-MERTENS_BOUND = 10**4  # l1_lower_report's Mertens mass sums 1/t for t up to it
 
 # Peak bytes per unit of cutoff X of verify_identity: the (2, X+1) buffer
 # (16), the arithmetic table (8) and the singleton table with one kappa's
@@ -311,11 +310,11 @@ def inner_sum_decomposition(n: int, ctx: SieveContext) -> dict:
 
 
 def l1_lower_report(A: IntegerSet, ctx: SieveContext) -> dict:
-    """Exact L1 norms of the aggregated step functions G_A, L_A, F_1, F_2,
-    the Mertens mass of the smooth sieve, and F_1's max >= L1/2 leg, from
-    three sweeps: G_A(x) = F(2x) for F the balanced function of (1/3, 2/3),
-    and x -> 2x preserves measure; L_A weighs Omega_1 by +1 and Omega_2 by
-    -1; F_2(x) = F_1(-x) as Omega_2 = -Omega_1, so F_2 has F_1's L1 and max."""
+    """Exact L1 norms of the aggregated step functions G_A, L_A, F_1, F_2 and
+    F_1's max >= L1/2 leg, from three sweeps: G_A(x) = F(2x) for F the
+    balanced function of (1/3, 2/3), and x -> 2x preserves measure; L_A
+    weighs Omega_1 by +1 and Omega_2 by -1; F_2(x) = F_1(-x) as Omega_2 =
+    -Omega_1, so F_2 has F_1's L1 and max.  ctx gives the report's Q."""
     def arcs(*systems):
         return [(lo, hi, w) for O, w in systems for lo, hi in O.arcs]
 
@@ -325,17 +324,13 @@ def l1_lower_report(A: IntegerSet, ctx: SieveContext) -> dict:
     l1_G, _, _ = l1_and_max(A, arcs((OMEGA_21, 1)), -A.N * OMEGA_21.measure)
     l1_F1, max_val, x_at = l1_and_max(A, arcs((OMEGA_1, 1)), -A.N * OMEGA_1.measure)
     norms = {"G": l1_G, "L": l1_L, "F1": l1_F1, "F2": l1_F1}
-    ts, _ = _smooth(_table(ctx.Q, MERTENS_BOUND))
-    mass = sum((Fraction(1, t) for t in ts.tolist()), Fraction(0))
-    frac = lambda q: [q.numerator, q.denominator]
     return {
         "N": A.N,
         "Q": ctx.Q,
-        "l1": {k: frac(v) for k, v in norms.items()},
-        "max_l1_GL": frac(max(norms["G"], norms["L"])),
-        "mertens_mass": frac(mass),
+        "l1": {k: list(v.as_integer_ratio()) for k, v in norms.items()},
+        "max_l1_GL": list(max(norms["G"], norms["L"]).as_integer_ratio()),
         "winner": "F1",
-        "winner_max": frac(max_val),
-        "winner_argmax": frac(x_at),
+        "winner_max": list(max_val.as_integer_ratio()),
+        "winner_argmax": list(x_at.as_integer_ratio()),
         "max_ge_half_l1": max_val >= norms["F1"] / 2,
     }

@@ -52,7 +52,6 @@ from sumfree.dilation import ExtractionCertificate, maximize_count
 from sumfree.errors import InputError
 from sumfree.lp import GRID_DEGREE_LIMIT, exp_sum_l1
 from sumfree.sets import IntegerSet, fold_sums, is_kl_sumfree
-from sumfree.sieve import MERTENS_BOUND
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -515,21 +514,16 @@ def l1_report_four_sweeps(A: IntegerSet, ctx: SieveContext) -> dict:
     F1 = weighted_count_function(A, arcs1).shift_const(Fraction(-N, 6))
     F2 = weighted_count_function(A, arcs2).shift_const(Fraction(-N, 6))
     norms = {"G": exact_l1(G), "L": exact_l1(L), "F1": exact_l1(F1), "F2": exact_l1(F2)}
-    mass = sum(
-        (Fraction(1, t) for t in smooth_squarefree(ctx, MERTENS_BOUND)), Fraction(0)
-    )
     winner = "F1" if norms["F1"] >= norms["F2"] else "F2"
     max_val, x_at = (F1 if winner == "F1" else F2).max_with_witness()
-    frac = lambda q: [q.numerator, q.denominator]
     return {
         "N": A.N,
         "Q": ctx.Q,
-        "l1": {k: frac(v) for k, v in norms.items()},
-        "max_l1_GL": frac(max(norms["G"], norms["L"])),
-        "mertens_mass": frac(mass),
+        "l1": {k: list(v.as_integer_ratio()) for k, v in norms.items()},
+        "max_l1_GL": list(max(norms["G"], norms["L"]).as_integer_ratio()),
         "winner": winner,
-        "winner_max": frac(max_val),
-        "winner_argmax": frac(x_at),
+        "winner_max": list(max_val.as_integer_ratio()),
+        "winner_argmax": list(x_at.as_integer_ratio()),
         "max_ge_half_l1": max_val >= norms[winner] / 2,
     }
 
@@ -550,15 +544,15 @@ def triadic_l1_own_chain(exponents: int, samples: int = 200_000, seed: int = 0):
     return mean, 3 * stderr
 
 
-def lacunary_rows_per_chain(family: list[IntegerSet], seed: int = 0) -> list[dict]:
-    """lacunary_l1_diagnostic's rows with one chain per sampled set."""
+def lacunary_rows_per_chain(sizes: tuple[int, ...], seed: int = 0) -> list[dict]:
+    """lacunary_l1_diagnostic's rows with one chain per sampled size."""
     rows = []
-    for A in family:
-        if max(A) > GRID_DEGREE_LIMIT:
-            val, bar = triadic_l1_own_chain(A.N, seed=seed)
+    for n in sizes:
+        if 3 ** (n - 1) > GRID_DEGREE_LIMIT:
+            val, bar = triadic_l1_own_chain(n, seed=seed)
         else:
-            val, bar = exp_sum_l1(A)
-        rows.append({"N": A.N, "l1": val, "l1_error": bar})
+            val, bar = exp_sum_l1(IntegerSet.of([3**j for j in range(n)]))
+        rows.append({"N": n, "l1": val, "l1_error": bar})
     return rows
 
 

@@ -254,6 +254,21 @@ def test_check_exit_code_on_mutated_report(name, mutate, code, checked_reports, 
         assert "does not reproduce" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", -1), ("size", 1.5), ("base", "4"), ("weights", "bogus")],
+)
+def test_check_refuses_a_tampered_config(field, value, checked_reports, tmp_path, capsys):
+    # each would reach numpy, or the random-weight branch, unrefused
+    with open(checked_reports["phi"]) as fh:
+        report = json.load(fh)
+    report["config"][field] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(report))
+    assert main(["check", str(path)]) == 2
+    assert f"--{field}" in capsys.readouterr().err
+
+
 def test_check_refuses_report_of_an_input_file(set_file, tmp_path, capsys):
     path = str(tmp_path / "extract.json")
     assert main(["extract", "--input", set_file, "--out", path]) == 0

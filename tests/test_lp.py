@@ -11,10 +11,6 @@ from sumfree.lp import _add_e, _triadic_chain, exp_sum_l1, lacunary_l1_diagnosti
 from sumfree.sets import IntegerSet
 
 
-def _family(sizes):
-    return [IntegerSet.of([3**j for j in range(n)]) for n in sizes]
-
-
 def test_montecarlo_single_frequency():
     mean, bar = _triadic_chain({1}, 20000, 1)[1]
     assert mean == pytest.approx(1.0, abs=1e-9)
@@ -32,8 +28,7 @@ def test_montecarlo_matches_grid():
 
 
 def test_lacunary_diagnostic():
-    family = [IntegerSet.of([3**j for j in range(n)]) for n in (8, 16, 32)]
-    d = lacunary_l1_diagnostic(family, seed=3)
+    d = lacunary_l1_diagnostic((8, 16, 32), seed=3)
     assert len(d["rows"]) == 3
     for row in d["rows"]:
         assert row["l1"] > 0
@@ -43,26 +38,25 @@ def test_lacunary_diagnostic():
 
 
 def test_lacunary_needs_three_sets():
-    family = [IntegerSet.of([1, 3]), IntegerSet.of([1, 3, 9])]
     with pytest.raises(InputError):
-        lacunary_l1_diagnostic(family)
+        lacunary_l1_diagnostic((2, 3))
     # three sets of one size leave the slope undetermined
     with pytest.raises(InputError):
-        lacunary_l1_diagnostic([IntegerSet.of([1])] * 3)
+        lacunary_l1_diagnostic((1, 1, 1))
 
 
 def test_lacunary_refuses_an_empty_set():
+    # size 0 is the empty family member {3^j : j < 0}
     with pytest.raises(InputError):
-        lacunary_l1_diagnostic([IntegerSet(()), IntegerSet.of([1]), IntegerSet.of([1, 3])])
+        lacunary_l1_diagnostic((0, 1, 2))
 
 
 @pytest.mark.parametrize("sizes", [(16, 32, 64), (8, 16, 32)])
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 909])
 def test_shared_chain_matches_one_chain_per_size(sizes, seed):
     # (8, 16, 32) mixes a grid row with two sampled rows
-    family = _family(sizes)
-    rows = lacunary_l1_diagnostic(family, seed=seed)["rows"]
-    for row, ref in zip(rows, lacunary_rows_per_chain(family, seed=seed)):
+    rows = lacunary_l1_diagnostic(sizes, seed=seed)["rows"]
+    for row, ref in zip(rows, lacunary_rows_per_chain(sizes, seed=seed)):
         assert row["N"] == ref["N"]
         assert row["l1"] == pytest.approx(ref["l1"], rel=1e-12, abs=0)
         assert row["l1_error"] == pytest.approx(ref["l1_error"], rel=1e-12, abs=0)
@@ -90,7 +84,7 @@ def test_shared_chain_draws_once_per_step(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    lacunary_l1_diagnostic(_family((16, 32, 64)), seed=5)
+    lacunary_l1_diagnostic((16, 32, 64), seed=5)
     assert [rng.draws for rng in made] == [64]
 
 

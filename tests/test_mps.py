@@ -96,7 +96,7 @@ def test_qk_support():
 
 def test_build_phi_small():
     B = IntegerSet.of(range(1, 51))
-    w = {m: 1.0 for m in B.elements}
+    w = np.ones(B.N)
     samples, cert = build_phi(B, w, b=4, M=4096)
     assert cert.sup_bound < 10
     assert cert.explicit_agreement < 1e-8
@@ -109,14 +109,14 @@ def test_build_phi_small():
     # sum_m w(m) Phi-hat(m), Phi-hat read off the returned samples, reproduces
     # the recorded value
     coeffs = GridFn(samples).coefficients()
-    pairing = sum(w[m] * coeffs[m % 4096] for m in B.elements)
+    pairing = np.sum(w * coeffs[np.array(B.elements) % 4096])
     assert pairing == pytest.approx(cert.pairing_value, rel=1e-9)
 
 
 def test_build_phi_random_weights():
     B = IntegerSet.of(range(1, 51))
     rng = np.random.default_rng(9)
-    w = {m: complex(np.exp(2j * math.pi * rng.random())) for m in B.elements}
+    w = np.exp(2j * math.pi * rng.random(B.N))
     _, cert = build_phi(B, w, b=4, M=4096)
     assert cert.sup_bound < 10
     assert cert.pairing_value.real >= cert.pairing_constant * cert.pairing_target
@@ -126,7 +126,7 @@ def test_build_phi_random_weights():
 def test_coeff_l2_is_the_norm_of_each_block_of_phi_hat(seed):
     rng = np.random.default_rng(seed)
     B = generate("interval", n=int(rng.integers(20, 301)))
-    w = dict(zip(B.elements, (rng.random(B.N) * np.exp(2j * math.pi * rng.random(B.N))).tolist()))
+    w = rng.random(B.N) * np.exp(2j * math.pi * rng.random(B.N))
     samples, cert = build_phi(B, w, 4, 4096)
     spec = np.fft.fft(samples) / 4096
     blocks = [B.elements[lo:hi] for lo, hi in block_bounds(B.N, 4)]
@@ -153,7 +153,7 @@ def test_build_phi_samples_each_block_once(monkeypatch):
     calls = []
     monkeypatch.setattr("sumfree.mps.sample_grid", _counting(calls, "sample_grid", sample_grid))
     B = IntegerSet.of(range(1, 51))
-    _, cert = build_phi(B, {m: 1.0 for m in B.elements}, b=4, M=4096)
+    _, cert = build_phi(B, np.ones(B.N), b=4, M=4096)
     blocks = len(cert.per_block)
     assert blocks == 3
     assert len(calls) == 3 * blocks
@@ -165,7 +165,7 @@ def test_phi_profile_samples_only_in_build_phi(monkeypatch):
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, _counting(calls, name, getattr(np.fft, name)))
     B = generate("interval", n=50)
-    build_phi(B, {m: 1.0 for m in B}, 4, 4096)
+    build_phi(B, np.ones(B.N), 4, 4096)
     in_build, calls[:] = list(calls), []
     run(RunConfig(command="report", kind="phi_profile", size=50, base=4, grid=4096))
     assert calls == in_build
@@ -175,7 +175,7 @@ def test_phi_profile_samples_only_in_build_phi(monkeypatch):
 def test_sup_bound_covers_fine_grid_max(seed):
     rng = np.random.default_rng(seed)
     B = generate("interval", n=int(rng.integers(20, 301)))
-    w = dict(zip(B.elements, np.exp(2j * math.pi * rng.random(B.N)).tolist()))
+    w = np.exp(2j * math.pi * rng.random(B.N))
     samples, cert = build_phi(B, w, 4, 4096)
     # Phi's spectrum lies in (-2048, 2048); zero-pad it onto 2^18 points
     spec = GridFn(samples).coefficients()
@@ -188,7 +188,7 @@ def test_sup_bound_covers_fine_grid_max(seed):
 @pytest.mark.parametrize("size, base, M", [(10101, 100, 1 << 17), (8000, 4, 1 << 16)])
 def test_build_phi_peak_within_bytes_per_grid_point(size, base, M):
     B = generate("interval", n=size)
-    w = {m: 1.0 for m in B}
+    w = np.ones(B.N)
     tracemalloc.start()
     try:
         _, cert = build_phi(B, w, base, M)
@@ -201,12 +201,19 @@ def test_build_phi_peak_within_bytes_per_grid_point(size, base, M):
 
 def test_build_phi_refuses_an_empty_set():
     with pytest.raises(InputError):
-        build_phi(IntegerSet(()), {}, 4, 64)
+        build_phi(IntegerSet(()), np.ones(0), 4, 64)
+
+
+@pytest.mark.parametrize("n", [49, 51])
+def test_build_phi_refuses_weights_of_the_wrong_length(n):
+    B = IntegerSet.of(range(1, 51))
+    with pytest.raises(InputError):
+        build_phi(B, np.ones(n), 4, 4096)
 
 
 def test_build_phi_refuses_oversized_grid_before_allocating():
     B = IntegerSet.of(range(1, 51))
-    w = {m: 1.0 for m in B}
+    w = np.ones(B.N)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError):

@@ -377,8 +377,6 @@ def test_inner_sum_support():
 def test_l1_lower_report():
     rep = l1_lower_report(IntegerSet.of([1, 2, 5, 9]), CTX)
     assert rep["max_ge_half_l1"]
-    num, den = rep["mertens_mass"]
-    assert Fraction(num, den) > 1
     num, den = rep["max_l1_GL"]
     assert Fraction(num, den) > 0
     assert rep["winner"] in ("G", "L", "F1", "F2")

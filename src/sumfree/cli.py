@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -37,25 +37,28 @@ PROFILE_POINTS = 2048  # about this many |Phi| samples per phi_profile report
 CHECK_TOLERANCE = 1e-12  # relative and absolute, for a float that check re-runs
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: str | None = None
-    format: str = "lines"
-    k: int = 2
-    l: int = 1
-    q: int = 5
-    p: int | None = None
-    cutoff: int = 2000
-    grid: int = 1 << 17
-    base: int = 100
-    size: int = 10101
-    weights: str = "unit"
-    threshold_exp: float = 0.5
-    seed: int = 0
-    sizes: tuple[int, ...] = ()
-    kind: str | None = None
-    out: str | None = None
+def _int_type(what: str, ok):
+    """argparse type: an integer v with ok(v), else a usage error."""
+    def parse(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or not ok(int(text)):
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return int(text)
+    return parse
+
+
+_positive_int = _int_type("a positive integer", lambda v: v >= 1)
+
+
+def _unit_float(text: str) -> float:
+    """argparse type: a float in [0, 1], so never nan or inf."""
+    v = float(text)  # argparse turns a ValueError into a usage error
+    if not 0 <= v <= 1:
+        raise argparse.ArgumentTypeError(f"not a number in [0, 1]: {text!r}")
+    return v
+
+
+def _positive_ints(text: str) -> tuple[int, ...]:
+    return tuple(_positive_int(t) for t in text.split(",") if t)
 
 
 def _load_input(config: RunConfig) -> IntegerSet:
@@ -72,36 +75,6 @@ def _context(config: RunConfig, N: int) -> SieveContext:
     return SieveContext(Q=config.q, P=P)
 
 
-def _structure_stage(A: IntegerSet, config: RunConfig) -> dict:
-    rep = structure(A, Fraction(config.threshold_exp).limit_denominator(1000))
-    return {
-        "N": A.N,
-        "symdiff_size": len(rep.symdiff),
-        "symdiff": list(rep.symdiff),
-        "cover_size": len(rep.cover_indices),
-        "lacunary_exponent": rep.lacunary_exponent,
-        "geometric": rep.geometric,
-    }
-
-
-def _extract_stage(A: IntegerSet, config: RunConfig, geometric: bool) -> dict:
-    cert = extract_certified(A, config.k, config.l)
-    return {
-        "certificate": cert.to_json(),
-        "count": cert.count,
-        "baseline": list(Fraction(A.N, config.k + config.l).as_integer_ratio()),
-        "route": "lacunary" if geometric else "balanced-arcs",
-    }
-
-
-def _verify_stage(A: IntegerSet, config: RunConfig) -> dict:
-    ctx = _context(config, A.N)
-    results = [
-        verify_identity(iid, A, ctx, config.cutoff) for iid in IDENTITY_IDS
-    ]
-    return {"identities": results, "all_equal": all(r["equal"] for r in results)}
-
-
 def _phi_interval(config: RunConfig) -> IntegerSet:
     """The frequencies 1..size of the phi stages, built only once their blocks
     pass build_phi's grid check (for 1..size, about 8*size <= grid)."""
@@ -109,25 +82,7 @@ def _phi_interval(config: RunConfig) -> IntegerSet:
     return generate("interval", n=config.size)
 
 
-def _phi_stage(config: RunConfig) -> dict:
-    B = _phi_interval(config)
-    if config.weights == "unit":
-        w = np.ones(B.N)
-    else:
-        w = np.exp(2j * math.pi * np.random.default_rng(config.seed).random(B.N))
-    _, cert = build_phi(B, w, config.base, config.grid)
-    return {"certificate": cert.to_json(), "weights": config.weights}
-
-
-def _lp_stage(config: RunConfig) -> dict:
-    return lacunary_l1_diagnostic(config.sizes or (16, 32, 64), seed=config.seed)
-
-
-def _oracle_stage(A: IntegerSet, config: RunConfig) -> dict:
-    return compare(A, config.k, config.l)
-
-
-def _l1_growth_stage(config: RunConfig) -> list[dict]:
+def _l1_growth_rows(config: RunConfig) -> list[dict]:
     rows = []
     sizes = config.sizes or (30, 100, 300)
     for N in sizes:
@@ -148,7 +103,7 @@ def _l1_growth_stage(config: RunConfig) -> list[dict]:
     return rows
 
 
-def _surplus_stage(config: RunConfig) -> list[dict]:
+def _surplus_rows(config: RunConfig) -> list[dict]:
     rows = []
     sizes = config.sizes or (30, 60, 120, 240)
     for N in sizes:
@@ -164,7 +119,7 @@ def _surplus_stage(config: RunConfig) -> list[dict]:
     return rows
 
 
-def _phi_profile_stage(config: RunConfig) -> list[dict]:
+def _phi_profile_rows(config: RunConfig) -> list[dict]:
     B = _phi_interval(config)
     samples, _ = build_phi(B, np.ones(B.N), config.base, config.grid)
     step = max(1, config.grid // PROFILE_POINTS)
@@ -172,6 +127,95 @@ def _phi_profile_stage(config: RunConfig) -> list[dict]:
         {"x": j / config.grid, "abs_phi": float(abs(samples[j]))}
         for j in range(0, config.grid, step)
     ]
+
+
+# report kind -> its CSV rows; the --kind choices
+_REPORTS = {
+    "l1_growth": _l1_growth_rows,
+    "surplus_vs_N": _surplus_rows,
+    "phi_profile": _phi_profile_rows,
+}
+
+
+def _flag(default, **keywords):
+    """A RunConfig field: its flag's default, with add_argument keywords as metadata."""
+    return field(default=default, metadata=keywords)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run: the subcommand, then a field per flag with its default and rule."""
+
+    command: str
+    input: str | None = _flag(None, help="set file, or - for stdin")
+    format: str = _flag("lines", choices=("lines", "json"))
+    k: int = _flag(2, type=int)
+    l: int = _flag(1, type=int)
+    q: int = _flag(5, type=_int_type("a prime >= 3", lambda v: v >= 3 and is_prime(v)))
+    p: int | None = _flag(None, type=_int_type("a prime", is_prime))
+    cutoff: int = _flag(2000, type=_int_type(
+        f"an integer in [1, {SIEVE_CUTOFF_CAP}]", lambda v: 1 <= v <= SIEVE_CUTOFF_CAP
+    ))
+    grid: int = _flag(1 << 17, type=_int_type(
+        f"a power of two in [4, {PHI_GRID_CAP}]",
+        lambda v: 4 <= v <= PHI_GRID_CAP and not v & (v - 1),
+    ))
+    base: int = _flag(100, type=_int_type("an integer >= 4", lambda v: v >= 4))
+    size: int = _flag(10101, type=_positive_int)
+    weights: str = _flag("unit", choices=("unit", "random"))
+    threshold_exp: float = _flag(0.5, type=_unit_float)
+    seed: int = _flag(0, type=_int_type("a non-negative integer", lambda v: v >= 0))
+    sizes: tuple[int, ...] = _flag(
+        (), type=_positive_ints, help="comma-separated positive integers"
+    )
+    kind: str | None = _flag(None, choices=tuple(_REPORTS), required=True)
+    out: str | None = _flag(None, help="write the output here instead of stdout")
+
+
+def _structure_stage(A: IntegerSet, config: RunConfig) -> dict:
+    rep = structure(A, Fraction(config.threshold_exp).limit_denominator(1000))
+    return {
+        "N": A.N,
+        "symdiff_size": len(rep.symdiff),
+        "symdiff": list(rep.symdiff),
+        "cover_size": len(rep.cover_indices),
+        "lacunary_exponent": rep.lacunary_exponent,
+        "geometric": rep.geometric,
+    }
+
+
+def _extract_stages(config: RunConfig) -> dict:
+    A = _load_input(config)
+    structure_stage = _structure_stage(A, config)
+    cert = extract_certified(A, config.k, config.l)
+    return {
+        "structure": structure_stage,
+        "extraction": {
+            "certificate": cert.to_json(),
+            "count": cert.count,
+            "baseline": list(Fraction(A.N, config.k + config.l).as_integer_ratio()),
+            "route": "lacunary" if structure_stage["geometric"] else "balanced-arcs",
+        },
+    }
+
+
+def _verify_stages(config: RunConfig) -> dict:
+    A = _load_input(config)
+    ctx = _context(config, A.N)
+    results = [
+        verify_identity(iid, A, ctx, config.cutoff) for iid in IDENTITY_IDS
+    ]
+    return {"verify": {"identities": results, "all_equal": all(r["equal"] for r in results)}}
+
+
+def _phi_stage(config: RunConfig) -> dict:
+    B = _phi_interval(config)
+    if config.weights == "unit":
+        w = np.ones(B.N)
+    else:
+        w = np.exp(2j * math.pi * np.random.default_rng(config.seed).random(B.N))
+    _, cert = build_phi(B, w, config.base, config.grid)
+    return {"certificate": cert.to_json(), "weights": config.weights}
 
 
 def _mismatches(got, want, where: str):
@@ -218,39 +262,35 @@ def _check_stage(config: RunConfig) -> dict:
     return {"command": echoed.command, "equal": not mismatches, "mismatches": mismatches}
 
 
+# subcommand -> (the flags its stages read, config -> its report's stages)
+_COMMANDS = {
+    "analyze": (
+        ("input", "format", "threshold_exp", "out"),
+        lambda c: {"structure": _structure_stage(_load_input(c), c)},
+    ),
+    "extract": (("input", "format", "k", "l", "threshold_exp", "out"), _extract_stages),
+    "verify": (("input", "format", "q", "p", "cutoff", "out"), _verify_stages),
+    "phi": (("size", "base", "grid", "weights", "seed", "out"), lambda c: {"phi": _phi_stage(c)}),
+    "lp": (
+        ("sizes", "seed", "out"),
+        lambda c: {"lp": lacunary_l1_diagnostic(c.sizes or (16, 32, 64), seed=c.seed)},
+    ),
+    "oracle": (
+        ("input", "format", "k", "l", "out"),
+        lambda c: {"oracle": compare(_load_input(c), c.k, c.l)},
+    ),
+    "report": (
+        ("kind", "sizes", "k", "l", "size", "base", "grid", "out"),
+        lambda c: {c.kind: _REPORTS[c.kind](c)},
+    ),
+    "check": (("out",), lambda c: {"check": _check_stage(c)}),
+}
+
+
 def run(config: RunConfig) -> dict:
-    """Dispatch one subcommand and assemble the report."""
+    """Run one subcommand's stages and assemble the report."""
     t0 = time.perf_counter()
-    stages: dict = {}
-    if config.command == "analyze":
-        stages["structure"] = _structure_stage(_load_input(config), config)
-    elif config.command == "extract":
-        A = _load_input(config)
-        stages["structure"] = _structure_stage(A, config)
-        stages["extraction"] = _extract_stage(
-            A, config, stages["structure"]["geometric"]
-        )
-    elif config.command == "verify":
-        stages["verify"] = _verify_stage(_load_input(config), config)
-    elif config.command == "phi":
-        stages["phi"] = _phi_stage(config)
-    elif config.command == "lp":
-        stages["lp"] = _lp_stage(config)
-    elif config.command == "oracle":
-        stages["oracle"] = _oracle_stage(_load_input(config), config)
-    elif config.command == "report":
-        if config.kind == "l1_growth":
-            stages["l1_growth"] = _l1_growth_stage(config)
-        elif config.kind == "surplus_vs_N":
-            stages["surplus_vs_N"] = _surplus_stage(config)
-        elif config.kind == "phi_profile":
-            stages["phi_profile"] = _phi_profile_stage(config)
-        else:
-            raise InputError(f"unknown report kind {config.kind!r}")
-    elif config.command == "check":
-        stages["check"] = _check_stage(config)
-    else:
-        raise InputError(f"unknown command {config.command!r}")
+    stages = _COMMANDS[config.command][1](config)
     return {
         "config": asdict(config),
         "stages": stages,
@@ -269,77 +309,23 @@ def emit_plotdata(report: dict, kind: str) -> str:
     return buf.getvalue()
 
 
-def _int_type(what: str, ok):
-    """argparse type: an integer v with ok(v), else a usage error."""
-    def parse(text: str) -> int:
-        if not text.removeprefix("-").isdecimal() or not ok(int(text)):
-            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
-        return int(text)
-    return parse
-
-
-_positive_int = _int_type("a positive integer", lambda v: v >= 1)
-
-
-def _unit_float(text: str) -> float:
-    """argparse type: a float in [0, 1], so never nan or inf."""
-    v = float(text)  # argparse turns a ValueError into a usage error
-    if not 0 <= v <= 1:
-        raise argparse.ArgumentTypeError(f"not a number in [0, 1]: {text!r}")
-    return v
-
-
-def _positive_ints(text: str) -> tuple[int, ...]:
-    return tuple(_positive_int(t) for t in text.split(",") if t)
-
-
-# add_argument keywords per flag; every default is RunConfig's
-_FLAGS = {
-    "input": dict(help="set file, or - for stdin"),
-    "format": dict(choices=("lines", "json")),
-    "k": dict(type=int),
-    "l": dict(type=int),
-    "q": dict(type=_int_type("a prime >= 3", lambda v: v >= 3 and is_prime(v))),
-    "p": dict(type=_int_type("a prime", is_prime)),
-    "cutoff": dict(type=_int_type(f"an integer in [1, {SIEVE_CUTOFF_CAP}]",
-                                  lambda v: 1 <= v <= SIEVE_CUTOFF_CAP)),
-    "grid": dict(type=_int_type(f"a power of two in [4, {PHI_GRID_CAP}]",
-                                lambda v: 4 <= v <= PHI_GRID_CAP and not v & (v - 1))),
-    "base": dict(type=_int_type("an integer >= 4", lambda v: v >= 4)),
-    "size": dict(type=_positive_int),
-    "weights": dict(choices=("unit", "random")),
-    "threshold_exp": dict(type=_unit_float),
-    "seed": dict(type=_int_type("a non-negative integer", lambda v: v >= 0)),
-    "sizes": dict(type=_positive_ints, help="comma-separated positive integers"),
-    "kind": dict(choices=("l1_growth", "surplus_vs_N", "phi_profile"), required=True),
-    "out": dict(help="write the output here instead of stdout"),
-}
-
-# the flags each subcommand's stages read
-_COMMAND_FLAGS = {
-    "analyze": ("input", "format", "threshold_exp", "out"),
-    "extract": ("input", "format", "k", "l", "threshold_exp", "out"),
-    "verify": ("input", "format", "q", "p", "cutoff", "out"),
-    "phi": ("size", "base", "grid", "weights", "seed", "out"),
-    "lp": ("sizes", "seed", "out"),
-    "oracle": ("input", "format", "k", "l", "out"),
-    "report": ("kind", "sizes", "k", "l", "q", "p", "size", "base", "grid", "out"),
-    "check": ("out",),
-}
-
-
 def _check_flags(config: RunConfig) -> None:
-    """InputError unless each field of config is None or what its flag's
-    _FLAGS type and choices make of some text."""
-    for flag, spec in _FLAGS.items():
-        value = getattr(config, flag)
-        text = ",".join(map(str, value)) if flag == "sizes" else str(value)
+    """InputError unless some command line of a subcommand other than check
+    could give config: each field None or what its flag's type and choices
+    make of some text, and no flag the subcommand requires left None."""
+    if config.command not in _COMMANDS or config.command == "check":
+        raise InputError(f"check cannot re-run a report of command {config.command!r}")
+    for f in fields(RunConfig)[1:]:
+        spec, value, flag = f.metadata, getattr(config, f.name), "--" + f.name.replace("_", "-")
+        if value is None and spec.get("required") and f.name in _COMMANDS[config.command][0]:
+            raise InputError(f"a {config.command} report needs {flag}")
+        text = ",".join(map(str, value)) if f.name == "sizes" else str(value)
         try:
             ok = spec.get("type", str)(text) == value and value in spec.get("choices", (value,))
         except (ValueError, argparse.ArgumentTypeError):
             ok = False
         if value is not None and not ok:
-            raise InputError(f"{value!r} is not a valid --{flag.replace('_', '-')}")
+            raise InputError(f"{value!r} is not a valid {flag}")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -349,15 +335,14 @@ def _parser() -> argparse.ArgumentParser:
         "of the sieve identities and the L1 bounds behind it",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, flags in _COMMAND_FLAGS.items():
+    specs = {f.name: f for f in fields(RunConfig)}
+    for name, (flags, _) in _COMMANDS.items():
         sp = sub.add_parser(name)
         if name == "check":
             sp.add_argument("input", metavar="REPORT.json", help="a JSON report of phi or lp")
         for flag in flags:
             sp.add_argument(
-                "--" + flag.replace("_", "-"),
-                default=getattr(RunConfig, flag),
-                **_FLAGS[flag],
+                "--" + flag.replace("_", "-"), default=specs[flag].default, **specs[flag].metadata
             )
     return ap
 

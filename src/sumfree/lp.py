@@ -19,11 +19,12 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .fourier import grid_norms
 from .sets import IntegerSet
 
 GRID_DEGREE_LIMIT = 1 << 20
+CHAIN_STEP_CAP = 4096  # the chain's time budget: about 4 ms a step, so 15-20 s
 _TABLE = 3**8
 _CHUNK = 1 << 14
 # cos and sin Taylor coefficients for the angle 2*pi*f/_TABLE, as powers of f
@@ -95,6 +96,8 @@ def lacunary_l1_diagnostic(sizes: tuple[int, ...], seed: int = 0) -> dict:
         raise InputError("need at least 3 sizes, at least 2 of them distinct, to fit a slope")
     if min(sizes) < 1:
         raise InputError("the number of exponents must be >= 1")
+    if max(sizes) > CHAIN_STEP_CAP:
+        raise ResourceLimitError(f"size {max(sizes)} passes CHAIN_STEP_CAP = {CHAIN_STEP_CAP}")
     sampled = {n for n in sizes if 3 ** (n - 1) > GRID_DEGREE_LIMIT}
     chain = _triadic_chain(sampled, seed=seed) if sampled else {}
     rows = []

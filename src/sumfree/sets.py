@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,10 +40,6 @@ class IntegerSet:
 
     def __len__(self):
         return len(self.elements)
-
-    def __contains__(self, x):
-        i = bisect_left(self.elements, x)
-        return i < len(self.elements) and self.elements[i] == x
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,8 @@ def _exit_code(argv) -> int:
         (["analyze", "--input", "{set}", "--threshold-exp", "1e308"], 2),
         (["phi", "--weights", "random", "--seed", "-1"], 2),
         (["lp", "--seed", "-1"], 2),
+        # the chain would run 200,000 steps, past CHAIN_STEP_CAP
+        (["lp", "--sizes", "16,32,200000"], 3),
         (["analyze", "--input", "{dir}"], 2),
         (["analyze", "--input", "{binary}"], 2),
         (["analyze", "--input", "{set}", "--out", "{dir}"], 2),
@@ -183,10 +185,12 @@ def test_internal_bug_keeps_its_traceback(monkeypatch, set_file):
 
 
 def test_flags_belong_to_their_subcommand(set_file, capsys):
-    # --cutoff is read by verify only
-    with pytest.raises(SystemExit) as exc:
-        main(["extract", "--input", set_file, "--cutoff", "200"])
-    assert exc.value.code == 2
+    # --cutoff is read by verify only, and no report kind reads --q
+    for argv in (
+        ["extract", "--input", set_file, "--cutoff", "200"],
+        ["report", "--kind", "l1_growth", "--q", "7"],
+    ):
+        assert _exit_code(argv) == 2
     with pytest.raises(SystemExit):
         main(["lp", "--help"])
     help_text = capsys.readouterr().out
@@ -274,6 +278,19 @@ def test_check_refuses_report_of_an_input_file(set_file, tmp_path, capsys):
     assert main(["extract", "--input", set_file, "--out", path]) == 0
     assert main(["check", path]) == 2
     assert "embedded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("input_path", [None, "lp.json"])
+def test_check_refuses_a_check_report(input_path, checked_reports, tmp_path, capsys):
+    path = str(tmp_path / "check.json")
+    assert main(["check", checked_reports["lp"], "--out", path]) == 0
+    with open(path) as fh:
+        report = json.load(fh)
+    report["config"]["input"] = input_path  # with null, check would re-run itself
+    with open(path, "w") as fh:
+        json.dump(report, fh)
+    assert main(["check", path]) == 2
+    assert "'check'" in capsys.readouterr().err
 
 
 def test_check_refuses_what_is_not_a_report(tmp_path):

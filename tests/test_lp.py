@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from reference import lacunary_rows_per_chain
-from sumfree.errors import InputError
-from sumfree.lp import _add_e, _triadic_chain, exp_sum_l1, lacunary_l1_diagnostic
+from sumfree.errors import InputError, ResourceLimitError
+from sumfree.lp import CHAIN_STEP_CAP, _add_e, _triadic_chain, exp_sum_l1, lacunary_l1_diagnostic
 from sumfree.sets import IntegerSet
 
 
@@ -49,6 +49,15 @@ def test_lacunary_refuses_an_empty_set():
     # size 0 is the empty family member {3^j : j < 0}
     with pytest.raises(InputError):
         lacunary_l1_diagnostic((0, 1, 2))
+
+
+def test_lacunary_refuses_a_chain_past_its_step_cap(monkeypatch):
+    def no_sampling(seed):
+        raise AssertionError("sampled before the budget check")
+
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    with pytest.raises(ResourceLimitError, match=str(CHAIN_STEP_CAP)):
+        lacunary_l1_diagnostic((16, 32, CHAIN_STEP_CAP + 1))
 
 
 @pytest.mark.parametrize("sizes", [(16, 32, 64), (8, 16, 32)])

@@ -280,17 +280,27 @@ def test_check_refuses_report_of_an_input_file(set_file, tmp_path, capsys):
     assert "embedded" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("input_path", [None, "lp.json"])
-def test_check_refuses_a_check_report(input_path, checked_reports, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, input_path, error",
+    [
+        ("check", None, "'check'"),  # check would re-run itself on a null input
+        ("check", "lp.json", "'check'"),
+        ("report", None, "--kind"),
+        ("bogus", None, "'bogus'"),
+    ],
+)
+def test_check_refuses_a_command_it_cannot_rerun(
+    command, input_path, error, checked_reports, tmp_path, capsys
+):
     path = str(tmp_path / "check.json")
     assert main(["check", checked_reports["lp"], "--out", path]) == 0
     with open(path) as fh:
         report = json.load(fh)
-    report["config"]["input"] = input_path  # with null, check would re-run itself
+    report["config"].update(command=command, input=input_path)
     with open(path, "w") as fh:
         json.dump(report, fh)
     assert main(["check", path]) == 2
-    assert "'check'" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
 
 
 def test_check_refuses_what_is_not_a_report(tmp_path):

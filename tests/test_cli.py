@@ -111,8 +111,6 @@ def _exit_code(argv) -> int:
         (["analyze", "--input", "{set}", "--threshold-exp", "1e308"], 2),
         (["phi", "--weights", "random", "--seed", "-1"], 2),
         (["lp", "--seed", "-1"], 2),
-        # the chain would run 200,000 steps, past CHAIN_STEP_CAP
-        (["lp", "--sizes", "16,32,200000"], 3),
         (["analyze", "--input", "{dir}"], 2),
         (["analyze", "--input", "{binary}"], 2),
         (["analyze", "--input", "{set}", "--out", "{dir}"], 2),
@@ -121,6 +119,8 @@ def _exit_code(argv) -> int:
         (["analyze", "--input", "{set}", "--threshold-exp", "1"], 0),
         # within the --grid cap, but 11 blocks on 2^24 points exceed the budget
         (["phi", "--grid", str(1 << 24), "--base", "4", "--size", "2000000"], 3),
+        # the chain would run 200,000 steps, past CHAIN_STEP_CAP
+        (["lp", "--sizes", "16,32,200000"], 3),
     ],
 )
 def test_exit_code(argv, code, set_file, tmp_path):

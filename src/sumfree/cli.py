@@ -257,7 +257,7 @@ def _check_stage(config: RunConfig) -> dict:
             f"a {echoed.command} report names its input set by path ({echoed.input}); "
             "checking it needs the set embedded in the report (ROADMAP D7)"
         )
-    rerun = json.loads(json.dumps(run(echoed)["stages"], default=str))
+    rerun = json.loads(json.dumps(run(echoed)["stages"]))
     mismatches = list(_mismatches(rerun, stored, "stages"))
     return {"command": echoed.command, "equal": not mismatches, "mismatches": mismatches}
 
@@ -352,14 +352,16 @@ def main(argv=None) -> int:
     try:
         report = run(config)
         if config.command == "verify" and not report["stages"]["verify"]["all_equal"]:
-            raise CertificationError("identity verification failed")
+            failed = [f"{r['identity_id']} (defect {r['defect']} at {r['witness']})"
+                      for r in report["stages"]["verify"]["identities"] if not r["equal"]]
+            raise CertificationError(f"identity verification failed: {', '.join(failed)}")
         if config.command == "check" and not report["stages"]["check"]["equal"]:
             mismatches = report["stages"]["check"]["mismatches"]
             raise CertificationError(f"the report does not reproduce at {', '.join(mismatches)}")
         if config.command == "report":
             payload = emit_plotdata(report, config.kind)
         else:
-            payload = json.dumps(report, indent=2, default=str)
+            payload = json.dumps(report, indent=2)
         if config.out:
             with open(config.out, "w") as fh:
                 fh.write(payload)

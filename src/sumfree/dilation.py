@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import isqrt, lcm
 
 import numpy as np
@@ -64,15 +65,24 @@ def _exact_order(p: np.ndarray, q: np.ndarray):
     return order, p, q
 
 
+def _inside(A: IntegerSet, O: ArcSet, p, q: int) -> np.ndarray:
+    """[i, t] true iff n_t*p[i]/q mod 1, r/q for r = n_t*p[i] mod q, is in O:
+    iff lo*q < r < hi*q for an arc (lo, hi).  Products are below q*max(q, den),
+    den the arc denominators: int64 while that is below 2**62, else Python ints."""
+    den = max((e.denominator for arc in O.arcs for e in arc), default=1)
+    kind = np.int64 if q * max(q, den) < 2**62 else object
+    n = np.array([n % q for n in A], kind)
+    r = np.array([int(x) % q for x in p], kind)[:, None] * n % q
+    inside = np.zeros(r.shape, bool)
+    for lo, hi in O.arcs:
+        inside |= (lo.numerator * q < r * lo.denominator) & (r * hi.denominator < hi.numerator * q)
+    return inside
+
+
 def orbit_subset(A: IntegerSet, O: ArcSet, x) -> IntegerSet:
-    """{n in A : n*x mod 1 in O}, exact: with x = p/q, n*x mod 1 = r/q for
-    r = n*p mod q, in the open arc (lo, hi) iff lo*q < r < hi*q."""
+    """{n in A : n*x mod 1 in O}, exact: one row of _inside at x = p/q."""
     p, q = Fraction(x).as_integer_ratio()
-    bounds = [(lo.numerator * q, lo.denominator, hi.denominator, hi.numerator * q)
-              for lo, hi in O.arcs]
-    members = [n for n in A for r in (n * p % q,)
-               if any(a < r * b and r * c < d for a, b, c, d in bounds)]
-    return IntegerSet(tuple(members))
+    return IntegerSet(tuple(compress(A.elements, _inside(A, O, [p], q)[0])))
 
 
 def _sweep(A: IntegerSet, edges, s: np.ndarray, e: np.ndarray, M: int):
@@ -156,7 +166,7 @@ def l1_and_max(A: IntegerSet, weighted_arcs, shift) -> tuple[Fraction, Fraction,
     then over the lcm of the denominators.
     """
     edges = _edges(weighted_arcs)
-    p, q, levels, _ = _sweep(A, edges, np.zeros(1, np.int64), np.ones(1, np.int64), 1)
+    p, q, levels, first = _sweep(A, edges, np.zeros(1, np.int64), np.ones(1, np.int64), 1)
     shift = Fraction(shift)
     b, D = shift.as_integer_ratio()
     u_max = D * int(np.abs(levels).max()) + abs(b)
@@ -171,10 +181,8 @@ def l1_and_max(A: IntegerSet, weighted_arcs, shift) -> tuple[Fraction, Fraction,
     dens = [int(d) for d in dens[starts]]
     L = lcm(*dens)
     total = int(u[-1]) * L + sum(int(s) * (L // d) for s, d in zip(sums, dens))
-    i = int(np.argmax(levels))
-    end = Fraction(int(p[i + 1]), int(q[i + 1])) if i + 1 < len(levels) else Fraction(1)
-    witness = (Fraction(int(p[i]), int(q[i])) + end) / 2
-    return Fraction(total, L * D), int(levels[i]) + shift, witness
+    witness, top = _argmax(p, q, levels, first, [1], 1, False)
+    return Fraction(total, L * D), top + shift, witness
 
 
 def _bucket_bound(A: IntegerSet, O: ArcSet, M: int, half: bool = False) -> np.ndarray:
@@ -209,20 +217,18 @@ def _bucket_bound(A: IntegerSet, O: ArcSet, M: int, half: bool = False) -> np.nd
     return np.cumsum(U[:B], out=U[:B])
 
 
-def _count_at_midpoints(A: IntegerSet, O: ArcSet, buckets: np.ndarray, M: int) -> np.ndarray:
-    """|A_x| at x = (2i + 1)/(2M) for each bucket i, exact."""
-    den = max((e.denominator for arc in O.arcs for e in arc), default=1)
-    kind = object if 2 * M * den >= 2**62 else np.int64
-    # n*x mod 1 = r/(2M); (n mod 2M)*(2i + 1) < 4M^2 fits, as the bucket
-    # budget keeps M below 2**30
-    n = np.array([n % (2 * M) for n in A], np.int64)
-    r = (n * (2 * buckets[:, None] + 1) % (2 * M)).astype(kind)
-    inside = sum(
-        ((lo.numerator * 2 * M < r * lo.denominator) & (r * hi.denominator < hi.numerator * 2 * M)
-         for lo, hi in O.arcs),
-        np.zeros(r.shape, np.int64),
-    )
-    return inside.sum(axis=1)
+def _argmax(p, q, levels, first, e, M: int, half: bool) -> tuple[Fraction, int]:
+    """(lowest maximizing midpoint, maximum) of a _sweep of runs ending at e/M:
+    the first piece at the maximum ends at the next piece or its run's end.
+    With `half`, such a last piece of the run ending at 1/2 goes on into its
+    own mirror image, and its midpoint is 1/2."""
+    i = int(np.argmax(levels))
+    r = int(np.searchsorted(first, i, side="right")) - 1
+    last = i + 1 == (first[r + 1] if r + 1 < len(first) else len(levels))
+    if last and half and 2 * e[r] == M:
+        return Fraction(1, 2), int(levels[i])
+    end = Fraction(int(e[r]), M) if last else Fraction(int(p[i + 1]), int(q[i + 1]))
+    return (Fraction(int(p[i]), int(q[i])) + end) / 2, int(levels[i])
 
 
 def _maximize_by_buckets(A: IntegerSet, O: ArcSet, M: int) -> tuple[Fraction, int]:
@@ -232,7 +238,7 @@ def _maximize_by_buckets(A: IntegerSet, O: ArcSet, M: int) -> tuple[Fraction, in
     U = _bucket_bound(A, O, M, half)
     k = min(TOP_BUCKETS, len(U))
     top = np.argpartition(U, -k)[-k:]
-    tau = int(_count_at_midpoints(A, O, top, M).max())
+    tau = int(_inside(A, O, 2 * top + 1, 2 * M).sum(axis=1).max())
     # a piece at the maximum (>= tau) meets only buckets with U >= tau, so it
     # lies inside one run of them; a piece cut by a run's edge also meets a
     # bucket outside the run, so its value is below tau
@@ -243,16 +249,8 @@ def _maximize_by_buckets(A: IntegerSet, O: ArcSet, M: int) -> tuple[Fraction, in
     # per edge, so runs closer than N*M/sum(A) buckets are swept as one
     apart = (s[1:] - e[:-1]) * sum(A) >= A.N * M
     s, e = s[np.r_[True, apart]], e[np.r_[apart, True]]
-    edges = [(c, sign) for lo, hi in O.arcs for c, sign in ((lo, 1), (hi, -1))]
-    p, q, levels, first = _sweep(A, edges, s, e, M)
-    i = int(np.argmax(levels))
-    r = int(np.searchsorted(first, i, side="right")) - 1
-    last = i + 1 == (first[r + 1] if r + 1 < len(first) else len(levels))
-    if last and half and 2 * e[r] == M:
-        # the piece goes on past 1/2 into its own mirror image
-        return Fraction(1, 2), int(levels[i])
-    end = Fraction(int(e[r]), M) if last else Fraction(int(p[i + 1]), int(q[i + 1]))
-    return (Fraction(int(p[i]), int(q[i])) + end) / 2, int(levels[i])
+    p, q, levels, first = _sweep(A, _edges((lo, hi, 1) for lo, hi in O.arcs), s, e, M)
+    return _argmax(p, q, levels, first, e, M, half)
 
 
 def maximize_count(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
@@ -337,16 +335,9 @@ def extract_certified(A: IntegerSet, k: int, l: int) -> ExtractionCertificate:
         if best is None or count > best[1]:
             best = (x_star, count, O)
     x_star, count, O = best
-    subset = orbit_subset(A, O, x_star)
-    if len(subset) != count:
-        raise CertificationError("orbit subset does not match the maximized count")
-    if len(subset) > 0 and not is_kl_sumfree(subset, k, l):
-        raise CertificationError(
-            f"extracted subset {subset.elements} is not ({k},{l})-sum-free"
-        )
-    return ExtractionCertificate(
+    cert = ExtractionCertificate(
         x_star=x_star,
-        subset=subset,
+        subset=orbit_subset(A, O, x_star),
         count=count,
         arc_used=O,
         k=k,
@@ -354,3 +345,6 @@ def extract_certified(A: IntegerSet, k: int, l: int) -> ExtractionCertificate:
         sumfree_checked=True,
         surplus=count - Fraction(A.N, k + l),
     )
+    if not cert.reverify(A):
+        raise CertificationError(f"the certificate at x* = {x_star} does not re-verify")
+    return cert

@@ -58,8 +58,6 @@ def _add_e(total: np.ndarray, y: np.ndarray, table: np.ndarray) -> None:
 def _triadic_chain(sizes, samples: int = 200_000, seed: int = 0) -> dict:
     """{n: (mean, 3-sigma bar)} estimates of ||sum_{j<n} e(3^j x)||_1 for each
     n in sizes, all read from one backward chain run to the largest n."""
-    if min(sizes) < 1:
-        raise InputError("the number of exponents must be >= 1")
     table = np.exp(2j * math.pi * np.arange(_TABLE + 1) / _TABLE)
     rng = np.random.default_rng(seed)
     y = rng.random(samples)

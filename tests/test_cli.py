@@ -184,6 +184,20 @@ def test_internal_bug_keeps_its_traceback(monkeypatch, set_file):
         main(["analyze", "--input", set_file])
 
 
+def test_failed_verify_names_each_failing_identity(monkeypatch, set_file, capsys):
+    real = cli.verify_identity
+
+    def verify_identity(iid, A, ctx, X):
+        row = real(iid, A, ctx, X)
+        return dict(row, equal=False, defect="-1/6i", witness=-7) if iid == "lambda1" else row
+
+    monkeypatch.setattr(cli, "verify_identity", verify_identity)
+    assert main(["verify", "--input", set_file, "--q", "5", "--cutoff", "200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: identity verification failed: lambda1 (defect -1/6i at -7)\n"
+
+
 def test_flags_belong_to_their_subcommand(set_file, capsys):
     # --cutoff is read by verify only, and no report kind reads --q
     for argv in (

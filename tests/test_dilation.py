@@ -17,6 +17,7 @@ from reference import (
     orbit_subset_fractions,
     weighted_count_function,
 )
+from sumfree import dilation
 from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, canonical_omega, pullback
 from sumfree.dilation import (
     ExtractionCertificate,
@@ -26,7 +27,7 @@ from sumfree.dilation import (
     maximize_count,
     orbit_subset,
 )
-from sumfree.errors import InputError, ResourceLimitError
+from sumfree.errors import CertificationError, InputError, ResourceLimitError
 from sumfree.sets import IntegerSet, is_kl_sumfree
 
 
@@ -355,6 +356,25 @@ def test_certificate_round_trip():
     assert back.count == cert.count
     assert back.surplus == cert.surplus
     assert back.reverify(A)
+
+
+def test_extract_refuses_a_certificate_that_does_not_reverify(monkeypatch):
+    A = IntegerSet.of(range(1, 31))
+    # a maximizer that reports one more than the subset it names, and then
+    # a sum-freeness check that fails: each must stop the extraction
+    real = dilation.maximize_count
+
+    def one_too_many(A, O):
+        x, count = real(A, O)
+        return x, count + 1
+
+    monkeypatch.setattr(dilation, "maximize_count", one_too_many)
+    with pytest.raises(CertificationError, match="does not re-verify"):
+        extract_certified(A, 2, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(dilation, "is_kl_sumfree", lambda X, k, l: False)
+    with pytest.raises(CertificationError, match="does not re-verify"):
+        extract_certified(A, 2, 1)
 
 
 def test_extract_21_triadic_chains():

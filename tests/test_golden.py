@@ -64,7 +64,7 @@ def _report(name, tmp_dir):
         path = pathlib.Path(tmp_dir) / f"{set_name}.txt"
         path.write_text("".join(f"{n}\n" for n in SETS[set_name]))
         fields = dict(fields, input=str(path))
-    report = json.loads(json.dumps(run(RunConfig(**fields)), default=str))
+    report = json.loads(json.dumps(run(RunConfig(**fields))))
     del report["timings"]
     if set_name is not None:
         report["config"]["input"] = f"{set_name}.txt"

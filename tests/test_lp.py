@@ -14,8 +14,6 @@ from sumfree.sets import IntegerSet
 def test_montecarlo_single_frequency():
     mean, bar = _triadic_chain({1}, 20000, 1)[1]
     assert mean == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(InputError):
-        _triadic_chain({0})
 
 
 def test_montecarlo_matches_grid():

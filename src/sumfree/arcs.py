@@ -68,9 +68,17 @@ class ArcSet:
 
     @staticmethod
     def from_json(data) -> "ArcSet":
-        return ArcSet.of(
-            [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in data]
-        )
+        if not isinstance(data, list) or any(not isinstance(a, list) or len(a) != 4 for a in data):
+            raise InputError(f"arcs are [lo_num, lo_den, hi_num, hi_den] lists, got {data!r}")
+        return ArcSet.of([(rational(a[:2]), rational(a[2:])) for a in data])
+
+
+def rational(pair) -> Fraction:
+    """The rational JSON spells [numerator, denominator], two ints, or InputError."""
+    ints = isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)
+    if not ints or not pair[1]:
+        raise InputError(f"a rational is [numerator, denominator], two ints, got {pair!r}")
+    return Fraction(*pair)
 
 
 OMEGA_21 = ArcSet.of([(Fraction(1, 3), Fraction(2, 3))])

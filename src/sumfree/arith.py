@@ -16,7 +16,6 @@ signs of N2, are read off one numpy table in sieve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from math import isqrt
 
@@ -72,7 +71,6 @@ def primes_upto(limit: int) -> list[int]:
     return list(compress(range(limit + 1), sieve))
 
 
-@lru_cache(maxsize=None)
 def next_prime_at_least(n: int) -> int:
     p = max(n, 2)
     while not is_prime(p):

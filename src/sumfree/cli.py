@@ -70,11 +70,6 @@ def _load_input(config: RunConfig) -> IntegerSet:
         return load_set(fh.read(), config.format)
 
 
-def _context(config: RunConfig, N: int) -> SieveContext:
-    P = config.p if config.p is not None else next_prime_at_least(max(N * N, 2))
-    return SieveContext(Q=config.q, P=P)
-
-
 def _phi_interval(config: RunConfig) -> IntegerSet:
     """The frequencies 1..size of the phi stages, built only once their blocks
     pass build_phi's grid check (for 1..size, about 8*size <= grid)."""
@@ -87,7 +82,7 @@ def _l1_growth_rows(config: RunConfig) -> list[dict]:
     sizes = config.sizes or (30, 100, 300)
     for N in sizes:
         A = generate("interval", n=N)
-        rep = l1_lower_report(A, _context(config, N))
+        rep = l1_lower_report(A, SieveContext(Q=config.q))
         best = Fraction(*rep["max_l1_GL"])
         target = math.log(N) / math.log(math.log(N)) if N > 3 else float("nan")
         rows.append(
@@ -201,7 +196,8 @@ def _extract_stages(config: RunConfig) -> dict:
 
 def _verify_stages(config: RunConfig) -> dict:
     A = _load_input(config)
-    ctx = _context(config, A.N)
+    P = config.p if config.p is not None else next_prime_at_least(max(A.N * A.N, 2))
+    ctx = SieveContext(Q=config.q, P=P)
     results = [
         verify_identity(iid, A, ctx, config.cutoff) for iid in IDENTITY_IDS
     ]

@@ -12,46 +12,49 @@ exactly only the runs of buckets where the maximum can be.
 Memory budget: errors.MEMORY_BUDGET = 4 GiB per computation, checked before
 the large allocation, which raises ResourceLimitError instead.
 - A sweep of all of [0, 1] (l1_and_max, and so the L1 reports) peaks at
-  BYTES_PER_BREAKPOINT = 80 bytes per int64 breakpoint (BREAKPOINT_CAP,
-  about 53.7M, counts 2*sum(A) per arc), and at most 256 plus one byte per
-  bit of the largest denominator on the Python ints used where n*d exceeds
-  INT64_DEN; the L1 norm is then summed on the sweep's own arrays.
+  BYTES_PER_BREAKPOINT = 80 bytes per int64 breakpoint, 2*sum(A) per arc,
+  and at most 256 plus one byte per bit of the largest denominator on the
+  Python ints that _kind picks for larger products; the L1 norm is then
+  summed on the sweep's own arrays.
 - maximize_count, and so extraction, uses BYTES_PER_BUCKET = 24 bytes per
   bucket (the bound, and the copy and index array of its top-bucket
   selection) for at most sum(A)/2 buckets, plus one chunk of BOUND_CHUNK
   bound numerators at the breakpoint rate; its exact sweep of the runs is
-  counted at the breakpoint rate too.  BREAKPOINT_CAP does not bind it:
-  sum(A) = 10^8 certifies in about 0.6 GB.
+  counted at the breakpoint rate too, and sum(A) = 10^8 certifies in about
+  0.6 GB.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import compress
-from math import isqrt, lcm
+from math import lcm
 
 import numpy as np
 
-from .arcs import ArcSet, canonical_omega
+from .arcs import ArcSet, canonical_omega, rational
 from .errors import MEMORY_BUDGET, CertificationError, InputError, ResourceLimitError
 from .sets import IntegerSet, is_kl_sumfree
 
 BYTES_PER_BREAKPOINT = 80
-BREAKPOINT_CAP = MEMORY_BUDGET // BYTES_PER_BREAKPOINT
-# denominators <= INT64_DEN keep the cross products p1*q2 below 2**63
-INT64_DEN = isqrt(2**63 - 1)
 BYTES_PER_BUCKET = 24
 BOUND_CHUNK = 2**20
 TOP_BUCKETS = 32
 
 
+def _kind(*products: int):
+    """int64 when every product a pass forms is below 2**62, so that a sum of
+    two stays exact too, else Python ints."""
+    return np.int64 if max(products) < 2**62 else object
+
+
 def _exact_order(p: np.ndarray, q: np.ndarray):
     """(order, p[order], q[order]) with p/q in exact ascending order.
 
-    The float keys are p/q correctly rounded (int64 entries are exact
-    doubles, as q <= INT64_DEN < 2**53; Python ints divide with one rounding),
-    and correct rounding is monotone: only a run of equal keys can be out of
+    The float keys are p/q correctly rounded (int64 entries are exact doubles,
+    as 0 <= p <= q < 2**32; Python ints divide with one rounding), and
+    correct rounding is monotone: only a run of equal keys can be out of
     order after the float sort, and each such run is re-sorted exactly.
     """
     key = np.asarray(p / q, dtype=np.float64)
@@ -68,9 +71,9 @@ def _exact_order(p: np.ndarray, q: np.ndarray):
 def _inside(A: IntegerSet, O: ArcSet, p, q: int) -> np.ndarray:
     """[i, t] true iff n_t*p[i]/q mod 1, r/q for r = n_t*p[i] mod q, is in O:
     iff lo*q < r < hi*q for an arc (lo, hi).  Products are below q*max(q, den),
-    den the arc denominators: int64 while that is below 2**62, else Python ints."""
+    den the arc denominators."""
     den = max((e.denominator for arc in O.arcs for e in arc), default=1)
-    kind = np.int64 if q * max(q, den) < 2**62 else object
+    kind = _kind(q * q, q * den)
     n = np.array([n % q for n in A], kind)
     r = np.array([int(x) % q for x in p], kind)[:, None] * n % q
     inside = np.zeros(r.shape, bool)
@@ -99,26 +102,25 @@ def _sweep(A: IntegerSet, edges, s: np.ndarray, e: np.ndarray, M: int):
     """
     N, total = A.N, sum(A)
     q_max = max(A, default=1) * max((c.denominator for c, _ in edges), default=1)
-    wide = q_max > INT64_DEN
+    # grid products s*n*d are added, but the points' cross products are only
+    # compared, so those may reach 2**63; weighted sums stay below sum(A)*weight
+    kind = _kind(M * q_max, max(M, q_max) ** 2 // 2)
+    sums = _kind(total * sum(abs(w) for _, w in edges))
     # run r holds at most n*(e - s)/M + 1 points of each n and edge
     bound = len(s) + len(edges) * (total * int((e - s).sum()) // M + N * len(s))
-    if bound * (256 + q_max.bit_length() if wide else BYTES_PER_BREAKPOINT) > MEMORY_BUDGET:
+    per = 256 + q_max.bit_length() if kind is object else BYTES_PER_BREAKPOINT
+    if bound * per > MEMORY_BUDGET:
         raise ResourceLimitError(f"{bound} breakpoints exceed the {MEMORY_BUDGET}-byte budget")
-    weight = sum(abs(w) for _, w in edges)
-    level_type = np.int64 if N * weight < 2**62 else object
-    acc = np.int64 if total * weight < 2**62 else object
-    grid = object if M * q_max >= 2**62 else np.int64
-    kind = object if wide else np.int64
-    n = np.array(A.elements, dtype=grid)
-    a = np.array([c.numerator for c, _ in edges], grid)[:, None, None]
-    d = np.array([c.denominator for c, _ in edges], grid)[:, None, None]
-    w = np.array([w for _, w in edges], acc)[:, None, None]
+    n = np.array(A.elements, kind)
+    a = np.array([c.numerator for c, _ in edges], kind)[:, None, None]
+    d = np.array([c.denominator for c, _ in edges], kind)[:, None, None]
+    w = np.array([w for _, w in edges], sums)[:, None, None]
     # per edge, run and n, the points j < j0 lie at or below the run's start
     # and the points j < j1 below its end; so g is sum(w*j0) just right of
     # the start and sum(w*j1) just left of the end
-    j0 = (s.astype(grid)[:, None] * n * d - a * M) // (M * d) + 1
-    j1 = -((a * M - e.astype(grid)[:, None] * n * d) // (M * d))
-    enter, leave = (w * j0.astype(acc)).sum(axis=(0, 2)), (w * j1.astype(acc)).sum(axis=(0, 2))
+    j0 = (s.astype(kind)[:, None] * n * d - a * M) // (M * d) + 1
+    j1 = -((a * M - e.astype(kind)[:, None] * n * d) // (M * d))
+    enter, leave = (w * j0.astype(sums)).sum(axis=(0, 2)), (w * j1.astype(sums)).sum(axis=(0, 2))
     cnt = (j1 - j0).ravel().astype(np.int64)
 
     def per_point(x):
@@ -127,10 +129,10 @@ def _sweep(A: IntegerSet, edges, s: np.ndarray, e: np.ndarray, M: int):
     # point t of the flat list is j = j0 + t - before for its (edge, run, n)
     before = (np.cumsum(cnt) - cnt).reshape(j0.shape)
     p = per_point(a + (j0 - before) * d) + np.arange(cnt.sum()) * per_point(d)
-    p, q = p.astype(kind, copy=False), per_point(n * d).astype(kind, copy=False)
+    q = per_point(n * d)
     leave[1:] = leave[:-1]
     leave[:1] = 0
-    w = np.concatenate([enter - leave, per_point(w)]).astype(level_type, copy=False)
+    w = np.concatenate([enter - leave, per_point(w)])
     del j0, j1, cnt, before
     p = np.concatenate([s.astype(kind), p])
     q = np.concatenate([np.full(len(s), M, kind), q])
@@ -170,8 +172,7 @@ def l1_and_max(A: IntegerSet, weighted_arcs, shift) -> tuple[Fraction, Fraction,
     shift = Fraction(shift)
     b, D = shift.as_integer_ratio()
     u_max = D * int(np.abs(levels).max()) + abs(b)
-    wide = 2 * u_max * int(q.max()) * len(levels) >= 2**63
-    u = np.abs(levels.astype(object if wide else np.int64) * D + b)
+    u = np.abs(levels.astype(_kind(u_max * int(q.max()) * len(levels))) * D + b)
     c = u[:-1] - u[1:]
     nz = np.flatnonzero(c)
     by_q = nz[np.argsort(q[1:][nz])]
@@ -197,7 +198,7 @@ def _bucket_bound(A: IntegerSet, O: ArcSet, M: int, half: bool = False) -> np.nd
     meets the lower half starts below 1/2, so there j <= n//2 suffices.
     """
     q_max = max(A, default=1) * max((e.denominator for arc in O.arcs for e in arc), default=1)
-    kind = object if M * q_max >= 2**62 else np.int64
+    kind = _kind(M * q_max)
     per = 256 + (M * q_max).bit_length() if kind is object else BYTES_PER_BREAKPOINT
     if (M + 1) * BYTES_PER_BUCKET + BOUND_CHUNK * per > MEMORY_BUDGET:
         raise ResourceLimitError(f"{M} buckets exceed the {MEMORY_BUDGET}-byte budget")
@@ -292,45 +293,45 @@ class ExtractionCertificate:
 
     @staticmethod
     def from_json(data) -> "ExtractionCertificate":
+        """Inverse of to_json; malformed JSON raises InputError."""
+        keys = [f.name for f in fields(ExtractionCertificate)]
+        if not isinstance(data, dict) or any(key not in data for key in keys):
+            raise InputError(f"a certificate needs the keys {keys}")
+        types = [type(data[key]) for key in ("count", "k", "l", "sumfree_checked")]
+        if types != [int, int, int, bool]:
+            raise InputError("certificate count, k and l must be integers, sumfree_checked a bool")
         return ExtractionCertificate(
-            x_star=Fraction(*data["x_star"]),
+            x_star=rational(data["x_star"]),
             subset=IntegerSet.of(data["subset"]),
             count=data["count"],
             arc_used=ArcSet.from_json(data["arc_used"]),
             k=data["k"],
             l=data["l"],
             sumfree_checked=data["sumfree_checked"],
-            surplus=Fraction(*data["surplus"]),
+            surplus=rational(data["surplus"]),
         )
 
     def reverify(self, A: IntegerSet) -> bool:
-        """Recompute the orbit subset and re-run the sum-freeness check."""
+        """Recompute the orbit subset, its count and surplus; re-run the sum-freeness check."""
         sub = orbit_subset(A, self.arc_used, self.x_star)
         return (
             sub.elements == self.subset.elements
             and len(sub) == self.count
+            and self.surplus == self.count - Fraction(A.N, self.k + self.l)
             and is_kl_sumfree(sub, self.k, self.l)
         )
 
 
-def candidate_arcs(k: int, l: int) -> list[ArcSet]:
-    """The intervals of the canonical system, one arc each: (1/3, 2/3) for
-    (2,1), Omega_1 = (1/6, 1/3) pulled back by m for (2m,4m).
-
-    The guarantee is per interval (arcs.is_arc_kl_sumfree); the union of a
-    system generally is not (2m,4m)-sum-free.  The Omega_2 = -Omega_1 system
-    holds the mirrors -O of these, as pulling back commutes with x -> -x;
-    n*x in -O iff n*(-x) in O, so a mirror's maximum ties its original's and
-    never beats it under extract_certified's first strict maximum.  Pulling
-    (1/3, 2/3) back by 2m gives both systems' intervals: no new candidate.
-    """
-    return canonical_omega(k, l).singletons()
-
-
 def extract_certified(A: IntegerSet, k: int, l: int) -> ExtractionCertificate:
-    """Best certified (k,l)-sum-free subset over the candidate arcs."""
+    """Best certified (k,l)-sum-free subset over the canonical system's
+    intervals: (1/3, 2/3) for (2,1), Omega_1 pulled back by m for (2m,4m)."""
     best = None
-    for O in candidate_arcs(k, l):
+    # The guarantee is per interval (arcs.is_arc_kl_sumfree), not for their
+    # union.  The Omega_2 = -Omega_1 system holds the mirrors -O of these
+    # arcs: n*x in -O iff n*(-x) in O, so a mirror's maximum ties its
+    # original's and never beats it under the first strict maximum here;
+    # pulling (1/3, 2/3) back by 2m gives both systems' intervals.
+    for O in canonical_omega(k, l).singletons():
         x_star, count = maximize_count(A, O)
         if best is None or count > best[1]:
             best = (x_star, count, O)

@@ -16,20 +16,24 @@ LIVE_SUM_BITSETS = 6
 
 @dataclass(frozen=True)
 class IntegerSet:
-    """Sorted distinct positive integers."""
+    """Sorted distinct elements, each exactly an int >= 1 (no bool, float or numpy int)."""
 
     elements: tuple[int, ...]
 
     def __post_init__(self):
         elems = self.elements
-        if any(not isinstance(e, int) or e < 1 for e in elems):
-            raise InputError("elements must be positive integers")
+        if bad := [e for e in elems if type(e) is not int or e < 1]:
+            raise InputError(f"elements must be positive integers, got {bad[0]!r}")
         if any(elems[i] >= elems[i + 1] for i in range(len(elems) - 1)):
             raise InputError("elements must be strictly increasing")
 
     @staticmethod
     def of(values) -> "IntegerSet":
-        return IntegerSet(tuple(sorted(set(values))))
+        # keyed by type too, so that no True or 1.0 merges unseen into an equal int
+        try:
+            return IntegerSet(tuple(sorted({(type(v), v): v for v in values}.values())))
+        except TypeError as exc:  # unhashable, unorderable or not iterable
+            raise InputError(f"elements must be positive integers: {exc}") from exc
 
     @property
     def N(self) -> int:
@@ -52,7 +56,8 @@ class StructureReport:
 
 
 def load_set(raw: bytes | str, format: str = "lines") -> IntegerSet:
-    """Parse a set from newline-separated decimals or a JSON array."""
+    """Parse newline-separated decimals or a JSON array; IntegerSet admits
+    the values."""
     try:
         text = raw.decode() if isinstance(raw, bytes) else raw
     except UnicodeDecodeError as exc:
@@ -64,31 +69,22 @@ def load_set(raw: bytes | str, format: str = "lines") -> IntegerSet:
             raise InputError(f"invalid JSON input: {exc}") from exc
         if not isinstance(data, list):
             raise InputError("JSON input must be an array of integers")
-        values = []
-        for item in data:
-            if isinstance(item, bool) or not isinstance(item, int) or item < 1:
-                raise InputError(f"non-positive or non-integer entry: {item!r}")
-            values.append(item)
-        if not values:
-            raise InputError("empty input set")
-        return IntegerSet.of(values)
-    if format == "lines":
+        values = data
+    elif format == "lines":
         values = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             tok = line.strip()
             if not tok:
                 continue
             try:
-                v = int(tok)
+                values.append(int(tok))
             except ValueError as exc:
                 raise InputError(f"line {lineno}: not an integer: {tok!r}") from exc
-            if v < 1:
-                raise InputError(f"line {lineno}: not a positive integer: {v}")
-            values.append(v)
-        if not values:
-            raise InputError("empty input set")
-        return IntegerSet.of(values)
-    raise InputError(f"unknown format {format!r}")
+    else:
+        raise InputError(f"unknown format {format!r}")
+    if not values:
+        raise InputError("empty input set")
+    return IntegerSet.of(values)
 
 
 def triadic_index(a: int) -> int:
@@ -167,4 +163,4 @@ def generate(kind: str, n: int) -> IntegerSet:
         raise InputError(f"unknown generator kind {kind!r}")
     if n < 1:
         raise InputError("interval size must be >= 1")
-    return IntegerSet.of(range(1, n + 1))
+    return IntegerSet(tuple(range(1, n + 1)))

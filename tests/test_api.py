@@ -69,19 +69,32 @@ def test_fft_only_in_the_grid_layer():
                 )
 
 
+def _defined_names(node) -> list[str]:
+    """The names a module-level statement defines: a function, a class, or
+    the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    names = (t for target in targets for t in ast.walk(target) if isinstance(t, ast.Name))
+    return [t.id for t in names if isinstance(t.ctx, ast.Store)]
+
+
 def test_every_public_definition_is_used_or_exported():
-    # a public module-level function or class that no src/ code refers to
-    # and that __all__ does not export is dead API
+    # a public module-level function, class or constant that no src/ code
+    # reads and that __all__ does not export is dead API
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     referred = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees.values()
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
     for name, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                assert node.name in referred or node.name in sumfree.__all__, (
-                    f"{name}:{node.lineno} defines {node.name}, which src/ never uses"
-                )
+            for defined in _defined_names(node):
+                if not defined.startswith("_"):
+                    assert defined in referred or defined in sumfree.__all__, (
+                        f"{name}:{node.lineno} defines {defined}, which src/ never uses"
+                    )

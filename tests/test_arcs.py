@@ -136,3 +136,15 @@ def test_canonical_self_consistency():
 def test_json_round_trip():
     O = pullback(OMEGA_2, 2)
     assert ArcSet.from_json(O.to_json()).arcs == O.arcs
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[[1, 0, 1, 2]], [[1, 3, 2]], [[1, 3, 2, 3.5]], [[1, 3, 2, 3, 5]], [[True, 3, 2, 3]], [3], {}],
+    ids=[
+        "zero-denominator", "three-ints", "float", "five-ints", "bool", "not-a-list", "not-arcs",
+    ],
+)
+def test_malformed_arc_json_raises_input_error(data):
+    with pytest.raises(InputError):
+        ArcSet.from_json(data)

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -356,6 +357,44 @@ def test_certificate_round_trip():
     assert back.count == cert.count
     assert back.surplus == cert.surplus
     assert back.reverify(A)
+
+
+def test_reverify_checks_the_surplus():
+    A = IntegerSet.of(range(1, 31))
+    cert = extract_certified(A, 2, 1)
+    assert cert.reverify(A)
+    assert not replace(cert, surplus=Fraction(1000)).reverify(A)
+    assert not replace(cert, surplus=cert.surplus + F(1, 3)).reverify(A)
+
+
+def _certificate_json(**changes):
+    data = extract_certified(IntegerSet.of(range(1, 31)), 2, 1).to_json()
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {key: v for key, v in _certificate_json().items() if key != "surplus"},
+        _certificate_json(x_star=[1, 0]),
+        _certificate_json(x_star=[1, 2, 3]),
+        _certificate_json(surplus=0.5),
+        _certificate_json(count="15"),
+        _certificate_json(sumfree_checked=1),
+        _certificate_json(subset=[True, 2]),
+        _certificate_json(subset=5),
+        _certificate_json(arc_used=[[1, 0, 1, 2]]),
+        [],
+    ],
+    ids=[
+        "missing-key", "zero-denominator", "three-ints", "float-rational", "string-count",
+        "int-flag", "bool-element", "non-iterable-subset", "bad-arc", "not-an-object",
+    ],
+)
+def test_malformed_certificate_json_raises_input_error(data):
+    with pytest.raises(InputError):
+        ExtractionCertificate.from_json(data)
 
 
 def test_extract_refuses_a_certificate_that_does_not_reverify(monkeypatch):

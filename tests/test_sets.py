@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumfree.cli import main
@@ -32,6 +33,35 @@ def test_load_rejects_nonpositive():
         load_set("0\n")
     with pytest.raises(InputError):
         load_set("2\nx\n")
+
+
+@pytest.mark.parametrize(
+    "values",
+    [["a", 1], [[1], 2], [True, 2], [1, True], [1.0], [2, 2.0], [0], [-3, 1], [None], 5],
+    ids=[
+        "str", "list", "bool", "bool-after-equal-int", "float", "float-after-equal-int",
+        "zero", "negative", "none", "not-iterable",
+    ],
+)
+def test_integer_set_admits_only_positive_ints(values):
+    with pytest.raises(InputError):
+        IntegerSet.of(values)
+
+
+@pytest.mark.parametrize("elements", [("a",), (True, 2), (1.0,), (0, 1), (np.int64(3),)])
+def test_integer_set_elements_are_exactly_int(elements):
+    with pytest.raises(InputError, match="elements must be positive integers"):
+        IntegerSet(elements)
+
+
+@pytest.mark.parametrize("text, format", [("[true, 2]", "json"), ("[1, true]", "json"),
+                                          ("[2.0]", "json"), ("0\n", "lines")])
+def test_load_leaves_the_element_rule_to_integer_set(text, format, tmp_path):
+    with pytest.raises(InputError, match="elements must be positive integers"):
+        load_set(text, format)
+    path = tmp_path / "a"
+    path.write_text(text)
+    assert main(["analyze", "--input", str(path), "--format", format]) == 2
 
 
 def test_load_rejects_non_text():

@@ -1,8 +1,8 @@
 """Open arcs on R/Z with exact rational endpoints.
 
-Arc systems are stored as disjoint open intervals (lo, hi) with
-0 <= lo < hi <= 1; an arc through 0 is stored as two pieces.  Overlapping
-arcs, and so an arc longer than the circle, are rejected.  The extraction
+An ArcSet is the one rule for what an arc is: disjoint open intervals
+(lo, hi) of exact Fractions, 0 <= lo < hi <= 1, in ascending order; a
+system meant to run through 0 is written as its two pieces.  The extraction
 guarantee is per interval, so sum-freeness is decided for one arc only.
 """
 
@@ -15,28 +15,14 @@ from math import floor
 from .errors import InputError
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def _normalize(raw: list[tuple[Fraction, Fraction]]):
-    """Reduce arcs mod 1, split wrap-arounds, sort; reject overlaps."""
-    pieces: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in raw:
-        if hi <= lo:
-            raise InputError(f"empty or reversed arc ({lo}, {hi})")
-        lo_m = _mod1(lo)
-        hi_m = lo_m + (hi - lo)
-        if hi_m <= 1:
-            pieces.append((lo_m, hi_m))
-        else:
-            pieces.append((lo_m, Fraction(1)))
-            pieces.append((Fraction(0), hi_m - 1))
-    pieces.sort()
-    for i in range(len(pieces) - 1):
-        if pieces[i][1] > pieces[i + 1][0]:
-            raise InputError(f"overlapping arcs {pieces[i]} and {pieces[i + 1]}")
-    return pieces
+def _exact(e) -> Fraction:
+    """An arc endpoint as a Fraction; InputError for a NaN, an inf or a non-number."""
+    try:
+        if not isinstance(e, str):
+            return Fraction(e)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"an arc endpoint is a finite number, got {e!r}")
 
 
 @dataclass(frozen=True)
@@ -45,10 +31,17 @@ class ArcSet:
 
     arcs: tuple[tuple[Fraction, Fraction], ...]
 
+    def __post_init__(self):
+        end = Fraction(0)
+        for lo, hi in self.arcs:
+            if type(lo) is not Fraction or type(hi) is not Fraction or not end <= lo < hi <= 1:
+                raise InputError(f"arcs need 0 <= lo < hi <= 1, disjoint, ascending: {self.arcs}")
+            end = hi
+
     @staticmethod
     def of(raw) -> "ArcSet":
-        pieces = _normalize([(Fraction(lo), Fraction(hi)) for lo, hi in raw])
-        return ArcSet(arcs=tuple(pieces))
+        """The arcs (lo, hi) of raw as exact Fractions, in ascending order."""
+        return ArcSet(arcs=tuple(sorted((_exact(lo), _exact(hi)) for lo, hi in raw)))
 
     @property
     def measure(self) -> Fraction:
@@ -56,7 +49,7 @@ class ArcSet:
 
     def contains(self, x) -> bool:
         """Exact open-arc membership of x mod 1."""
-        x = _mod1(Fraction(x))
+        x = Fraction(x) % 1
         return any(lo < x < hi for lo, hi in self.arcs)
 
     def singletons(self) -> list["ArcSet"]:
@@ -90,8 +83,6 @@ def pullback(O: ArcSet, m: int) -> ArcSet:
     """Preimage of O under x -> m*x on R/Z; preserves measure."""
     if m < 1:
         raise InputError("multiplier must be >= 1")
-    if m == 1:
-        return O
     arcs = [
         (Fraction(lo + j, m), Fraction(hi + j, m))
         for lo, hi in O.arcs

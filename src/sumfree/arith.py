@@ -22,16 +22,23 @@ from math import isqrt
 from .errors import InputError
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Miller-Rabin on the prime bases up to 41, exact below PRIME_TEST_BOUND
+    (Sorenson and Webster 2015); InputError at or above it."""
+    if n >= PRIME_TEST_BOUND:
+        raise InputError(f"primality is decided below {PRIME_TEST_BOUND}, got {n}")
+    if n < 2 or any(n % b == 0 for b in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << r, n) for r in range(s)):
             return False
-        f += 2
     return True
 
 

@@ -144,21 +144,18 @@ def _sweep(A: IntegerSet, edges, s: np.ndarray, e: np.ndarray, M: int):
     return p[starts], q[starts], levels, first
 
 
-def _edges(weighted_arcs) -> list[tuple[Fraction, int]]:
-    """The signed edges of arcs 0 <= lo < hi <= 1 with integer weights: an
-    arc opens with its weight at lo and closes with it at hi."""
-    arcs = [(Fraction(lo), Fraction(hi), w) for lo, hi, w in weighted_arcs]
-    if any(not 0 <= lo < hi <= 1 for lo, hi, _ in arcs):
-        raise InputError("weighted arcs need 0 <= lo < hi <= 1")
-    if any(not isinstance(w, int) for *_, w in arcs):
+def _edges(weighted) -> list[tuple[Fraction, int]]:
+    """The signed edges of (ArcSet, integer weight) pairs: each arc opens
+    with its weight at lo and closes with it at hi."""
+    if any(not isinstance(w, int) for _, w in weighted):
         raise InputError("arc weights must be integers")
-    return [(e, sign * w) for lo, hi, w in arcs for e, sign in ((lo, 1), (hi, -1))]
+    return [(e, sign * w) for O, w in weighted for arc in O.arcs for e, sign in zip(arc, (1, -1))]
 
 
-def l1_and_max(A: IntegerSet, weighted_arcs, shift) -> tuple[Fraction, Fraction, Fraction]:
+def l1_and_max(A: IntegerSet, weighted, shift) -> tuple[Fraction, Fraction, Fraction]:
     """(||g + shift||_1, max(g + shift), lowest maximizing midpoint) for the
-    step function g(x) = sum_{n in A} sum_{arcs} weight * 1_arc(n*x), arcs
-    0 <= lo < hi <= 1 with integer weights, from one exact sweep of [0, 1].
+    step function g(x) = sum_{n in A} sum_{(O, w) in weighted} w * 1_O(n*x),
+    O an ArcSet and w an integer, from one exact sweep of [0, 1].
 
     Arc edge e = a/d pulled back by n gives the breakpoints (a + j*d)/(n*d),
     j < n, each carrying the edge's signed weight; an edge at 1 sits at 0
@@ -167,7 +164,7 @@ def l1_and_max(A: IntegerSet, weighted_arcs, shift) -> tuple[Fraction, Fraction,
     |u_i|) b_i) / D; the b_i terms are summed in integers per denominator,
     then over the lcm of the denominators.
     """
-    edges = _edges(weighted_arcs)
+    edges = _edges(weighted)
     p, q, levels, first = _sweep(A, edges, np.zeros(1, np.int64), np.ones(1, np.int64), 1)
     shift = Fraction(shift)
     b, D = shift.as_integer_ratio()
@@ -250,7 +247,7 @@ def _maximize_by_buckets(A: IntegerSet, O: ArcSet, M: int) -> tuple[Fraction, in
     # per edge, so runs closer than N*M/sum(A) buckets are swept as one
     apart = (s[1:] - e[:-1]) * sum(A) >= A.N * M
     s, e = s[np.r_[True, apart]], e[np.r_[apart, True]]
-    p, q, levels, first = _sweep(A, _edges((lo, hi, 1) for lo, hi in O.arcs), s, e, M)
+    p, q, levels, first = _sweep(A, _edges([(O, 1)]), s, e, M)
     return _argmax(p, q, levels, first, e, M, half)
 
 

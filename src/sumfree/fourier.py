@@ -1,6 +1,6 @@
 """The grid layer: aligned frequency and coefficient arrays <-> samples on
-M equispaced points, and grid norms of trigonometric polynomials with
-certified error bars, sup norms bounded from the grid samples alone.
+M equispaced points, the grid L1 norm of a trigonometric polynomial with a
+certified error bar, and sup norms bounded from the grid samples alone.
 
 Conventions: frequencies are in cycles, e(t) = exp(2*pi*i*t), and arrays
 (n, c) stand for sum_j c_j e(n_j x).  sample_grid and grid_norms both take
@@ -59,34 +59,22 @@ def sup_factor(lo: int, hi: int, M: int) -> float:
     return 1 / math.cos(math.pi * n / M)
 
 
-def grid_norms(freqs: np.ndarray, coeffs: np.ndarray, which: str, M: int | None = None):
-    """(value, certified error bar) for L1 / L2 / Linf of sum_j coeffs[j]
-    e(freqs[j] x), the frequencies distinct and at least one.
-
-    L2 is exact via the coefficients (Parseval, bar 0); L1 is a grid
-    mean with bar ||g'||_2 / M (the Riemann-sum error of |g| is at most the
-    total variation over one cell, and Var(|g|) <= ||g'||_1 <= ||g'||_2);
-    Linf reports the grid max with bar closing the gap to the certified upper
-    bound gridmax * sup_factor(lo, hi, M), [lo, hi] the polynomial's spectrum.
+def grid_norms(freqs: np.ndarray, coeffs: np.ndarray, M: int | None = None):
+    """(value, certified error bar) for the L1 norm of sum_j coeffs[j]
+    e(freqs[j] x), the frequencies distinct and at least one: a grid mean
+    with bar ||g'||_2 / M, as the Riemann-sum error of |g| is at most the
+    total variation over one cell, and Var(|g|) <= ||g'||_1 <= ||g'||_2.
     """
-    if which not in ("L1", "L2", "Linf"):
-        raise InputError("which must be L1, L2 or Linf")
     freqs, coeffs = np.asarray(freqs, np.int64), np.asarray(coeffs, complex)
     if not 0 < len(freqs) == len(coeffs) or len(np.unique(freqs)) < len(freqs):
         raise InputError("grid_norms needs aligned arrays of distinct frequencies, at least one")
-    if which == "L2":
-        return float(np.linalg.norm(coeffs)), 0.0
-    lo, hi = int(freqs.min()), int(freqs.max())
-    d = max(-lo, hi)
+    d = int(np.abs(freqs).max())
     if M is None:  # the least power of two >= max(8 * degree, 256)
         M = 1 << max(8, (8 * d - 1).bit_length())
     elif M < 8 * max(d, 1):
         raise InputError(f"grid {M} too coarse for degree {d}")
     vals = np.abs(sample_grid(freqs, coeffs, M).samples)
-    if which == "L1":
-        deriv_l2 = math.sqrt(
-            sum((2 * math.pi * n * abs(c)) ** 2 for n, c in zip(freqs.tolist(), coeffs.tolist()))
-        )
-        return float(vals.mean()), deriv_l2 / M
-    gmax = float(vals.max())
-    return gmax, gmax * (sup_factor(lo, hi, M) - 1)
+    deriv_l2 = math.sqrt(
+        sum((2 * math.pi * n * abs(c)) ** 2 for n, c in zip(freqs.tolist(), coeffs.tolist()))
+    )
+    return float(vals.mean()), deriv_l2 / M

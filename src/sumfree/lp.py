@@ -77,9 +77,9 @@ def _triadic_chain(sizes, samples: int = 200_000, seed: int = 0) -> dict:
 
 def exp_sum_l1(A: IntegerSet, M: int | None = None) -> tuple[float, float]:
     """(value, error bar) for the L1 norm of sum_{a in A} e(ax), on a grid."""
-    if max(A) > GRID_DEGREE_LIMIT:
+    if max(A, default=0) > GRID_DEGREE_LIMIT:
         raise InputError(f"degree {max(A)} exceeds the grid limit {GRID_DEGREE_LIMIT}")
-    return grid_norms(np.array(A.elements), np.ones(A.N), "L1", M=M)
+    return grid_norms(np.array(A.elements), np.ones(A.N), M=M)
 
 
 def lacunary_l1_diagnostic(sizes: tuple[int, ...], seed: int = 0) -> dict:

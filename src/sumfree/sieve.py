@@ -315,14 +315,11 @@ def l1_lower_report(A: IntegerSet, ctx: SieveContext) -> dict:
     balanced function of (1/3, 2/3), and x -> 2x preserves measure; L_A
     weighs Omega_1 by +1 and Omega_2 by -1; F_2(x) = F_1(-x) as Omega_2 =
     -Omega_1, so F_2 has F_1's L1 and max.  ctx gives the report's Q."""
-    def arcs(*systems):
-        return [(lo, hi, w) for O, w in systems for lo, hi in O.arcs]
-
     # L first: with 4 edges and denominator 6 its sweep's budget bound is at
     # least G's and F1's, so an oversized A is refused before any sweep runs
-    l1_L, _, _ = l1_and_max(A, arcs((OMEGA_1, 1), (OMEGA_2, -1)), 0)
-    l1_G, _, _ = l1_and_max(A, arcs((OMEGA_21, 1)), -A.N * OMEGA_21.measure)
-    l1_F1, max_val, x_at = l1_and_max(A, arcs((OMEGA_1, 1)), -A.N * OMEGA_1.measure)
+    l1_L, _, _ = l1_and_max(A, [(OMEGA_1, 1), (OMEGA_2, -1)], 0)
+    l1_G, _, _ = l1_and_max(A, [(OMEGA_21, 1)], -A.N * OMEGA_21.measure)
+    l1_F1, max_val, x_at = l1_and_max(A, [(OMEGA_1, 1)], -A.N * OMEGA_1.measure)
     norms = {"G": l1_G, "L": l1_L, "F1": l1_F1, "F2": l1_F1}
     return {
         "N": A.N,

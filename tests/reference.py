@@ -394,17 +394,17 @@ def exact_l1(g: PiecewiseConstantFn) -> Fraction:
     return g._integrate(absolute=True)
 
 
-def weighted_count_function(A: IntegerSet, weighted_arcs) -> PiecewiseConstantFn:
-    """Exact step function sum_{n in A} sum_{arcs} weight * 1_arc(n*x), for
-    arcs 0 <= lo < hi <= 1 with integer weights, swept over all of [0, 1]."""
-    edges = dilation._edges(weighted_arcs)
+def weighted_count_function(A: IntegerSet, weighted) -> PiecewiseConstantFn:
+    """Exact step function sum_{n in A} sum_{(O, w) in weighted} w * 1_O(n*x),
+    for ArcSets O and integer weights w, swept over all of [0, 1]."""
+    edges = dilation._edges(weighted)
     p, q, levels, _ = dilation._sweep(A, edges, np.zeros(1, np.int64), np.ones(1, np.int64), 1)
     return PiecewiseConstantFn(np.stack([p, q], axis=1), levels)
 
 
 def count_function(A: IntegerSet, O: ArcSet) -> PiecewiseConstantFn:
     """x -> |A_x| as an exact step function."""
-    return weighted_count_function(A, [(lo, hi, 1) for lo, hi in O.arcs])
+    return weighted_count_function(A, [(O, 1)])
 
 
 def balanced_function(A: IntegerSet, O: ArcSet) -> PiecewiseConstantFn:
@@ -505,9 +505,7 @@ def l1_report_four_sweeps(A: IntegerSet, ctx: SieveContext) -> dict:
     """sieve.l1_lower_report computed the long way: G_A = F_1 + F_2 and
     L_A = F_1 - F_2 swept on both systems, F_1 and F_2 on their own, and the
     winner the F_t of larger L1 norm."""
-    arcs1 = [(lo, hi, 1) for lo, hi in OMEGA_1.arcs]
-    arcs2 = [(lo, hi, 1) for lo, hi in OMEGA_2.arcs]
-    arcs2_neg = [(lo, hi, -1) for lo, hi in OMEGA_2.arcs]
+    arcs1, arcs2, arcs2_neg = [(OMEGA_1, 1)], [(OMEGA_2, 1)], [(OMEGA_2, -1)]
     N = A.N
     G = weighted_count_function(A, arcs1 + arcs2).shift_const(Fraction(-N, 3))
     L = weighted_count_function(A, arcs1 + arcs2_neg)

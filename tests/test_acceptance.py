@@ -146,11 +146,10 @@ def test_criterion_6_exact_l1():
         ok &= mx >= exact_l1(g) / 2
     # the library's engine reads the step function's L1 norm, maximum and
     # witness off its one sweep
-    arcs = [(lo, hi, 1) for lo, hi in OMEGA_21.arcs]
     for A in [IntegerSet.of([1]), *sets]:
         g = balanced_function(A, OMEGA_21)
         want = (exact_l1(g), *g.max_with_witness())
-        ok &= l1_and_max(A, arcs, -A.N * OMEGA_21.measure) == want
+        ok &= l1_and_max(A, [(OMEGA_21, 1)], -A.N * OMEGA_21.measure) == want
     _report(
         6, "exact L1 engine", ok,
         f"||F||_1 = {l1_one} for A={{1}}, integral 0 and max >= L1/2 on 20 sets, "

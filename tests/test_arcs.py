@@ -31,7 +31,7 @@ def test_canonical_24_variants():
     # the paper's second system Omega_2 is the mirror -Omega_1
     assert canonical_omega(2, 4).arcs == ((F(1, 6), F(1, 3)),)
     assert OMEGA_2.arcs == ((F(2, 3), F(5, 6)),)
-    assert ArcSet.of([(-hi, -lo) for lo, hi in OMEGA_1.arcs]).arcs == OMEGA_2.arcs
+    assert ArcSet.of([(1 - hi, 1 - lo) for lo, hi in OMEGA_1.arcs]).arcs == OMEGA_2.arcs
 
 
 def test_canonical_48():
@@ -72,10 +72,10 @@ def test_contains():
     assert not OMEGA_21.contains(F(1, 3))
     assert OMEGA_21.contains(F(3, 2))  # mod-1 reduction
     assert not OMEGA_21.contains(F(4, 3))  # reduces to the open endpoint 1/3
-    # an arc of length 1 misses its own endpoint, and wraps into two pieces
-    # when that endpoint is not 0
+    # an arc of length 1 misses its own endpoint, also when that endpoint
+    # is not 0 and the arc is written as two pieces
     assert not ArcSet.of([(0, 1)]).contains(0)
-    O = ArcSet.of([(F(1, 3), F(4, 3))])
+    O = ArcSet.of([(F(1, 3), 1), (0, F(1, 3))])
     assert O.arcs == ((0, F(1, 3)), (F(1, 3), 1)) and O.measure == 1
     assert not O.contains(F(1, 3)) and O.contains(F(1, 2)) and O.contains(F(1, 4))
     with pytest.raises(InputError):
@@ -87,8 +87,9 @@ def test_arc_sumfree():
     assert is_arc_kl_sumfree(OMEGA_1, 2, 4)
     assert is_arc_kl_sumfree(OMEGA_2, 2, 4)
     assert not is_arc_kl_sumfree(ArcSet.of([(F(0, 1), F(1, 2))]), 2, 1)
-    # one arc only: not a union, not an empty system, not an arc through 0
-    for O in (canonical_omega(4, 8), ArcSet.of([]), ArcSet.of([(F(-1, 6), F(1, 6))])):
+    # one arc only: not a union, not an empty system, not the two pieces of
+    # an arc through 0
+    for O in (canonical_omega(4, 8), ArcSet.of([]), ArcSet.of([(0, F(1, 6)), (F(5, 6), 1)])):
         with pytest.raises(InputError):
             is_arc_kl_sumfree(O, 2, 1)
 
@@ -131,6 +132,32 @@ def test_canonical_self_consistency():
         for O in systems:
             for piece in O.singletons():
                 assert is_arc_kl_sumfree(piece, k, l)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [(F(1, 2), F(1, 3))],
+        [(F(1, 3), F(1, 3))],
+        [(F(1, 6), F(1, 2)), (F(1, 3), F(2, 3))],
+        [(F(-1, 4), F(1, 4))],
+        [(F(1, 2), F(3, 2))],
+        [(F(1, 3), F(4, 3))],
+        [(F(-1, 6), F(1, 6))],
+        [(float("nan"), 0.5)],
+        [(0, float("inf"))],
+        [("1/3", F(2, 3))],
+    ],
+    ids=[
+        "reversed", "empty", "overlapping", "lo-below-0", "hi-above-1", "wraps-past-1",
+        "wraps-below-0", "nan", "inf", "string",
+    ],
+)
+def test_arcset_refusals(raw):
+    # an arc is 0 <= lo < hi <= 1 with finite endpoints, disjoint from the
+    # others; an arc through 0 is written as its two pieces, never reduced mod 1
+    with pytest.raises(InputError):
+        ArcSet.of(raw)
 
 
 def test_json_round_trip():

@@ -7,6 +7,7 @@ import pytest
 from reference import (
     chi3,
     eta,
+    factorize,
     is_strictly_rough,
     mobius,
     odd_smooth_squarefree,
@@ -14,7 +15,8 @@ from reference import (
     sin_pi3,
     smooth_squarefree,
 )
-from sumfree.arith import SieveContext, gamma4, is_prime, primes_upto
+from sumfree.arith import PRIME_TEST_BOUND, SieveContext, gamma4, is_prime, primes_upto
+from sumfree.errors import InputError
 
 CTX5 = SieveContext(Q=5, P=101)
 
@@ -55,7 +57,24 @@ def test_primes_upto_matches_trial_division():
     # every limit up to 130, and squares of primes, where the sieve's last
     # crossing-out prime is exactly isqrt(limit)
     for limit in [*range(131), 960, 961, 962, 10201]:
-        assert primes_upto(limit) == [p for p in range(limit + 1) if is_prime(p)], limit
+        assert primes_upto(limit) == [p for p in range(limit + 1) if _trial_prime(p)], limit
+
+
+def _trial_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == [(n, 1)]
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _trial_prime(n) for n in range(10**5 + 1))
+
+
+def test_is_prime_refuses_strong_pseudoprimes():
+    # the least strong pseudoprimes to every prime base up to 2, 7, 31 and 37
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(10000000000000061)
+    with pytest.raises(InputError):
+        is_prime(PRIME_TEST_BOUND)
 
 
 def test_smooth_squarefree_enumeration():

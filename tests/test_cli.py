@@ -2,11 +2,13 @@
 
 import io
 import json
+import time
 import tracemalloc
 
 import pytest
 
 from sumfree import cli
+from sumfree.arith import PRIME_TEST_BOUND
 from sumfree.cli import main
 from sumfree.errors import CertificationError, InputError, ResourceLimitError, SumfreeError
 from sumfree.mps import PHI_GRID_CAP
@@ -41,6 +43,14 @@ def test_verify(set_file, capsys):
     stage = out["stages"]["verify"]
     assert stage["all_equal"]
     assert all(r["equal"] for r in stage["identities"])
+
+
+def test_verify_decides_a_large_p_quickly(set_file, capsys):
+    # a 17-digit prime P: trial division would take seconds
+    start = time.perf_counter()
+    assert main(["verify", "--input", set_file, "--p", "10000000000000061"]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["config"]["p"] == 10000000000000061
 
 
 def test_oracle(set_file, capsys):
@@ -81,6 +91,7 @@ def test_parse_error_exits_2(tmp_path):
         ["phi", "--base", "2"],
         ["phi", "--grid", "1000"],
         ["phi", "--grid", str(1 << PHI_GRID_CAP.bit_length())],  # the next power of two
+        ["verify", "--p", str(PRIME_TEST_BOUND)],
     ],
 )
 def test_bad_number_exits_2(argv):

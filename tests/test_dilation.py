@@ -88,10 +88,14 @@ def test_weighted_count_exact_on_every_piece():
     x = F(10**16, 3 * 10**16 + 1)
     u, v = F(999999999, 2999999998), F(10**9, 3 * 10**9 + 1)
     assert float(x) == 1 / 3 and float(u) == float(v)
+
+    def arc(lo, hi):
+        return ArcSet.of([(lo, hi)])
+
     cases = [
-        (range(1, 20), [(x, F(1, 3), 1)]),
-        (range(1, 20), [(F(1, 7), x, 3), (F(1, 3), F(1, 2), -2)]),
-        ([1], [(v, F(1, 2), 1), (F(1, 7), u, 1)]),
+        (range(1, 20), [(arc(x, F(1, 3)), 1)]),
+        (range(1, 20), [(arc(F(1, 7), x), 3), (arc(F(1, 3), F(1, 2)), -2)]),
+        ([1], [(arc(v, F(1, 2)), 1), (arc(F(1, 7), u), 1)]),
     ]
     for elems, arcs in cases:
         A = IntegerSet.of(elems)
@@ -100,33 +104,29 @@ def test_weighted_count_exact_on_every_piece():
         integral = l1 = 0
         for lo, hi in zip(ends, ends[1:]):
             mid = (lo + hi) / 2
-            value = sum(w for n in A for a, b, w in arcs if a < n * mid % 1 < b) - F(1, 3)
+            value = sum(w for n in A for O, w in arcs if O.contains(n * mid)) - F(1, 3)
             assert g.eval(mid) == value
             with pytest.raises(ValueError):
                 g.eval(lo + 1)  # a breakpoint, taken mod 1
             integral += value * (hi - lo)
             l1 += abs(value) * (hi - lo)
         assert g.integral() == integral
-        assert integral == A.N * sum(w * (b - a) for a, b, w in arcs) - F(1, 3)
+        assert integral == A.N * sum(w * O.measure for O, w in arcs) - F(1, 3)
         assert exact_l1(g) == l1
     # weights are integers: a Fraction, even a whole one, is refused
     for w in (F(1, 2), F(3)):
         with pytest.raises(InputError):
-            weighted_count_function(IntegerSet.of([1]), [(F(1, 3), F(2, 3), w)])
+            weighted_count_function(IntegerSet.of([1]), [(OMEGA_21, w)])
 
 
 def test_count_function_edges_at_zero_and_one():
     A = IntegerSet.of([1, 2, 5])
     for O in (ArcSet.of([(F(1, 2), F(1))]), ArcSet.of([(F(0), F(1, 4))]),
-              ArcSet.of([(F(0), F(1))]), ArcSet.of([(F(1, 3), F(4, 3))])):
+              ArcSet.of([(F(0), F(1))]), ArcSet.of([(F(0), F(1, 3)), (F(1, 3), F(1))])):
         g = count_function(A, O)
         assert g.integral() == A.N * O.measure
         for x in (F(1, 100), F(1, 7), F(5, 7), F(99, 100)):
             assert g.eval(x) == orbit_subset(A, O, x).N
-    # a raw weighted arc must lie in [0, 1]; ArcSet splits one that wraps
-    for lo, hi in ((F(1, 2), F(3, 2)), (F(-1, 4), F(1, 4)), (F(1, 2), F(1, 3))):
-        with pytest.raises(ValueError):
-            weighted_count_function(A, [(lo, hi, 1)])
 
 
 def test_l1_and_max_matches_the_step_function():
@@ -137,19 +137,18 @@ def test_l1_and_max_matches_the_step_function():
     for case in range(300):
         A = IntegerSet.of(rng.sample(range(1, rng.choice((20, 300, 3000))), rng.randint(1, 12)))
         if case % 10:
-            arcs = [(lo, hi, rng.randint(-3, 3)) for O in (OMEGA_1, OMEGA_2) for lo, hi in O.arcs]
+            arcs = [(O, rng.randint(-3, 3)) for O in (OMEGA_1, OMEGA_2)]
         else:
             A = IntegerSet.of(rng.sample(range(1, 40), rng.randint(1, 5)))
             ends = sorted(F(rng.randrange(10**15), 10**15 - rng.randrange(10)) for _ in range(4))
-            arcs = [(ends[0], ends[1], rng.randint(-3, 3)), (ends[2], ends[3], rng.randint(-3, 3))]
+            arcs = [(ArcSet.of([ends[i : i + 2]]), rng.randint(-3, 3)) for i in (0, 2)]
         shift = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
         g = weighted_count_function(A, arcs).shift_const(shift)
         want = (exact_l1(g), *g.max_with_witness())
         assert l1_and_max(A, arcs, shift) == want, (A.elements, arcs, shift)
-    # the same checks on the arcs as the step function's
-    for arcs in ([(F(1, 3), F(2, 3), F(1, 2))], [(F(1, 2), F(1, 3), 1)], [(F(-1, 4), F(1, 4), 1)]):
-        with pytest.raises(InputError):
-            l1_and_max(IntegerSet.of([1]), arcs, 0)
+    # the same weight rule as the step function's
+    with pytest.raises(InputError):
+        l1_and_max(IntegerSet.of([1]), [(OMEGA_21, F(1, 2))], 0)
 
 
 def test_piecewise_constant_needs_one_row_per_piece():
@@ -248,10 +247,9 @@ def test_half_circle_matches_full_sweep():
 
 
 def _random_arcs(rng, den):
-    # disjoint arcs, turned by a random angle, so some run through 0
-    ends = sorted(rng.sample(range(den), 2 * rng.randint(1, 3)))
-    turn = rng.randrange(den)
-    return ArcSet.of([(Fraction(ends[i] + turn, den), Fraction(ends[i + 1] + turn, den))
+    # disjoint arcs with ends in [0, 1], so some touch 0 or 1
+    ends = sorted(rng.sample(range(den + 1), 2 * rng.randint(1, 3)))
+    return ArcSet.of([(Fraction(ends[i], den), Fraction(ends[i + 1], den))
                       for i in range(0, len(ends), 2)])
 
 
@@ -274,7 +272,7 @@ def test_orbit_subset_matches_fractions():
 
 def _mirror(O):
     ((lo, hi),) = O.arcs
-    return ArcSet.of([(-hi, -lo)])
+    return ArcSet.of([(1 - hi, 1 - lo)])
 
 
 @given(st.sets(st.integers(1, 300), min_size=1, max_size=20),
@@ -386,10 +384,12 @@ def _certificate_json(**changes):
         _certificate_json(subset=5),
         _certificate_json(arc_used=[[1, 0, 1, 2]]),
         [],
+        _certificate_json(arc_used=[[1, 3, 5, 3]]),
     ],
     ids=[
         "missing-key", "zero-denominator", "three-ints", "float-rational", "string-count",
         "int-flag", "bool-element", "non-iterable-subset", "bad-arc", "not-an-object",
+        "arc-past-1",
     ],
 )
 def test_malformed_certificate_json_raises_input_error(data):

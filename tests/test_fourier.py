@@ -133,26 +133,23 @@ def test_series_converges_to_eval():
 
 
 def test_grid_norm_constant():
-    value, bar = grid_norms(np.array([0]), np.ones(1), "L1")
+    value, bar = grid_norms(np.array([0]), np.ones(1))
     assert value == pytest.approx(1.0)
     assert bar == pytest.approx(0.0, abs=1e-12)
 
 
 def test_grid_norm_cosine():
     cos2 = np.array([1, -1]), np.ones(2)
-    value, bar = grid_norms(*cos2, "L1")
+    value, bar = grid_norms(*cos2)
     assert abs(value - 4 / math.pi) <= bar + 1e-9
-    l2, zero = grid_norms(*cos2, "L2")
-    assert l2 == pytest.approx(math.sqrt(2))
-    assert zero == 0.0
 
 
 def test_linf_bound_is_upper():
     p = to_complex(series_truncated("f", 40))
-    value, bar = grid_norms(*_arrays(p), "Linf")
+    grid_max = float(np.max(np.abs(_sample(p, 512).samples)))
     xs = np.linspace(0, 1, 100001)
     brute = max(abs(_eval(p, x)) for x in xs[::100])
-    assert value + bar >= brute - 1e-9
+    assert grid_max * sup_factor(min(p), max(p), 512) >= brute - 1e-9
 
 
 @pytest.mark.parametrize("n, c, M", [(5, 0, 64), (40, 17, 512), (100, -60, 2048), (64, 3, 256)])
@@ -164,9 +161,6 @@ def test_sup_factor_covers_shifted_dirichlet(n, c, M):
     grid_max = float(np.max(np.abs(_sample(kernel, M).samples)))
     assert grid_max < 2 * n + 1 - 1e-6
     assert grid_max * sup_factor(c - n, c + n, M) >= 2 * n + 1
-    if M >= 8 * max(map(abs, kernel)):
-        value, bar = grid_norms(*_arrays(kernel), "Linf", M=M)
-        assert value + bar >= 2 * n + 1
     with pytest.raises(InputError):
         sup_factor(c - n, c + n, 2 * n)
 
@@ -174,18 +168,18 @@ def test_sup_factor_covers_shifted_dirichlet(n, c, M):
 def test_resolution_error():
     p = to_complex(series_truncated("f", 100))
     with pytest.raises(InputError):
-        grid_norms(*_arrays(p), "Linf", M=64)
+        grid_norms(*_arrays(p), M=64)
 
 
-@pytest.mark.parametrize("which", ["L1", "L2", "Linf"])
-def test_grid_norms_refuses_misaligned_arrays(which):
-    # repeated frequencies would add on the grid but not in Parseval's sum
+def test_grid_norms_refuses_misaligned_arrays():
+    # repeated frequencies would add on the grid, and the error bar's
+    # derivative norm would count them apart
     with pytest.raises(InputError):
-        grid_norms(np.array([1, 2, 1]), np.ones(3), which)
+        grid_norms(np.array([1, 2, 1]), np.ones(3))
     with pytest.raises(InputError):
-        grid_norms(np.array([1, 2, 3]), np.ones(2), which)
+        grid_norms(np.array([1, 2, 3]), np.ones(2))
     with pytest.raises(InputError):
-        grid_norms(np.array([], dtype=int), np.ones(0), which)
+        grid_norms(np.array([], dtype=int), np.ones(0))
 
 
 def test_grid_round_trip():

@@ -1,11 +1,12 @@
 """Golden reports: every subcommand on a fixed small input gives the stored
 report, `timings` aside.
 
-Comparisons are exact, except that floats of the numpy-driven reports (phi,
-phi_profile, lp) may differ by a relative 1e-12, so the test survives other
-numpy builds.  Regenerate the files with `python tests/test_golden.py`
-(with `src` on the path) only when a report is meant to change, naming it
-with `--only NAME`.  A rewrite keeps each stored float that the new report
+Comparisons are exact, as equal JSON spellings, except that the numpy-driven
+reports (phi, phi_profile, lp) are compared the way `sumfree check` compares
+them: floats may differ by CHECK_TOLERANCE (1e-12, relative and absolute), so
+the test survives other numpy builds.  Regenerate the files with
+`python tests/test_golden.py` (with `src` on the path) only when a report is
+meant to change, naming it with `--only NAME`.  A rewrite keeps each stored float that the new report
 matches within the tolerance, so another numpy build moves no last digits.
 """
 
@@ -16,7 +17,7 @@ import sys
 
 import pytest
 
-from sumfree.cli import RunConfig, run
+from sumfree.cli import CHECK_TOLERANCE, RunConfig, _mismatches, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -34,16 +35,16 @@ CASES = {
     "extract_24_geometric": (dict(command="extract", k=2, l=4), "chains", 0),
     "verify": (dict(command="verify", q=5, cutoff=150), "small", 0),
     "oracle": (dict(command="oracle", k=2, l=1), "mixed", 0),
-    "lp": (dict(command="lp", sizes=(4, 6, 8)), None, 1e-12),
+    "lp": (dict(command="lp", sizes=(4, 6, 8)), None, CHECK_TOLERANCE),
     "phi": (
         dict(command="phi", size=120, base=4, grid=4096, weights="random", seed=3),
         None,
-        1e-12,
+        CHECK_TOLERANCE,
     ),
     "report_phi_profile": (
         dict(command="report", kind="phi_profile", size=30, base=4, grid=256),
         None,
-        1e-12,
+        CHECK_TOLERANCE,
     ),
     "report_surplus_vs_N": (
         dict(command="report", kind="surplus_vs_N", sizes=(10, 20)),
@@ -71,21 +72,6 @@ def _report(name, tmp_dir):
     return report
 
 
-def _assert_same(got, want, rel, where="report"):
-    if isinstance(want, float) and isinstance(got, float) and rel:
-        assert math.isclose(got, want, rel_tol=rel, abs_tol=rel), where
-    elif isinstance(want, dict) and isinstance(got, dict):
-        assert sorted(got) == sorted(want), where
-        for key in want:
-            _assert_same(got[key], want[key], rel, f"{where}.{key}")
-    elif isinstance(want, list) and isinstance(got, list):
-        assert len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_same(g, w, rel, f"{where}[{i}]")
-    else:
-        assert type(got) is type(want) and got == want, where
-
-
 def _keep_stored(got, want, rel):
     """got, with each float within the tolerance rel of the stored float at
     its place replaced by the stored one, so a rewrite moves only what a
@@ -101,8 +87,11 @@ def _keep_stored(got, want, rel):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name, tmp_path):
-    want = json.loads((GOLDEN / f"{name}.json").read_text())
-    _assert_same(_report(name, tmp_path), want, CASES[name][2])
+    got, want = _report(name, tmp_path), json.loads((GOLDEN / f"{name}.json").read_text())
+    if CASES[name][2]:
+        assert list(_mismatches(got, want, "report")) == []
+    else:
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 if __name__ == "__main__":

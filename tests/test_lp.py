@@ -25,6 +25,12 @@ def test_montecarlo_matches_grid():
     assert abs(mc - grid_value) <= mc_bar + grid_bar
 
 
+def test_exp_sum_l1_refuses_an_empty_set():
+    # the grid needs at least one frequency
+    with pytest.raises(InputError, match="at least one"):
+        exp_sum_l1(IntegerSet.of([]))
+
+
 def test_lacunary_diagnostic():
     d = lacunary_l1_diagnostic((8, 16, 32), seed=3)
     assert len(d["rows"]) == 3

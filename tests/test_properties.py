@@ -51,8 +51,7 @@ def test_reflection_behind_the_l1_report(elems):
     F1, F2 = balanced_function(A, OMEGA_1), balanced_function(A, OMEGA_2)
     assert exact_l1(F2) == exact_l1(F1)
     assert F2.max_with_witness()[0] == F1.max_with_witness()[0]
-    arcs = [(lo, hi, 1) for O in (OMEGA_1, OMEGA_2) for lo, hi in O.arcs]
-    gamma = weighted_count_function(A, arcs).shift_const(Fraction(-A.N, 3))
+    gamma = weighted_count_function(A, [(OMEGA_1, 1), (OMEGA_2, 1)]).shift_const(Fraction(-A.N, 3))
     assert exact_l1(gamma) == exact_l1(balanced_function(A, OMEGA_21))
 
 

@@ -41,7 +41,11 @@ class ArcSet:
     @staticmethod
     def of(raw) -> "ArcSet":
         """The arcs (lo, hi) of raw as exact Fractions, in ascending order."""
-        return ArcSet(arcs=tuple(sorted((_exact(lo), _exact(hi)) for lo, hi in raw)))
+        try:
+            pairs = [(lo, hi) for lo, hi in raw]
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"arcs are (lo, hi) pairs, got {raw!r}") from exc
+        return ArcSet(arcs=tuple(sorted((_exact(lo), _exact(hi)) for lo, hi in pairs)))
 
     @property
     def measure(self) -> Fraction:
@@ -74,32 +78,32 @@ def rational(pair) -> Fraction:
     return Fraction(*pair)
 
 
-OMEGA_21 = ArcSet.of([(Fraction(1, 3), Fraction(2, 3))])
-OMEGA_1 = ArcSet.of([(Fraction(1, 6), Fraction(1, 3))])
-OMEGA_2 = ArcSet.of([(Fraction(2, 3), Fraction(5, 6))])
-
-
 def pullback(O: ArcSet, m: int) -> ArcSet:
     """Preimage of O under x -> m*x on R/Z; preserves measure."""
     if m < 1:
         raise InputError("multiplier must be >= 1")
-    arcs = [
-        (Fraction(lo + j, m), Fraction(hi + j, m))
-        for lo, hi in O.arcs
-        for j in range(m)
-    ]
+    arcs = [(Fraction(lo + j, m), Fraction(hi + j, m)) for lo, hi in O.arcs for j in range(m)]
     return ArcSet.of(arcs)
 
 
 def canonical_omega(k: int, l: int) -> ArcSet:
-    """Canonical maximal sum-free arc systems: (1/3, 2/3) for (2,1), and
-    Omega_1 pulled back by m for (2m,4m).  The Omega_2 system of the paper is
-    their mirror under x -> -x, pullback(OMEGA_2, m)."""
-    if (k, l) == (2, 1):
-        return OMEGA_21
-    if k >= 2 and k % 2 == 0 and l == 2 * k:
-        return pullback(OMEGA_1, k // 2)
-    raise InputError(f"no canonical arc system for (k,l)=({k},{l})")
+    """The longest (k,l)-sum-free arcs, for k, l >= 1 and k != l.
+
+    An arc I = (a, a + lam) has |kI| + |lI| = (k + l)*lam, so lam <= 1/s for
+    s = k + l; at lam = 1/s the open arcs kI and lI are disjoint iff they tile
+    the circle, iff (k - l)*a = l/s mod 1.  That is the pullback of
+    (min(k,l)/s, max(k,l)/s) by d = |k - l|, whose arc j is the mirror of arc
+    d-1-j under x -> -x: for odd d the middle arc is symmetric about 1/2, and
+    no arc contains 0.  (2,1) gives (1/3, 2/3), (2,4) Omega_1 and Omega_2.
+    """
+    if k < 1 or l < 1 or k == l:
+        raise InputError(f"(k,l) needs k, l >= 1 and k != l, got ({k},{l})")
+    s = k + l
+    return pullback(ArcSet.of([(Fraction(min(k, l), s), Fraction(max(k, l), s))]), abs(k - l))
+
+
+OMEGA_21 = canonical_omega(2, 1)
+OMEGA_1, OMEGA_2 = canonical_omega(2, 4).singletons()
 
 
 def is_arc_kl_sumfree(O: ArcSet, k: int, l: int) -> bool:

@@ -198,10 +198,12 @@ def _verify_stages(config: RunConfig) -> dict:
     A = _load_input(config)
     P = config.p if config.p is not None else next_prime_at_least(max(A.N * A.N, 2))
     ctx = SieveContext(Q=config.q, P=P)
-    results = [
-        verify_identity(iid, A, ctx, config.cutoff) for iid in IDENTITY_IDS
-    ]
-    return {"verify": {"identities": results, "all_equal": all(r["equal"] for r in results)}}
+    results = [verify_identity(iid, A, ctx, config.cutoff) for iid in IDENTITY_IDS]
+    failed = [f"{r['identity_id']} (defect {r['defect']} at {r['witness']})"
+              for r in results if not r["equal"]]
+    if failed:
+        raise CertificationError(f"identity verification failed: {', '.join(failed)}")
+    return {"verify": {"identities": results, "all_equal": True}}
 
 
 def _phi_stage(config: RunConfig) -> dict:
@@ -238,7 +240,8 @@ def _mismatches(got, want, where: str):
 
 def _check_stage(config: RunConfig) -> dict:
     """Re-run a stored report from its echoed configuration and compare the
-    stages.  Only a report that names no input file can be re-run."""
+    stages, raising CertificationError at a mismatch.  Only a report that
+    names no input file can be re-run."""
     with open(config.input, "rb") as fh:
         text = fh.read()
     try:
@@ -255,7 +258,9 @@ def _check_stage(config: RunConfig) -> dict:
         )
     rerun = json.loads(json.dumps(run(echoed)["stages"]))
     mismatches = list(_mismatches(rerun, stored, "stages"))
-    return {"command": echoed.command, "equal": not mismatches, "mismatches": mismatches}
+    if mismatches:
+        raise CertificationError(f"the report does not reproduce at {', '.join(mismatches)}")
+    return {"command": echoed.command, "equal": True, "mismatches": []}
 
 
 # subcommand -> (the flags its stages read, config -> its report's stages)
@@ -347,13 +352,6 @@ def main(argv=None) -> int:
     config = RunConfig(**vars(_parser().parse_args(argv)))
     try:
         report = run(config)
-        if config.command == "verify" and not report["stages"]["verify"]["all_equal"]:
-            failed = [f"{r['identity_id']} (defect {r['defect']} at {r['witness']})"
-                      for r in report["stages"]["verify"]["identities"] if not r["equal"]]
-            raise CertificationError(f"identity verification failed: {', '.join(failed)}")
-        if config.command == "check" and not report["stages"]["check"]["equal"]:
-            mismatches = report["stages"]["check"]["mismatches"]
-            raise CertificationError(f"the report does not reproduce at {', '.join(mismatches)}")
         if config.command == "report":
             payload = emit_plotdata(report, config.kind)
         else:

@@ -320,15 +320,12 @@ class ExtractionCertificate:
 
 
 def extract_certified(A: IntegerSet, k: int, l: int) -> ExtractionCertificate:
-    """Best certified (k,l)-sum-free subset over the canonical system's
-    intervals: (1/3, 2/3) for (2,1), Omega_1 pulled back by m for (2m,4m)."""
+    """Best certified (k,l)-sum-free subset over the arcs of
+    canonical_omega(k, l), the first strict maximum in ascending order."""
     best = None
-    # The guarantee is per interval (arcs.is_arc_kl_sumfree), not for their
-    # union.  The Omega_2 = -Omega_1 system holds the mirrors -O of these
-    # arcs: n*x in -O iff n*(-x) in O, so a mirror's maximum ties its
-    # original's and never beats it under the first strict maximum here;
-    # pulling (1/3, 2/3) back by 2m gives both systems' intervals.
-    for O in canonical_omega(k, l).singletons():
+    # The guarantee is per arc, not for their union.  n*x in -O iff n*(-x) in
+    # O, so each later arc ties its mirror (see canonical_omega): one per pair.
+    for O in canonical_omega(k, l).singletons()[: (abs(k - l) + 1) // 2]:
         x_star, count = maximize_count(A, O)
         if best is None or count > best[1]:
             best = (x_star, count, O)

@@ -26,7 +26,7 @@ sieve_lhs and sieve_rhs from the library's private side builders, and
 SieveTable.defect names the witness of two differing sides.
 
 Six references sit at the end: the orbit subset in Fractions, extraction
-over the intervals of both canonical (2m,4m) systems, the L1 report with
+over every longest sum-free arc a grid search finds, the L1 report with
 each of G_A, L_A, F_1 and F_2 swept on its own arcs, the lacunary rows with
 one backward chain per size and np.exp for every e(y), and two oracle
 searches with every sum bitset rebuilt from its whole subset: the plain
@@ -46,7 +46,7 @@ from itertools import compress
 import numpy as np
 
 from sumfree import dilation, sieve
-from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, pullback
+from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, is_arc_kl_sumfree
 from sumfree.arith import SieveContext, primes_upto
 from sumfree.dilation import ExtractionCertificate, maximize_count
 from sumfree.errors import InputError
@@ -481,15 +481,21 @@ def orbit_subset_fractions(A: IntegerSet, O: ArcSet, x) -> IntegerSet:
     return IntegerSet(tuple(n for n in A if O.contains(n * x)))
 
 
-def extract_both_systems(A: IntegerSet, k: int, l: int) -> ExtractionCertificate:
-    """Extraction over every interval of the Omega_1 system, then every
-    interval of the Omega_2 system, keeping the first strict maximum."""
-    if (k, l) == (2, 1):
-        arcs = [OMEGA_21]
-    else:
-        arcs = [O for base in (OMEGA_1, OMEGA_2) for O in pullback(base, k // 2).singletons()]
+def longest_sumfree_arcs(k: int, l: int) -> list[ArcSet]:
+    """Every arc (a, a + 1/s) in [0, 1], s = k + l, with a in (1/(3*s*d))Z
+    for d = |k - l|, that is_arc_kl_sumfree accepts, in ascending order."""
+    s, d = k + l, abs(k - l)
+    grid = 3 * s * d  # the arc's length 1/s is 3*d grid steps
+    arcs = (ArcSet.of([(Fraction(i, grid), Fraction(i + 3 * d, grid))])
+            for i in range(grid - 3 * d + 1))
+    return [O for O in arcs if is_arc_kl_sumfree(O, k, l)]
+
+
+def extract_every_arc(A: IntegerSet, k: int, l: int) -> ExtractionCertificate:
+    """Extraction over every arc of longest_sumfree_arcs(k, l), keeping the
+    first strict maximum."""
     best = None
-    for O in arcs:
+    for O in longest_sumfree_arcs(k, l):
         x_star, count = maximize_count(A, O)
         if best is None or count > best[1]:
             best = (x_star, count, O)

@@ -13,7 +13,7 @@ import numpy as np
 
 from reference import balanced_function, exact_l1, is_strictly_rough
 from sumfree.arith import SieveContext
-from sumfree.arcs import OMEGA_2, OMEGA_21, canonical_omega, is_arc_kl_sumfree, pullback
+from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, canonical_omega, is_arc_kl_sumfree, pullback
 from sumfree.dilation import extract_certified, l1_and_max, maximize_count
 from sumfree.lp import exp_sum_l1, lacunary_l1_diagnostic
 from sumfree.mps import build_phi, epsilon_of_base, pairing_constant
@@ -249,19 +249,21 @@ def test_criterion_11_growth_trend():
 
 def test_criterion_12_arc_self_consistency():
     ok = True
-    for k, l in ((2, 1), (2, 4), (4, 8), (6, 12)):
-        # for (2m,4m) the Omega_1 system and its mirror, the Omega_2 system
-        systems = [canonical_omega(k, l)]
-        if (k, l) != (2, 1):
-            systems.append(pullback(OMEGA_2, k // 2))
-        for O in systems:
-            for piece in O.singletons():
-                ok &= is_arc_kl_sumfree(piece, k, l)
-            want = Fraction(1, 3) if (k, l) == (2, 1) else Fraction(1, 6)
-            ok &= O.measure == want
+    for k, l in ((2, 1), (2, 4), (4, 8), (6, 12), (3, 1), (1, 2)):
+        O = canonical_omega(k, l)
+        for piece in O.singletons():
+            ok &= is_arc_kl_sumfree(piece, k, l) and piece.measure == Fraction(1, k + l)
+        systems = [O]
+        if l == 2 * k and k % 2 == 0:
+            # the Omega_1 system pulled back by m and its mirror, the Omega_2 system
+            systems += [pullback(base, k // 2) for base in (OMEGA_1, OMEGA_2)]
+            ok &= sorted(a for S in systems[1:] for a in S.arcs) == list(O.arcs)
+            ok &= all(S.measure == Fraction(1, 6) for S in systems[1:])
+        for S in systems:
             for m in (2, 3, 5):
-                ok &= pullback(O, m).measure == O.measure
+                ok &= pullback(S, m).measure == S.measure
     _report(
         12, "arc self-consistency",
-        ok, "(2,1),(2,4),(4,8),(6,12) arcs sum-free with measures 1/3 and 1/6",
+        ok, "(2,1),(2,4),(4,8),(6,12),(3,1),(1,2) arcs sum-free with measure 1/(k+l); "
+        "Omega_1, Omega_2 systems of measure 1/6",
     )

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import longest_sumfree_arcs
 from sumfree.arcs import (
     ArcSet,
     OMEGA_1,
@@ -28,22 +29,41 @@ def test_canonical_21():
 
 
 def test_canonical_24_variants():
-    # the paper's second system Omega_2 is the mirror -Omega_1
-    assert canonical_omega(2, 4).arcs == ((F(1, 6), F(1, 3)),)
+    # the paper's two systems Omega_1 and Omega_2 = -Omega_1 are the two arcs of (2,4)
+    assert canonical_omega(2, 4).arcs == ((F(1, 6), F(1, 3)), (F(2, 3), F(5, 6)))
+    assert OMEGA_1.arcs == ((F(1, 6), F(1, 3)),)
     assert OMEGA_2.arcs == ((F(2, 3), F(5, 6)),)
     assert ArcSet.of([(1 - hi, 1 - lo) for lo, hi in OMEGA_1.arcs]).arcs == OMEGA_2.arcs
 
 
 def test_canonical_48():
     O = canonical_omega(4, 8)
-    assert O.arcs == ((F(1, 12), F(1, 6)), (F(7, 12), F(2, 3)))
-    assert O.measure == F(1, 6)
+    assert O.arcs == (
+        (F(1, 12), F(1, 6)), (F(1, 3), F(5, 12)), (F(7, 12), F(2, 3)), (F(5, 6), F(11, 12)),
+    )
+    assert O.measure == F(1, 3)
 
 
 def test_canonical_unsupported():
-    for k, l in ((3, 1), (3, 6), (2, 8), (0, 0)):
+    for k, l in ((0, 0), (0, 1), (1, 0), (3, 3)):
         with pytest.raises(InputError):
             canonical_omega(k, l)
+
+
+def test_canonical_family_for_every_k_l():
+    # |k - l| arcs of measure 1/(k + l), each sum-free, the family closed
+    # under x -> -x and the same for (l, k); and no other arc of that
+    # length on a grid three times finer than the arcs' endpoints is sum-free
+    for k in range(1, 13):
+        for l in range(1, 13):
+            if k == l:
+                continue
+            O = canonical_omega(k, l)
+            assert len(O.arcs) == abs(k - l) and O == canonical_omega(l, k)
+            for piece in O.singletons():
+                assert piece.measure == F(1, k + l) and is_arc_kl_sumfree(piece, k, l)
+            assert ArcSet.of([(1 - hi, 1 - lo) for lo, hi in O.arcs]) == O
+            assert longest_sumfree_arcs(k, l) == O.singletons(), (k, l)
 
 
 def test_pullback_examples():
@@ -122,16 +142,18 @@ def test_arc_sumfree_matches_integer_grid():
 
 
 def test_canonical_self_consistency():
-    # the union of pullback intervals is not itself sum-free (sums mixing
-    # different intervals collide), so the guarantee is per interval; for
-    # (2m,4m) it holds on the Omega_1 system and its mirror, the Omega_2 system
-    for k, l in ((2, 1), (2, 4), (4, 8), (6, 12)):
-        systems = [canonical_omega(k, l)]
-        if (k, l) != (2, 1):
-            systems.append(pullback(OMEGA_2, k // 2))
-        for O in systems:
-            for piece in O.singletons():
-                assert is_arc_kl_sumfree(piece, k, l)
+    # the union of the arcs is not itself sum-free (sums mixing different
+    # arcs collide), so the guarantee is per arc; for (2m,4m) the arcs are
+    # the Omega_1 system pulled back by m and its mirror, the Omega_2 system
+    for k, l in ((2, 1), (2, 4), (4, 8), (6, 12), (3, 1), (1, 2)):
+        O = canonical_omega(k, l)
+        for piece in O.singletons():
+            assert is_arc_kl_sumfree(piece, k, l) and piece.measure == F(1, k + l)
+        for m in (2, 3, 5):
+            assert pullback(O, m).measure == O.measure
+        if l == 2 * k and k % 2 == 0:
+            systems = [pullback(base, k // 2) for base in (OMEGA_1, OMEGA_2)]
+            assert sorted(a for S in systems for a in S.arcs) == list(O.arcs)
 
 
 @pytest.mark.parametrize(
@@ -147,10 +169,15 @@ def test_canonical_self_consistency():
         [(float("nan"), 0.5)],
         [(0, float("inf"))],
         [("1/3", F(2, 3))],
+        [(0, 1, 2)],
+        [("a",)],
+        [1],
+        5,
     ],
     ids=[
         "reversed", "empty", "overlapping", "lo-below-0", "hi-above-1", "wraps-past-1",
-        "wraps-below-0", "nan", "inf", "string",
+        "wraps-below-0", "nan", "inf", "string", "three-endpoints", "one-endpoint",
+        "not-a-pair", "not-a-list",
     ],
 )
 def test_arcset_refusals(raw):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, report output."""
 
+import csv
 import io
 import json
 import time
@@ -10,8 +11,10 @@ import pytest
 from sumfree import cli
 from sumfree.arith import PRIME_TEST_BOUND
 from sumfree.cli import main
+from sumfree.dilation import ExtractionCertificate
 from sumfree.errors import CertificationError, InputError, ResourceLimitError, SumfreeError
 from sumfree.mps import PHI_GRID_CAP
+from sumfree.sets import load_set
 from sumfree.sieve import SIEVE_CUTOFF_CAP
 
 
@@ -67,6 +70,25 @@ def test_report_surplus(capsys):
     assert len(lines) == 3
 
 
+def test_every_k_l_extracts(set_file, capsys):
+    # each arc has measure 1/(k+l), so |A_x| has mean N/(k+l): no surplus is negative
+    with open(set_file, "rb") as fh:
+        A = load_set(fh.read(), "lines")
+    for argv, stage, key in (
+        (["extract", "--k", "3", "--l", "5"], "extraction", "certificate"),
+        (["oracle", "--k", "3", "--l", "1"], "oracle", "extractor"),
+        (["oracle", "--k", "1", "--l", "2"], "oracle", "extractor"),
+    ):
+        assert main([*argv, "--input", set_file]) == 0
+        data = json.loads(capsys.readouterr().out)["stages"][stage][key]
+        cert = ExtractionCertificate.from_json(data)
+        assert cert.reverify(A) and cert.surplus >= 0, argv
+    argv = ["report", "--kind", "surplus_vs_N", "--k", "3", "--l", "1", "--sizes", "10,20"]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 2 and all(float(row["surplus"]) >= 0 for row in rows)
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["analyze", "--input", str(tmp_path / "nope.txt")]) == 2
 
@@ -110,7 +132,7 @@ def _exit_code(argv) -> int:
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["extract", "--input", "{set}", "--k", "3", "--l", "5"], 2),
+        (["extract", "--input", "{set}", "--k", "0", "--l", "1"], 2),
         (["extract", "--input", "{set}", "--k", "2", "--l", "2"], 2),
         (["oracle", "--input", "{set}", "--k", "2", "--l", "2"], 2),
         (["phi", "--grid", "4", "--size", "100"], 2),

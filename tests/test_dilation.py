@@ -14,7 +14,7 @@ from reference import (
     balanced_function,
     count_function,
     exact_l1,
-    extract_both_systems,
+    extract_every_arc,
     orbit_subset_fractions,
     weighted_count_function,
 )
@@ -276,19 +276,18 @@ def _mirror(O):
 
 
 @given(st.sets(st.integers(1, 300), min_size=1, max_size=20),
-       st.sampled_from([(2, 4), (4, 8), (6, 12)]))
+       st.sampled_from([(2, 1), (2, 4), (4, 8), (6, 12), (3, 1), (3, 2)]))
 @settings(max_examples=60, deadline=None)
 def test_mirror_intervals_tie(elems, kl):
-    # each interval of the Omega_2 system mirrors one of the Omega_1 system,
-    # ties its maximum and so never wins: extraction over Omega_1 alone
-    # gives the certificate of extraction over both systems
+    # arc j of the family mirrors arc d-1-j and ties its maximum, so a later
+    # arc never wins: extraction over one arc of each mirror pair gives the
+    # certificate of extraction over every longest sum-free arc
     A, (k, l) = IntegerSet.of(elems), kl
-    system1 = canonical_omega(k, l).singletons()
-    system2 = pullback(OMEGA_2, k // 2).singletons()
-    assert sorted(_mirror(O).arcs for O in system1) == sorted(O.arcs for O in system2)
-    for O in system1:
+    arcs = canonical_omega(k, l).singletons()
+    assert [_mirror(O) for O in reversed(arcs)] == arcs
+    for O in arcs:
         assert maximize_count(A, _mirror(O))[1] == maximize_count(A, O)[1]
-    assert extract_certified(A, k, l).to_json() == extract_both_systems(A, k, l).to_json()
+    assert extract_certified(A, k, l).to_json() == extract_every_arc(A, k, l).to_json()
 
 
 def test_balanced_function():

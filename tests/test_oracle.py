@@ -64,6 +64,18 @@ def test_extractor_never_beats_oracle_24():
         assert cert.count <= oracle.best_size
 
 
+def test_extractor_never_beats_oracle_for_every_k_l():
+    # (k,l) outside (2,1) and (2m,4m): the certificate re-verifies, its
+    # surplus is >= 0 and its count is at most the exhaustive optimum
+    rng = random.Random(43)
+    for k, l in ((3, 1), (1, 2), (3, 2), (5, 2)):
+        for _ in range(50):
+            A = IntegerSet.of(rng.sample(range(1, 121), rng.randint(6, 16)))
+            cert = extract_certified(A, k, l)
+            assert cert.reverify(A) and cert.surplus >= 0
+            assert cert.count <= max_sumfree_exact(A, k, l).best_size, (k, l, A.elements)
+
+
 @pytest.mark.parametrize("check", [is_kl_sumfree, max_sumfree_exact])
 def test_sum_bitsets_over_budget_raise_before_allocating(check):
     # the 2-fold sums of 10**12 need 2*10**12-bit bitsets

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .arith import SieveContext, is_prime, next_prime_at_least
-from .dilation import extract_certified
+from .dilation import engine, extract_certified
 from .errors import CertificationError, InputError, SumfreeError
 from .lp import lacunary_l1_diagnostic
 from .mps import PHI_GRID_CAP, block_bounds, build_phi, check_grid
@@ -189,7 +189,7 @@ def _extract_stages(config: RunConfig) -> dict:
             "certificate": cert.to_json(),
             "count": cert.count,
             "baseline": list(Fraction(A.N, config.k + config.l).as_integer_ratio()),
-            "route": "lacunary" if structure_stage["geometric"] else "balanced-arcs",
+            "route": "lacunary" if engine(A, cert.arc_used) == "markov" else "balanced-arcs",
         },
     }
 

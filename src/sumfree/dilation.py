@@ -6,8 +6,10 @@ function whose breakpoints are the points (e + j)/n for endpoints e of O.
 Breakpoints are integer pairs p/q and levels are integers, both in numpy
 arrays, and the breakpoints are ordered exactly; maximization happens at
 piece midpoints, where the function is constant, so every result is exact.
-Maximization first bounds the count on a grid of buckets and then sweeps
-exactly only the runs of buckets where the maximum can be.
+Maximization either bounds the count on a grid of buckets and then sweeps
+exactly only the runs of buckets where the maximum can be, or, for sets
+close to 3A, runs a max-plus recursion on the x -> 3x Markov partition;
+one cost rule (`engine`) picks the cheaper.
 
 Memory budget: errors.MEMORY_BUDGET = 4 GiB per computation, checked before
 the large allocation, which raises ResourceLimitError instead.
@@ -22,6 +24,12 @@ the large allocation, which raises ResourceLimitError instead.
   bound numerators at the breakpoint rate; its exact sweep of the runs is
   counted at the breakpoint rate too, and sum(A) = 10^8 certifies in about
   0.6 GB.
+- The Markov engine holds R <= d * (sum of the distinct cores) partition
+  points at BYTES_PER_POINT = 256 bytes each (the points, their exact
+  order and the image of each cell) and BYTES_PER_CELL_STEP = 32 bytes per
+  cell and step for its L steps (the weights W, their bincounts and the
+  back-pointers); tracemalloc read 0.45-0.74 of R*(256 + 32*L) on random
+  sets, sparse s*3**v and triadic chains with R from 2*10**4 to 6*10**5.
 """
 
 from __future__ import annotations
@@ -39,8 +47,13 @@ from .sets import IntegerSet, is_kl_sumfree
 
 BYTES_PER_BREAKPOINT = 80
 BYTES_PER_BUCKET = 24
+BYTES_PER_POINT = 256
+BYTES_PER_CELL_STEP = 32
 BOUND_CHUNK = 2**20
 TOP_BUCKETS = 32
+# extraction's time budget, in arcs: each runs one maximize_count, about
+# 0.3 ms on 6 elements and 7-25 ms on 30 random elements below 10**4
+ARC_CAP = 1024
 
 
 def _kind(*products: int):
@@ -251,17 +264,142 @@ def _maximize_by_buckets(A: IntegerSet, O: ArcSet, M: int) -> tuple[Fraction, in
     return _argmax(p, q, levels, first, e, M, half)
 
 
-def maximize_count(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
-    """Global maximum of |A_x| over x, with the lowest maximizing midpoint.
+def _split3(n: int) -> tuple[int, int]:
+    """(s, v) with n = s*3**v and 3 not dividing s, in O(log v) divisions."""
+    ladder = [3]  # 3**(2**i) while it divides n
+    while n % ladder[-1] == 0:
+        ladder.append(ladder[-1] ** 2)
+    v = 0
+    for i in range(len(ladder) - 2, -1, -1):
+        if n % ladder[i] == 0:
+            n //= ladder[i]
+            v += 1 << i
+    return n, v
 
-    Bounds on a grid of M buckets, M the largest power of two at most
-    max(1, sum(A)/2), single out the few runs of buckets where the maximum
-    can be, and only those runs are swept exactly.  For one arc (lo, 1 - lo)
-    with 0 < lo < 1/2, such as (1/3, 2/3), and M >= 2, this is done on
-    [0, 1/2] alone: as n*(1 - x) = -n*x mod 1, |A_x| is symmetric about 1/2,
-    which is no breakpoint, so the lowest maximizing piece lies in (0, 1/2)
-    or is the piece around 1/2, whose midpoint 1/2 is then the witness.
+
+def _markov_shape(A: IntegerSet, O: ArcSet):
+    """(d, the split of each n, L, R) of the Markov engine, or None when a
+    cell of its partition could be longer than 1/3: d the lcm of O's
+    endpoint denominators, L = max v + 1 steps, and R = d * (sum of the
+    distinct cores) >= K partition points."""
+    d = lcm(*(e.denominator for arc in O.arcs for e in arc))
+    split = [_split3(n) if n % 3 == 0 else (n, 0) for n in A]
+    cores = {s for s, _ in split}
+    if d * max(cores, default=0) < 3:
+        return None
+    return d, split, max(v for _, v in split) + 1, d * sum(cores)
+
+
+def engine(A: IntegerSet, O: ArcSet) -> str:
+    """The engine maximize_count runs on (A, O), by one cost rule: "markov"
+    when its L*R cell steps are fewer than the sum(A) buckets of "buckets"."""
+    shape = _markov_shape(A, O)
+    return "markov" if shape is not None and shape[2] * shape[3] < sum(A) else "buckets"
+
+
+def _maximize_by_markov(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
+    """maximize_count by a max-plus recursion on the x -> 3x Markov partition.
+
+    Write n = s*3**v with 3 not dividing the core s, and let d be the lcm of
+    O's endpoint denominators.  The points P = union over cores s of
+    (1/(d*s))Z mod 1 are closed under x -> 3x, and when every cell between
+    neighbouring points is at most 1/3 long, 3x maps each cell onto a run of
+    cells; over all cells the runs tile the circle three times.  1_O(s*y)
+    is constant on each cell, as O's edges pulled back by s lie in P, so
+    |A_x| = sum_v W[v](the cell of 3**v * x), W[v] counting the n = s*3**v
+    of A with s*y in O on that cell.  The best value from step v on is
+    W[v] + the maximum over the run its cell maps onto: one
+    np.maximum.reduceat per step over the values tiled three times.  The
+    first argmax of each step leads to the lowest maximizing cylinder; a
+    point of it is pulled back exactly by y -> (y + lap)/3 and widened to
+    its piece by each n's nearest breakpoints, with 0 kept as a boundary,
+    whose midpoint is _argmax's witness.
     """
+    d, split, L, R = _markov_shape(A, O)
+    if R * (BYTES_PER_POINT + L * BYTES_PER_CELL_STEP) > MEMORY_BUDGET:
+        raise ResourceLimitError(f"{L} steps of {R} cells exceed the {MEMORY_BUDGET}-byte budget")
+    cores = sorted({s for s, _ in split})
+    # the budget keeps the products (d*s)**2 below 2**62, so _kind picks int64
+    size = np.array([d * s for s in cores], _kind((d * cores[-1]) ** 2))
+    base = np.cumsum(size) - size
+    # raw point r = base[c] + j is j/(d*s) for core c; equal points merge,
+    # and cell i starts at p[i]/q[i], the first raw point of its value
+    den = np.repeat(size, size)
+    order, p, q = _exact_order(np.arange(R, dtype=den.dtype) - np.repeat(base, size), den)
+    new = np.r_[True, p[1:] * q[:-1] != p[:-1] * q[1:]]
+    K = int(new.sum())
+    uid = np.empty(R, np.int64)
+    uid[order] = np.cumsum(new) - 1
+    first, p, q = order[new], p[new], q[new]
+    # 3*p/q = lap + r/q, so cell i maps onto the tiled cells from lap*K +
+    # (the cell of r/q, raw point first - p + r) to where cell i + 1's starts
+    lap, r = np.divmod(3 * p, q)
+    starts = lap.astype(np.int64) * K + uid[first - p + r]
+    # W[v]: core s at step v counts on the cells from the point m*d + lo*d of
+    # its grid up to m*d + hi*d, for m < s
+    c_of = {s: c for c, s in enumerate(cores)}
+    cnt = np.array([s for s, _ in split], np.int64)
+    row = np.repeat([v for _, v in split], cnt) * (K + 1)
+    m = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    at = np.repeat([int(base[c_of[s]]) for s, _ in split], cnt) + m * d
+    W = np.zeros(L * (K + 1), np.int64)
+    for lo, hi in O.arcs:
+        W += np.bincount(row + uid[at + int(lo * d)], minlength=L * (K + 1))
+        # an arc ending at 1 closes core s's last period at the end, cell K
+        inner = m * d + int(hi * d) < np.repeat(cnt, cnt) * d
+        close = uid[np.where(inner, at + int(hi * d), 0)]
+        W -= np.bincount(row + np.where(inner, close, K), minlength=L * (K + 1))
+    W = np.cumsum(W.reshape(L, K + 1), axis=1)[:, :K]
+    # the key V*3K + (3K - 1 - t) makes reduceat's maximum the first argmax t
+    n3 = 3 * K
+    rev = np.arange(n3 - 1, -1, -1)
+    back = np.empty((L - 1, K), np.int64)
+    V = W[L - 1]
+    for v in range(L - 2, -1, -1):
+        best, t = np.divmod(np.maximum.reduceat(np.tile(V, 3) * n3 + rev, starts), n3)
+        back[v] = n3 - 1 - t
+        V = W[v] + best
+    c = int(np.argmax(V))
+    top = int(V[c])
+    laps = []
+    for v in range(L - 1):
+        lap, c = divmod(int(back[v, c]), K)
+        laps.append(lap)
+    # x = X/Q, the cell's midpoint pulled back, and the piece around it,
+    # from left to right, as integer pairs (numerator, denominator)
+    u, w = (int(p[c + 1]), int(q[c + 1])) if c + 1 < K else (1, 1)
+    X, Q = int(p[c]) * w + u * int(q[c]), 2 * int(q[c]) * w
+    for lap in reversed(laps):
+        X, Q = X + lap * Q, 3 * Q
+    left, right = (0, 1), (1, 1)
+    edges = {e.as_integer_ratio() for arc in O.arcs for e in arc}
+    for n in A:
+        for a, b in edges:
+            # the breakpoints (a/b + j)/n below and above x, j = floor(n*x - a/b)
+            below = a + (n * X * b - a * Q) // (Q * b) * b
+            if below * left[1] > left[0] * n * b:
+                left = (below, n * b)
+            if (below + b) * right[1] < right[0] * n * b:
+                right = (below + b, n * b)
+    return (Fraction(*left) + Fraction(*right)) / 2, top
+
+
+def maximize_count(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
+    """Global maximum of |A_x| over x, with the lowest maximizing midpoint,
+    by the engine that `engine` picks.
+
+    Buckets: bounds on a grid of M buckets, M the largest power of two at
+    most max(1, sum(A)/2), single out the few runs of buckets where the
+    maximum can be, and only those runs are swept exactly.  For one arc
+    (lo, 1 - lo) with 0 < lo < 1/2, such as (1/3, 2/3), and M >= 2, this is
+    done on [0, 1/2] alone: as n*(1 - x) = -n*x mod 1, |A_x| is symmetric
+    about 1/2, which is no breakpoint, so the lowest maximizing piece lies
+    in (0, 1/2) or is the piece around 1/2, whose midpoint 1/2 is then the
+    witness.  Markov: see _maximize_by_markov; its cost does not grow with
+    the size of 3**v, so it serves sets close to 3A, such as triadic chains.
+    """
+    if engine(A, O) == "markov":
+        return _maximize_by_markov(A, O)
     return _maximize_by_buckets(A, O, 1 << max(sum(A) // 2, 1).bit_length() - 1)
 
 
@@ -321,11 +459,15 @@ class ExtractionCertificate:
 
 def extract_certified(A: IntegerSet, k: int, l: int) -> ExtractionCertificate:
     """Best certified (k,l)-sum-free subset over the arcs of
-    canonical_omega(k, l), the first strict maximum in ascending order."""
+    canonical_omega(k, l), the first strict maximum in ascending order.
+    More than ARC_CAP arcs raise ResourceLimitError before the family is built."""
+    arcs = (abs(k - l) + 1) // 2
+    if arcs > ARC_CAP and min(k, l) >= 1:
+        raise ResourceLimitError(f"({k},{l}) needs {arcs} arcs, past the cap of {ARC_CAP}")
     best = None
     # The guarantee is per arc, not for their union.  n*x in -O iff n*(-x) in
     # O, so each later arc ties its mirror (see canonical_omega): one per pair.
-    for O in canonical_omega(k, l).singletons()[: (abs(k - l) + 1) // 2]:
+    for O in canonical_omega(k, l).singletons()[:arcs]:
         x_star, count = maximize_count(A, O)
         if best is None or count > best[1]:
             best = (x_star, count, O)

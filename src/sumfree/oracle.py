@@ -18,8 +18,12 @@ failed includes of a search that tries every remaining element, in the same
 order.  Every element of that first optimum is a candidate all along its
 path, so the bound never prunes the path before best reaches its size.
 
+The search runs on A/gcd(A): sums of A are gcd(A) times sums of the
+quotient, so its trace, best size and node count are the same, and the
+witness is scaled back.
+
 Memory: the DFS stack holds up to N + 1 frames of L bitsets of at most
-L*max(A) bits (candidates are plain ints), one admission test at a time
+L*max(A/gcd(A)) bits (candidates are plain ints), one admission test at a time
 builds L more, and each fold update holds one shifted temporary; so
 (N + 2)(L + 1) such bitsets are checked against the budget before the search
 starts.
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 from .dilation import extract_certified
 from .errors import MEMORY_BUDGET, CertificationError, ResourceLimitError
-from .sets import IntegerSet, check_folds, is_kl_sumfree
+from .sets import IntegerSet, check_folds, is_kl_sumfree, reduced
 
 SIZE_CAP = 22
 
@@ -53,6 +57,7 @@ class OracleResult:
 def max_sumfree_exact(A: IntegerSet, k: int, l: int) -> OracleResult:
     """Exact maximum; witness is the first optimum found in descending
     include-first order (ties never replace an earlier optimum)."""
+    A, g = reduced(A)
     check_folds(A, k, l)  # every subset's sum bitsets are at most A's
     if A.N > SIZE_CAP:
         raise ResourceLimitError(f"instance size {A.N} exceeds cap {SIZE_CAP}")
@@ -90,7 +95,7 @@ def max_sumfree_exact(A: IntegerSet, k: int, l: int) -> OracleResult:
 
     # k != l, so the empty subset admits every element
     dfs((), [0] * L, sorted(A.elements, reverse=True))
-    witness = IntegerSet.of(best[1])
+    witness = IntegerSet.of(g * e for e in best[1])
     if not is_kl_sumfree(witness, k, l):
         raise CertificationError(f"oracle witness {witness.elements} is not ({k},{l})-sum-free")
     return OracleResult(best[0], witness, explored[0])

@@ -149,8 +149,18 @@ def check_folds(X: IntegerSet, k: int, l: int) -> None:
         raise ResourceLimitError(f"{bits}-bit sum bitsets exceed the {MEMORY_BUDGET}-byte budget")
 
 
+def reduced(X: IntegerSet) -> tuple[IntegerSet, int]:
+    """(X/g, g) for g = gcd(X), and g = 1 for the empty set.  A subset of X is
+    (k,l)-sum-free iff its quotient by g is: every sum is g times a sum of
+    the quotient."""
+    g = math.gcd(*X.elements) or 1
+    return (X, 1) if g == 1 else (IntegerSet(tuple(e // g for e in X.elements)), g)
+
+
 def is_kl_sumfree(X: IntegerSet, k: int, l: int) -> bool:
-    """No k-fold sum of X (repetition allowed) equals an l-fold sum."""
+    """No k-fold sum of X (repetition allowed) equals an l-fold sum, decided
+    on X/gcd(X), whose bitsets are gcd(X) times shorter."""
+    X, _ = reduced(X)
     check_folds(X, k, l)
     if len(X) == 0:
         return True

@@ -356,3 +356,33 @@ def test_check_refuses_what_is_not_a_report(tmp_path):
     assert main(["check", str(tmp_path / "text.json")]) == 2
     assert main(["check", str(tmp_path / "list.json")]) == 2
     assert main(["check", str(tmp_path / "missing.json")]) == 2
+
+
+def test_extract_refuses_a_huge_arc_family_quickly(set_file, capsys):
+    # 500,000 arcs would take minutes; the count is priced before any is built
+    start = time.perf_counter()
+    assert main(["extract", "--input", set_file, "--k", "1000001", "--l", "1"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "past the cap" in capsys.readouterr().err
+    assert main(["extract", "--input", set_file, "--k", "21", "--l", "1"]) == 0
+
+
+def test_route_names_the_engine_that_ran(tmp_path):
+    # {1, 3} is geometric to structure(), yet its 2 steps of 3 cells cost more
+    # than its sum of 4, so the buckets run; the 28-element chains take the
+    # Markov engine, end to end in well under 50 ms
+    chains = [s * 3**j for s in (1, 2) for j in range(14)]
+    for elems, kl, route in (([1, 3], (2, 1), "balanced-arcs"), (chains, (2, 4), "lacunary"),
+                             (chains, (2, 1), "lacunary")):
+        path = tmp_path / "a.txt"
+        path.write_text("".join(f"{n}\n" for n in elems))
+        config = cli.RunConfig(command="extract", input=str(path), k=kl[0], l=kl[1])
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            stages = cli.run(config)["stages"]
+            times.append(time.perf_counter() - start)
+        assert stages["structure"]["geometric"] is True
+        assert stages["extraction"]["route"] == route
+        if elems is chains:
+            assert min(times) < 0.05

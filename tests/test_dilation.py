@@ -1,6 +1,7 @@
 """Dilation counting, exact L1 norms, and certified extraction."""
 
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -21,8 +22,11 @@ from reference import (
 from sumfree import dilation
 from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, canonical_omega, pullback
 from sumfree.dilation import (
+    ARC_CAP,
     ExtractionCertificate,
     _maximize_by_buckets,
+    _maximize_by_markov,
+    engine,
     extract_certified,
     l1_and_max,
     maximize_count,
@@ -423,3 +427,85 @@ def test_extract_21_triadic_chains():
         A = IntegerSet.of(s * 3**j for s in starts for j in range(9) if s * 3**j <= 10**4)
         cert = extract_certified(A, 2, 1)
         assert ExtractionCertificate.from_json(cert.to_json()).reverify(A)
+
+
+def _engine_cases(rng):
+    # random sets, triadic chains from one to three starts, and sparse s*3**v
+    sets = [rng.sample(range(1, 201), rng.randint(1, 16)) for _ in range(150)]
+    starts = [s for s in range(1, 30) if s % 3]
+    sets += [_triadic_chain(rng.sample(starts, rng.randint(1, 3)), 30 * 3**rng.randint(0, 5))
+             for _ in range(150)]
+    sets += [{rng.randint(1, 30) * 3**rng.randint(0, 6) for _ in range(rng.randint(1, 8))}
+             for _ in range(120)]
+    return [IntegerSet.of(elems) for elems in sets]
+
+
+def test_markov_and_bucket_engines_agree():
+    # each engine forced on every case: the same maximum and the same lowest
+    # maximizing midpoint, exactly
+    arcs = [OMEGA_21, OMEGA_1, OMEGA_2, ArcSet.of([(0, F(1, 3))]), ArcSet.of([(F(2, 3), 1)])]
+    cases = 0
+    for A in _engine_cases(random.Random(47)):
+        M = 1 << max(sum(A) // 2, 1).bit_length() - 1
+        for O in arcs:
+            assert _maximize_by_markov(A, O) == _maximize_by_buckets(A, O, M), (A.elements, O.arcs)
+            cases += 1
+    assert cases >= 2000
+
+
+def test_engine_follows_the_cost_rule():
+    chains = IntegerSet.of(s * 3**j for s in (1, 2) for j in range(5))
+    mixed = IntegerSet.of((1, 2, 5, 7, 12, 19, 23, 31, 40, 58, 77, 101))
+    assert engine(chains, OMEGA_1) == "markov" and engine(chains, OMEGA_21) == "markov"
+    assert engine(mixed, OMEGA_1) == "buckets" and engine(mixed, OMEGA_21) == "buckets"
+    # {1, 3}: 2 steps of 3 cells against a sum of 4
+    assert engine(IntegerSet.of([1, 3]), OMEGA_21) == "buckets"
+    # cells of 1/2 do not map onto runs of cells under x -> 3x
+    assert engine(IntegerSet.of([1, 3, 9, 27]), ArcSet.of([(0, F(1, 2))])) == "buckets"
+    assert maximize_count(chains, OMEGA_1) == (F(55, 1944), 3)
+
+
+def test_markov_maximizes_long_triadic_chains():
+    # elements near 3**400, far past every sweep: five chains of length 400
+    A = IntegerSet.of(s * 3**j for s in (1, 2, 4, 5, 7) for j in range(400))
+    start = time.perf_counter()
+    results = {O: maximize_count(A, O) for O in (OMEGA_21, OMEGA_1)}
+    assert time.perf_counter() - start < 1
+    for O, (x, count) in results.items():
+        assert engine(A, O) == "markov"
+        assert len(orbit_subset(A, O, x)) == count
+    # x = 1/2 puts every odd element, the chains of 1, 5 and 7, in (1/3, 2/3)
+    assert results[OMEGA_21][1] == 1200
+
+
+def test_markov_budget_raises_before_allocating():
+    # 3 * 10**12 partition points from one core
+    A = IntegerSet.of([10**12 + 1, 3 * (10**12 + 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            _maximize_by_markov(A, OMEGA_21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_extract_prices_the_arcs_before_building_them():
+    A = IntegerSet.of([1, 2, 3, 5, 8, 13])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        extract_certified(A, 10**6 + 1, 1)
+    assert time.perf_counter() - start < 1
+    # 2 * ARC_CAP + 1 arcs, one of each mirror pair and the middle one
+    with pytest.raises(ResourceLimitError):
+        extract_certified(A, 2 * ARC_CAP + 2, 1)
+    with pytest.raises(InputError):
+        extract_certified(A, 0, 10**7)
+    assert extract_certified(A, 21, 1).reverify(A)
+
+
+def test_split3_takes_out_every_factor_of_three():
+    for s in (1, 2, 5, 10**20 + 1):
+        for v in range(0, 700, 7):
+            assert dilation._split3(s * 3**v) == (s, v)

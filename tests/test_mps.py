@@ -62,6 +62,12 @@ def test_constants():
     assert pairing_constant(100) == pytest.approx((1 - eps) / 200)
 
 
+def test_pairing_constant_turns_positive_at_base_27():
+    # a phi certificate below base 27 states a constant that proves nothing
+    assert pairing_constant(26) <= 0 < pairing_constant(27)
+    assert all(pairing_constant(b) <= 0 for b in range(4, 27))
+
+
 def test_partition_blocks():
     B = IntegerSet.of(range(1, 51))
     bounds = block_bounds(B.N, 4)

@@ -1,6 +1,7 @@
 """Exhaustive maximum sum-free subset oracle."""
 
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -128,3 +129,13 @@ def test_failed_certificates_raise(monkeypatch):
     monkeypatch.setattr("sumfree.oracle.is_kl_sumfree", lambda *args: False)
     with pytest.raises(CertificationError):
         max_sumfree_exact(A, 2, 1)
+
+
+def test_common_factor_leaves_the_search_unchanged():
+    # the search runs on A/gcd(A): {10**6 * i} walks the tree of {1..22}
+    base = max_sumfree_exact(IntegerSet.of(range(1, 23)), 2, 1)
+    start = time.perf_counter()
+    scaled = max_sumfree_exact(IntegerSet.of(10**6 * i for i in range(1, 23)), 2, 1)
+    assert time.perf_counter() - start < 0.1
+    assert (scaled.best_size, scaled.explored) == (base.best_size, base.explored) == (11, 1179)
+    assert scaled.witness.elements == tuple(10**6 * e for e in base.witness.elements)

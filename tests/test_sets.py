@@ -154,6 +154,20 @@ def test_is_kl_sumfree_matches_naive():
             assert is_kl_sumfree(IntegerSet.of(X), k, l) == _naive_sumfree(X, k, l)
 
 
+def test_is_kl_sumfree_divides_by_the_gcd():
+    # sums of c*X are c times sums of X; the bitsets are built for X alone,
+    # so 2*10**12 * {1, 2, 3} needs no 4*10**12-bit bitsets
+    rng = random.Random(13)
+    for _ in range(20):
+        X = sorted(rng.sample(range(1, 40), rng.randint(1, 5)))
+        c = rng.choice((2, 3, 7, 10**6))
+        for k, l in ((2, 1), (2, 4)):
+            want = is_kl_sumfree(IntegerSet.of(X), k, l)
+            assert is_kl_sumfree(IntegerSet.of(c * x for x in X), k, l) == want
+    assert not is_kl_sumfree(IntegerSet.of(2 * 10**12 * x for x in (1, 2, 3)), 2, 1)
+    assert is_kl_sumfree(IntegerSet.of(()), 2, 1)
+
+
 def test_sumfree_hereditary():
     X = [5, 6, 7, 8, 9]
     assert is_kl_sumfree(IntegerSet.of(X), 2, 1)

@@ -25,7 +25,7 @@ the large allocation, which raises ResourceLimitError instead.
   counted at the breakpoint rate too, and sum(A) = 10^8 certifies in about
   0.6 GB.
 - The Markov engine holds R <= d * (sum of the distinct cores) partition
-  points at BYTES_PER_POINT = 256 bytes each (the points, their exact
+  points at BYTES_PER_CELL = 256 bytes each (the points, their exact
   order and the image of each cell) and BYTES_PER_CELL_STEP = 32 bytes per
   cell and step for its L steps (the weights W, their bincounts and the
   back-pointers); tracemalloc read 0.45-0.74 of R*(256 + 32*L) on random
@@ -47,7 +47,7 @@ from .sets import IntegerSet, is_kl_sumfree
 
 BYTES_PER_BREAKPOINT = 80
 BYTES_PER_BUCKET = 24
-BYTES_PER_POINT = 256
+BYTES_PER_CELL = 256
 BYTES_PER_CELL_STEP = 32
 BOUND_CHUNK = 2**20
 TOP_BUCKETS = 32
@@ -316,7 +316,7 @@ def _maximize_by_markov(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
     whose midpoint is _argmax's witness.
     """
     d, split, L, R = _markov_shape(A, O)
-    if R * (BYTES_PER_POINT + L * BYTES_PER_CELL_STEP) > MEMORY_BUDGET:
+    if R * (BYTES_PER_CELL + L * BYTES_PER_CELL_STEP) > MEMORY_BUDGET:
         raise ResourceLimitError(f"{L} steps of {R} cells exceed the {MEMORY_BUDGET}-byte budget")
     cores = sorted({s for s, _ in split})
     # the budget keeps the products (d*s)**2 below 2**62, so _kind picks int64

@@ -509,3 +509,18 @@ def test_split3_takes_out_every_factor_of_three():
     for s in (1, 2, 5, 10**20 + 1):
         for v in range(0, 700, 7):
             assert dilation._split3(s * 3**v) == (s, v)
+
+
+def test_markov_peak_within_its_bytes_per_cell():
+    rng = random.Random(59)
+    sets = [rng.sample(range(1, 2000), 30), [s * 3**j for s in range(1, 100, 3) for j in range(20)]]
+    for A in map(IntegerSet.of, sets):
+        for O in (OMEGA_21, OMEGA_1):
+            _, _, L, R = dilation._markov_shape(A, O)
+            tracemalloc.start()
+            try:
+                _maximize_by_markov(A, O)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= R * (dilation.BYTES_PER_CELL + L * dilation.BYTES_PER_CELL_STEP)

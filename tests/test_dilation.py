@@ -429,23 +429,20 @@ def test_extract_21_triadic_chains():
         assert ExtractionCertificate.from_json(cert.to_json()).reverify(A)
 
 
-def _engine_cases(rng):
-    # random sets, triadic chains from one to three starts, and sparse s*3**v
+def test_markov_and_bucket_engines_agree():
+    # each engine forced on every case: the same maximum and the same lowest
+    # maximizing midpoint, exactly; random sets, triadic chains from one to
+    # three starts, and sparse s*3**v
+    rng = random.Random(47)
     sets = [rng.sample(range(1, 201), rng.randint(1, 16)) for _ in range(150)]
     starts = [s for s in range(1, 30) if s % 3]
     sets += [_triadic_chain(rng.sample(starts, rng.randint(1, 3)), 30 * 3**rng.randint(0, 5))
              for _ in range(150)]
     sets += [{rng.randint(1, 30) * 3**rng.randint(0, 6) for _ in range(rng.randint(1, 8))}
              for _ in range(120)]
-    return [IntegerSet.of(elems) for elems in sets]
-
-
-def test_markov_and_bucket_engines_agree():
-    # each engine forced on every case: the same maximum and the same lowest
-    # maximizing midpoint, exactly
     arcs = [OMEGA_21, OMEGA_1, OMEGA_2, ArcSet.of([(0, F(1, 3))]), ArcSet.of([(F(2, 3), 1)])]
     cases = 0
-    for A in _engine_cases(random.Random(47)):
+    for A in map(IntegerSet.of, sets):
         M = 1 << max(sum(A) // 2, 1).bit_length() - 1
         for O in arcs:
             assert _maximize_by_markov(A, O) == _maximize_by_buckets(A, O, M), (A.elements, O.arcs)

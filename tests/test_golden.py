@@ -36,6 +36,8 @@ CASES = {
     "verify": (dict(command="verify", q=5, cutoff=150), "small", 0),
     "oracle": (dict(command="oracle", k=2, l=1), "mixed", 0),
     "lp": (dict(command="lp", sizes=(4, 6, 8)), None, CHECK_TOLERANCE),
+    # lp's sizes are all on the grid, lp_chain's all on the sampled chain
+    "lp_chain": (dict(command="lp", sizes=(14, 17, 23)), None, CHECK_TOLERANCE),
     "phi": (
         dict(command="phi", size=120, base=4, grid=4096, weights="random", seed=3),
         None,

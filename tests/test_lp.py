@@ -1,6 +1,7 @@
 """Exponential-sum L1 norms and lacunary L1 diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,10 +65,11 @@ def test_lacunary_refuses_a_chain_past_its_step_cap(monkeypatch):
         lacunary_l1_diagnostic((16, 32, CHAIN_STEP_CAP + 1))
 
 
-@pytest.mark.parametrize("sizes", [(16, 32, 64), (8, 16, 32)])
+@pytest.mark.parametrize("sizes", [(16, 32, 64), (8, 16, 32), (9, 14, 17, 23)])
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 909])
 def test_shared_chain_matches_one_chain_per_size(sizes, seed):
-    # (8, 16, 32) mixes a grid row with two sampled rows
+    # (8, 16, 32) mixes a grid row with two sampled rows; (9, 14, 17, 23)
+    # does too, and its sampled sizes cut the chain's groups of four steps short
     rows = lacunary_l1_diagnostic(sizes, seed=seed)["rows"]
     for row, ref in zip(rows, lacunary_rows_per_chain(sizes, seed=seed)):
         assert row["N"] == ref["N"]
@@ -115,3 +117,28 @@ def test_table_exponential_matches_np_exp():
     total = np.zeros(len(y), dtype=complex)
     _add_e(total, y, table)
     assert np.max(np.abs(total - np.exp(2j * math.pi * y))) <= 1e-14
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 4])
+def test_cubed_terms_match_exact_fractional_parts(terms):
+    # y = k/2^53 makes the fractional part of 3^m*y exactly (3^m*k mod 2^53)/2^53
+    table = np.exp(2j * math.pi * np.arange(3**8 + 1) / 3**8)
+    k = np.random.default_rng(0).integers(0, 2**53, 10**6)
+    want = sum(np.exp(2j * math.pi * ((3**m * k) % 2**53) / 2.0**53) for m in range(terms))
+    total = np.ones(len(k), dtype=complex)
+    _add_e(total, k / 2.0**53, table, terms)
+    assert np.max(np.abs(total - 1 - want)) <= 1e-13
+
+
+def test_chain_peak_within_33_bytes_a_sample():
+    # y, the complex total and one step's draw; the chain's length adds nothing
+    # (41 bytes a sample while the last size's |total| outlived its read)
+    samples = 200_000
+    _triadic_chain({1}, 1000)  # numpy's first-call allocations are not the chain's
+    tracemalloc.start()
+    try:
+        _triadic_chain({16, 32, 64}, samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 33 * samples

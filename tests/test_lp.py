@@ -131,8 +131,7 @@ def test_cubed_terms_match_exact_fractional_parts(terms):
 
 
 def test_chain_peak_within_33_bytes_a_sample():
-    # y, the complex total and one step's draw; the chain's length adds nothing
-    # (41 bytes a sample while the last size's |total| outlived its read)
+    # y, the complex total and one step's draw, however many steps and sizes
     samples = 200_000
     _triadic_chain({1}, 1000)  # numpy's first-call allocations are not the chain's
     tracemalloc.start()

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import floor
 
 from .errors import InputError
+from .sets import check_kl
 
 
 def _exact(e) -> Fraction:
@@ -50,11 +51,6 @@ class ArcSet:
     @property
     def measure(self) -> Fraction:
         return sum((hi - lo for lo, hi in self.arcs), Fraction(0))
-
-    def contains(self, x) -> bool:
-        """Exact open-arc membership of x mod 1."""
-        x = Fraction(x) % 1
-        return any(lo < x < hi for lo, hi in self.arcs)
 
     def singletons(self) -> list["ArcSet"]:
         """Each arc as its own one-arc system."""
@@ -96,8 +92,7 @@ def canonical_omega(k: int, l: int) -> ArcSet:
     d-1-j under x -> -x: for odd d the middle arc is symmetric about 1/2, and
     no arc contains 0.  (2,1) gives (1/3, 2/3), (2,4) Omega_1 and Omega_2.
     """
-    if k < 1 or l < 1 or k == l:
-        raise InputError(f"(k,l) needs k, l >= 1 and k != l, got ({k},{l})")
+    check_kl(k, l)
     s = k + l
     return pullback(ArcSet.of([(Fraction(min(k, l), s), Fraction(max(k, l), s))]), abs(k - l))
 

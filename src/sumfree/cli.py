@@ -189,7 +189,7 @@ def _extract_stages(config: RunConfig) -> dict:
             "certificate": cert.to_json(),
             "count": cert.count,
             "baseline": list(Fraction(A.N, config.k + config.l).as_integer_ratio()),
-            "route": "lacunary" if engine(A, cert.arc_used) == "markov" else "balanced-arcs",
+            "route": engine(A, cert.arc_used),
         },
     }
 

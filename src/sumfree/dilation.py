@@ -9,7 +9,7 @@ piece midpoints, where the function is constant, so every result is exact.
 Maximization either bounds the count on a grid of buckets and then sweeps
 exactly only the runs of buckets where the maximum can be, or, for sets
 close to 3A, runs a max-plus recursion on the x -> 3x Markov partition;
-one cost rule (`engine`) picks the cheaper.
+one cost rule (`engine`) on A/gcd(A) picks the cheaper and names the route.
 
 Memory budget: errors.MEMORY_BUDGET = 4 GiB per computation, checked before
 the large allocation, which raises ResourceLimitError instead.
@@ -43,7 +43,7 @@ import numpy as np
 
 from .arcs import ArcSet, canonical_omega, rational
 from .errors import MEMORY_BUDGET, CertificationError, InputError, ResourceLimitError
-from .sets import IntegerSet, is_kl_sumfree
+from .sets import IntegerSet, check_kl, is_kl_sumfree, reduced
 
 BYTES_PER_BREAKPOINT = 80
 BYTES_PER_BUCKET = 24
@@ -63,7 +63,8 @@ def _kind(*products: int):
 
 
 def _exact_order(p: np.ndarray, q: np.ndarray):
-    """(order, p[order], q[order]) with p/q in exact ascending order.
+    """(order, p[order], q[order], new) with p/q in exact ascending order and
+    new[i] true iff point i is the first of its run of equal points.
 
     The float keys are p/q correctly rounded (int64 entries are exact doubles,
     as 0 <= p <= q < 2**32; Python ints divide with one rounding), and
@@ -78,7 +79,7 @@ def _exact_order(p: np.ndarray, q: np.ndarray):
         e = np.searchsorted(key, key[s], side="right")
         run = sorted(range(s, e), key=lambda i: Fraction(int(p[i]), int(q[i])))
         order[s:e], p[s:e], q[s:e] = order[run], p[run], q[run]
-    return order, p, q
+    return order, p, q, np.r_[True, p[1:] * q[:-1] != p[:-1] * q[1:]]
 
 
 def _inside(A: IntegerSet, O: ArcSet, p, q: int) -> np.ndarray:
@@ -149,8 +150,8 @@ def _sweep(A: IntegerSet, edges, s: np.ndarray, e: np.ndarray, M: int):
     del j0, j1, cnt, before
     p = np.concatenate([s.astype(kind), p])
     q = np.concatenate([np.full(len(s), M, kind), q])
-    order, p, q = _exact_order(p, q)
-    starts = np.flatnonzero(np.r_[True, p[1:] * q[:-1] != p[:-1] * q[1:]])
+    order, p, q, new = _exact_order(p, q)
+    starts = np.flatnonzero(new)
     levels = np.cumsum(np.add.reduceat(w[order], starts))
     # no edge point sits at a run start, so each start is a piece of its own
     first = np.flatnonzero(order[starts] < len(s))
@@ -291,10 +292,11 @@ def _markov_shape(A: IntegerSet, O: ArcSet):
 
 
 def engine(A: IntegerSet, O: ArcSet) -> str:
-    """The engine maximize_count runs on (A, O), by one cost rule: "markov"
-    when its L*R cell steps are fewer than the sum(A) buckets of "buckets"."""
+    """The route a report prints, the engine maximize_count runs on A/gcd(A):
+    "lacunary" (Markov) if its L*R cell steps < sum(A), else "balanced-arcs"."""
+    A, _ = reduced(A)
     shape = _markov_shape(A, O)
-    return "markov" if shape is not None and shape[2] * shape[3] < sum(A) else "buckets"
+    return "lacunary" if shape is not None and shape[2] * shape[3] < sum(A) else "balanced-arcs"
 
 
 def _maximize_by_markov(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
@@ -325,8 +327,7 @@ def _maximize_by_markov(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
     # raw point r = base[c] + j is j/(d*s) for core c; equal points merge,
     # and cell i starts at p[i]/q[i], the first raw point of its value
     den = np.repeat(size, size)
-    order, p, q = _exact_order(np.arange(R, dtype=den.dtype) - np.repeat(base, size), den)
-    new = np.r_[True, p[1:] * q[:-1] != p[:-1] * q[1:]]
+    order, p, q, new = _exact_order(np.arange(R, dtype=den.dtype) - np.repeat(base, size), den)
     K = int(new.sum())
     uid = np.empty(R, np.int64)
     uid[order] = np.cumsum(new) - 1
@@ -386,10 +387,12 @@ def _maximize_by_markov(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
 
 def maximize_count(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
     """Global maximum of |A_x| over x, with the lowest maximizing midpoint,
-    by the engine that `engine` picks.
+    by the engine that `engine` picks, run on A' = A/g for g = gcd(A): |A_x|
+    = |A'_{gx}| has period 1/g, and x -> x/g maps A''s pieces on [0, 1) onto
+    A's pieces on [0, 1/g), lowest first, so the witness is x'/g.
 
     Buckets: bounds on a grid of M buckets, M the largest power of two at
-    most max(1, sum(A)/2), single out the few runs of buckets where the
+    most max(1, sum(A')/2), single out the few runs of buckets where the
     maximum can be, and only those runs are swept exactly.  For one arc
     (lo, 1 - lo) with 0 < lo < 1/2, such as (1/3, 2/3), and M >= 2, this is
     done on [0, 1/2] alone: as n*(1 - x) = -n*x mod 1, |A_x| is symmetric
@@ -398,9 +401,12 @@ def maximize_count(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
     witness.  Markov: see _maximize_by_markov; its cost does not grow with
     the size of 3**v, so it serves sets close to 3A, such as triadic chains.
     """
-    if engine(A, O) == "markov":
-        return _maximize_by_markov(A, O)
-    return _maximize_by_buckets(A, O, 1 << max(sum(A) // 2, 1).bit_length() - 1)
+    A, g = reduced(A)
+    if engine(A, O) == "lacunary":
+        x, count = _maximize_by_markov(A, O)
+    else:
+        x, count = _maximize_by_buckets(A, O, 1 << max(sum(A) // 2, 1).bit_length() - 1)
+    return x / g, count
 
 
 @dataclass(frozen=True)
@@ -461,8 +467,9 @@ def extract_certified(A: IntegerSet, k: int, l: int) -> ExtractionCertificate:
     """Best certified (k,l)-sum-free subset over the arcs of
     canonical_omega(k, l), the first strict maximum in ascending order.
     More than ARC_CAP arcs raise ResourceLimitError before the family is built."""
+    check_kl(k, l)
     arcs = (abs(k - l) + 1) // 2
-    if arcs > ARC_CAP and min(k, l) >= 1:
+    if arcs > ARC_CAP:
         raise ResourceLimitError(f"({k},{l}) needs {arcs} arcs, past the cap of {ARC_CAP}")
     best = None
     # The guarantee is per arc, not for their union.  n*x in -O iff n*(-x) in

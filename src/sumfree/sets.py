@@ -1,4 +1,4 @@
-"""Integer-set ingestion, structure analysis, and the interval family."""
+"""Set ingestion, structure analysis, the (k,l) domain, sum checks and the interval family."""
 
 from __future__ import annotations
 
@@ -99,8 +99,8 @@ def triadic_index(a: int) -> int:
 
 def structure(A: IntegerSet, threshold_exponent: Fraction = Fraction(1, 2)) -> StructureReport:
     """Symmetric difference with 3*A, epsilon labels, triadic cover, and the
-    geometric classification |A sym 3*A| <= ceil(N**threshold_exponent),
-    the ceiling taken exactly: the least b with b**q >= N**p for p/q."""
+    geometric label k = |A sym 3*A| <= ceil(N**(p/q)), exact in integers: an
+    integer k is at most ceil(x) iff k - 1 < x, so iff k = 0 or (k-1)**q < N**p."""
     aset = set(A.elements)
     tripled = {3 * a for a in A.elements}
     sym = sorted(aset.symmetric_difference(tripled))
@@ -109,17 +109,13 @@ def structure(A: IntegerSet, threshold_exponent: Fraction = Fraction(1, 2)) -> S
     n = A.N
     exponent = math.log(len(cover)) / math.log(n) if n >= 2 else 0.0
     p, q = Fraction(threshold_exponent).as_integer_ratio()
-    bound = math.ceil(n ** (p / q))  # a float guess, corrected in integers
-    while bound > 0 and (bound - 1) ** q >= n**p:
-        bound -= 1
-    while bound**q < n**p:
-        bound += 1
+    k = len(sym)
     return StructureReport(
         symdiff=tuple(sym),
         epsilon=epsilon,
         cover_indices=cover,
         lacunary_exponent=exponent,
-        geometric=len(sym) <= bound,
+        geometric=k == 0 or (k - 1) ** q < n**p,
     )
 
 
@@ -137,13 +133,16 @@ def fold_sums(values, fold: int) -> int:
     return cur
 
 
+def check_kl(k: int, l: int) -> None:
+    """InputError unless 1 <= k != l, the domain of every (k,l) question but one arc's."""
+    if k < 1 or l < 1 or k == l:
+        raise InputError(f"(k,l) needs k, l >= 1 and k != l, got ({k},{l})")
+
+
 def check_folds(X: IntegerSet, k: int, l: int) -> None:
-    """Raise unless 1 <= k != l and the fold_sums bitsets of X, up to
-    max(k,l)*max(X) bits each, fit in MEMORY_BUDGET."""
-    if k < 1 or l < 1:
-        raise InputError("k and l must be >= 1")
-    if k == l:
-        raise InputError("k = l is never sum-free for nonempty X")
+    """Raise unless (k,l) passes check_kl and the fold_sums bitsets of X, up
+    to max(k,l)*max(X) bits each, fit in MEMORY_BUDGET."""
+    check_kl(k, l)
     bits = max(k, l) * max(X.elements, default=0)
     if LIVE_SUM_BITSETS * bits // 8 > MEMORY_BUDGET:
         raise ResourceLimitError(f"{bits}-bit sum bitsets exceed the {MEMORY_BUDGET}-byte budget")
@@ -162,8 +161,6 @@ def is_kl_sumfree(X: IntegerSet, k: int, l: int) -> bool:
     on X/gcd(X), whose bitsets are gcd(X) times shorter."""
     X, _ = reduced(X)
     check_folds(X, k, l)
-    if len(X) == 0:
-        return True
     return fold_sums(X.elements, k) & fold_sums(X.elements, l) == 0
 
 

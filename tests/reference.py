@@ -25,13 +25,14 @@ one side of a sieve identity as sorted (F, numerator) rows, built by
 sieve_lhs and sieve_rhs from the library's private side builders, and
 SieveTable.defect names the witness of two differing sides.
 
-Six references sit at the end: the orbit subset in Fractions, extraction
-over every longest sum-free arc a grid search finds, the L1 report with
-each of G_A, L_A, F_1 and F_2 swept on its own arcs, the lacunary rows with
-one backward chain per size and np.exp for every e(y), and two oracle
-searches with every sum bitset rebuilt from its whole subset: the plain
-branch and bound over every remaining element, and the forward-checked one
-over the still-admitted candidates.
+Six references sit at the end: the orbit subset in Fractions (by in_arcs,
+the open-arc membership eval_exact uses too), extraction over every longest
+sum-free arc a grid search finds, the L1 report with each of G_A, L_A, F_1
+and F_2 swept on its own arcs, the lacunary rows with one backward chain
+per size and np.exp for every e(y), and two oracle searches with every sum
+bitset rebuilt from its whole subset: the plain branch and bound over every
+remaining element, and the forward-checked one over the still-admitted
+candidates.
 """
 
 from __future__ import annotations
@@ -207,6 +208,12 @@ _REGIONS = {
 }
 
 
+def in_arcs(O: ArcSet, x) -> bool:
+    """Open-arc membership of x mod 1, by Fraction comparisons."""
+    x = Fraction(x) % 1
+    return any(lo < x < hi for lo, hi in O.arcs)
+
+
 def eval_exact(kind: str, x) -> Fraction:
     """Indicator-based exact value; raises InputError at jump points."""
     x = Fraction(x) % 1
@@ -218,7 +225,7 @@ def eval_exact(kind: str, x) -> Fraction:
     for lo, hi in O.arcs:
         if x == lo % 1 or x == hi % 1:
             raise InputError(f"{x} is a jump point of {kind}")
-    return (1 if O.contains(x) else 0) - mean
+    return (1 if in_arcs(O, x) else 0) - mean
 
 
 def chi3(n: int) -> int:
@@ -478,7 +485,7 @@ def sieve_rhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> Sie
 def orbit_subset_fractions(A: IntegerSet, O: ArcSet, x) -> IntegerSet:
     """{n in A : n*x mod 1 in O}, one Fraction per element."""
     x = Fraction(x)
-    return IntegerSet(tuple(n for n in A if O.contains(n * x)))
+    return IntegerSet(tuple(n for n in A if in_arcs(O, n * x)))
 
 
 def longest_sumfree_arcs(k: int, l: int) -> list[ArcSet]:

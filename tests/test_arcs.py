@@ -14,8 +14,9 @@ from sumfree.arcs import (
     is_arc_kl_sumfree,
     pullback,
 )
+from sumfree.dilation import orbit_subset
 from sumfree.errors import InputError
-from sumfree.sets import fold_sums
+from sumfree.sets import IntegerSet, fold_sums
 
 
 def F(a, b):
@@ -88,16 +89,21 @@ def test_pullback_composition():
 
 
 def test_contains():
-    assert OMEGA_21.contains(F(1, 2))
-    assert not OMEGA_21.contains(F(1, 3))
-    assert OMEGA_21.contains(F(3, 2))  # mod-1 reduction
-    assert not OMEGA_21.contains(F(4, 3))  # reduces to the open endpoint 1/3
+    # membership is orbit_subset's row for A = {1}: x is read mod 1 and
+    # the endpoints are open
+    def holds(O, x):
+        return orbit_subset(IntegerSet.of([1]), O, x).elements == (1,)
+
+    assert holds(OMEGA_21, F(1, 2))
+    assert not holds(OMEGA_21, F(1, 3))
+    assert holds(OMEGA_21, F(3, 2))  # mod-1 reduction
+    assert not holds(OMEGA_21, F(4, 3))  # reduces to the open endpoint 1/3
     # an arc of length 1 misses its own endpoint, also when that endpoint
     # is not 0 and the arc is written as two pieces
-    assert not ArcSet.of([(0, 1)]).contains(0)
+    assert not holds(ArcSet.of([(0, 1)]), 0)
     O = ArcSet.of([(F(1, 3), 1), (0, F(1, 3))])
     assert O.arcs == ((0, F(1, 3)), (F(1, 3), 1)) and O.measure == 1
-    assert not O.contains(F(1, 3)) and O.contains(F(1, 2)) and O.contains(F(1, 4))
+    assert not holds(O, F(1, 3)) and holds(O, F(1, 2)) and holds(O, F(1, 4))
     with pytest.raises(InputError):
         ArcSet.of([(F(1, 3), F(3, 2))])
 

@@ -369,11 +369,12 @@ def test_extract_refuses_a_huge_arc_family_quickly(set_file, capsys):
 
 def test_route_names_the_engine_that_ran(tmp_path):
     # {1, 3} is geometric to structure(), yet its 2 steps of 3 cells cost more
-    # than its sum of 4, so the buckets run; the 28-element chains take the
-    # Markov engine, end to end in well under 50 ms
+    # than its sum of 4, so the buckets run, as they do on {66, 198}, which
+    # runs as {11, 33}; the 28-element chains take the Markov engine, end to
+    # end in well under 50 ms
     chains = [s * 3**j for s in (1, 2) for j in range(14)]
     for elems, kl, route in (([1, 3], (2, 1), "balanced-arcs"), (chains, (2, 4), "lacunary"),
-                             (chains, (2, 1), "lacunary")):
+                             (chains, (2, 1), "lacunary"), ([66, 198], (2, 1), "balanced-arcs")):
         path = tmp_path / "a.txt"
         path.write_text("".join(f"{n}\n" for n in elems))
         config = cli.RunConfig(command="extract", input=str(path), k=kl[0], l=kl[1])

@@ -16,6 +16,7 @@ from reference import (
     count_function,
     exact_l1,
     extract_every_arc,
+    in_arcs,
     orbit_subset_fractions,
     weighted_count_function,
 )
@@ -108,7 +109,7 @@ def test_weighted_count_exact_on_every_piece():
         integral = l1 = 0
         for lo, hi in zip(ends, ends[1:]):
             mid = (lo + hi) / 2
-            value = sum(w for n in A for O, w in arcs if O.contains(n * mid)) - F(1, 3)
+            value = sum(w for n in A for O, w in arcs if in_arcs(O, n * mid)) - F(1, 3)
             assert g.eval(mid) == value
             with pytest.raises(ValueError):
                 g.eval(lo + 1)  # a breakpoint, taken mod 1
@@ -175,8 +176,9 @@ def test_breakpoint_cap_raises_before_allocating():
 
 
 def test_bucket_budget_raises_before_allocating():
-    # 2^38 buckets of 24 bytes; the breakpoint cap no longer binds maximize_count
-    A = IntegerSet.of([10**12])
+    # 2^39 buckets of 24 bytes; the breakpoint cap no longer binds maximize_count,
+    # and gcd 1 leaves the set as it is
+    A = IntegerSet.of([10**12, 10**12 + 1])
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError):
@@ -192,6 +194,26 @@ def test_maximize_count():
     assert c == 2
     x, c = maximize_count(IntegerSet.of([1]), OMEGA_21)
     assert (x, c) == (F(1, 2), 1)
+
+
+def test_maximize_count_divides_by_the_gcd():
+    # the engines run on A/g and scale the witness back: {10**12} is {1} at
+    # once, and a common factor changes no maximum and divides the witness
+    start = time.perf_counter()
+    assert maximize_count(IntegerSet.of([10**12]), OMEGA_21) == (F(1, 2 * 10**12), 1)
+    assert time.perf_counter() - start < 0.1
+    rng = random.Random(61)
+    sets = [rng.sample(range(1, 60), rng.randint(1, 8)) for _ in range(30)]
+    sets += [_triadic_chain([1, 2], 100), _triadic_chain([1, 5, 7], 200)]
+    for elems in sets:
+        A, c = IntegerSet.of(elems), rng.choice((2, 3, 5, 6, 10**4))
+        for O in (OMEGA_21, OMEGA_1):
+            x, count = maximize_count(A, O)
+            assert maximize_count(IntegerSet.of(c * n for n in A), O) == (x / c, count)
+    # {66, 198} would take the Markov engine, but its quotient {11, 33},
+    # which is what runs, takes the buckets
+    assert engine(IntegerSet.of([11, 33]), OMEGA_21) == "balanced-arcs"
+    assert engine(IntegerSet.of([66, 198]), OMEGA_21) == "balanced-arcs"
 
 
 def test_maximize_count_matches_full_sweep():
@@ -453,12 +475,12 @@ def test_markov_and_bucket_engines_agree():
 def test_engine_follows_the_cost_rule():
     chains = IntegerSet.of(s * 3**j for s in (1, 2) for j in range(5))
     mixed = IntegerSet.of((1, 2, 5, 7, 12, 19, 23, 31, 40, 58, 77, 101))
-    assert engine(chains, OMEGA_1) == "markov" and engine(chains, OMEGA_21) == "markov"
-    assert engine(mixed, OMEGA_1) == "buckets" and engine(mixed, OMEGA_21) == "buckets"
+    assert engine(chains, OMEGA_1) == "lacunary" and engine(chains, OMEGA_21) == "lacunary"
+    assert engine(mixed, OMEGA_1) == "balanced-arcs" and engine(mixed, OMEGA_21) == "balanced-arcs"
     # {1, 3}: 2 steps of 3 cells against a sum of 4
-    assert engine(IntegerSet.of([1, 3]), OMEGA_21) == "buckets"
+    assert engine(IntegerSet.of([1, 3]), OMEGA_21) == "balanced-arcs"
     # cells of 1/2 do not map onto runs of cells under x -> 3x
-    assert engine(IntegerSet.of([1, 3, 9, 27]), ArcSet.of([(0, F(1, 2))])) == "buckets"
+    assert engine(IntegerSet.of([1, 3, 9, 27]), ArcSet.of([(0, F(1, 2))])) == "balanced-arcs"
     assert maximize_count(chains, OMEGA_1) == (F(55, 1944), 3)
 
 
@@ -469,7 +491,7 @@ def test_markov_maximizes_long_triadic_chains():
     results = {O: maximize_count(A, O) for O in (OMEGA_21, OMEGA_1)}
     assert time.perf_counter() - start < 1
     for O, (x, count) in results.items():
-        assert engine(A, O) == "markov"
+        assert engine(A, O) == "lacunary"
         assert len(orbit_subset(A, O, x)) == count
     # x = 1/2 puts every odd element, the chains of 1, 5 and 7, in (1/3, 2/3)
     assert results[OMEGA_21][1] == 1200

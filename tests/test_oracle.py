@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -139,3 +140,19 @@ def test_common_factor_leaves_the_search_unchanged():
     assert time.perf_counter() - start < 0.1
     assert (scaled.best_size, scaled.explored) == (base.best_size, base.explored) == (11, 1179)
     assert scaled.witness.elements == tuple(10**6 * e for e in base.witness.elements)
+
+
+def test_compare_ignores_a_common_factor():
+    # the extraction beside the search runs on A/gcd(A) too: 10**6 * {1..22}
+    # costs what {1..22} does, and both witnesses are 10**6 times theirs
+    base = compare(IntegerSet.of(range(1, 23)), 2, 1)
+    start = time.perf_counter()
+    scaled = compare(IntegerSet.of(10**6 * i for i in range(1, 23)), 2, 1)
+    assert time.perf_counter() - start < 0.1
+    want, got = base["oracle"], scaled["oracle"]
+    assert (got["best_size"], got["explored"]) == (want["best_size"], want["explored"])
+    assert got["witness"] == [10**6 * e for e in want["witness"]]
+    want, got = base["extractor"], scaled["extractor"]
+    assert got["count"] == want["count"] and got["subset"] == [10**6 * e for e in want["subset"]]
+    assert Fraction(*got["x_star"]) == Fraction(*want["x_star"]) / 10**6
+    assert scaled["gap"] == base["gap"]

@@ -106,6 +106,43 @@ def test_structure_threshold_is_exact(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["stages"]["structure"]["geometric"] is False
 
 
+def _least_root(N, p, q):
+    """The least b >= 0 with b**q >= N**p, ceil(N**(p/q)), by bisection."""
+    lo, hi = 0, max(N, 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid**q >= N**p else (mid + 1, hi)
+    return lo
+
+
+def _chains(N, t):
+    """N elements in t chains s*3**j, 3 not dividing s: each chain meets 3A
+    in all but its first element, so |A sym 3A| = 2t."""
+    starts = [s for s in range(1, 3 * t) if s % 3][:t]
+    lengths = [N // t + (i < N % t) for i in range(t)]
+    return IntegerSet.of(s * 3**j for s, n in zip(starts, lengths) for j in range(n))
+
+
+def test_structure_geometric_label_matches_the_least_root():
+    # |A sym 3A| <= ceil(N**theta) against a bisected least root, on N <= 200
+    # and theta = a/b with b <= 1000; half the cases put |A sym 3A| next to
+    # the bound
+    rng = random.Random(29)
+    ends = [Fraction(0), Fraction(1)]
+    cases = [(N, theta) for N in (0, 1) for theta in ends + [Fraction(1, 2)]]
+    cases += [(rng.randint(0, 200), theta) for theta in ends for _ in range(20)]
+    for _ in range(10**4):
+        b = rng.randint(1, 1000)
+        cases.append((rng.randint(0, 200), Fraction(rng.randint(0, b), b)))
+    for N, theta in cases:
+        bound = _least_root(N, *theta.as_integer_ratio())
+        near = bound // 2 + rng.randint(0, 1)
+        t = min(N, max(1, near if rng.random() < 0.5 else rng.randint(1, N or 1)))
+        rep = structure(_chains(N, t) if t else IntegerSet.of([]), theta)
+        assert len(rep.symdiff) == 2 * t
+        assert rep.geometric == (2 * t <= bound), (N, theta, t)
+
+
 def test_structure_singleton():
     r = structure(IntegerSet.of([5]))
     assert r.symdiff == (5, 15)

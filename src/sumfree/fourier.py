@@ -19,33 +19,38 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class GridFn:
-    """Complex samples at the M equispaced points j/M, M a power of two."""
+    """Complex samples at the M equispaced points j/M, M a power of two, along
+    the last axis: one function, or one per row of a (K, M) array."""
 
     samples: np.ndarray
 
     def __post_init__(self):
-        M = len(self.samples)
+        M = self.samples.shape[-1]
         if M < 4 or M & (M - 1):
             raise InputError("grid size must be a power of two >= 4")
 
     @property
     def M(self) -> int:
-        return len(self.samples)
+        return self.samples.shape[-1]
 
-    def coefficients(self) -> np.ndarray:
-        """DFT coefficients c_n indexed by n mod M (c = fft(samples)/M)."""
-        return np.fft.fft(self.samples) / self.M
+    def coefficients(self, out: np.ndarray | None = None) -> np.ndarray:
+        """DFT coefficients c_n indexed by n mod M (c = fft(samples)/M), into
+        out if given, which may be the samples themselves."""
+        return np.fft.fft(self.samples, norm="forward", out=out)
 
 
-def sample_grid(freqs: np.ndarray, coeffs: np.ndarray, M: int) -> GridFn:
+def sample_grid(freqs, coeffs, M: int) -> GridFn:
     """Samples of sum_j coeffs[j] e(freqs[j] x) on the M-point grid, via an
-    inverse FFT.  Frequencies fold mod M and equal ones add, so the samples
-    are exact only when M exceeds the spread of the spectrum."""
-    spec = np.zeros(M, dtype=complex)
-    np.add.at(spec, freqs % M, coeffs)
-    samples = np.fft.ifft(spec)
-    samples *= M
-    return GridFn(samples)
+    inverse FFT; given lists of such aligned arrays, one (K, M) row each.
+    Frequencies fold mod M and equal ones add, so the samples are exact only
+    when M exceeds the spread of the spectrum."""
+    rows = isinstance(freqs, list)
+    freqs, coeffs = (freqs, coeffs) if rows else ([freqs], [coeffs])
+    spec = np.zeros((len(freqs), M), dtype=complex)
+    row = np.repeat(np.arange(len(freqs)), [len(f) for f in freqs])
+    np.add.at(spec, (row, np.concatenate(freqs) % M), np.concatenate(coeffs))
+    np.fft.ifft(spec, norm="forward", out=spec)
+    return GridFn(spec if rows else spec[0])
 
 
 def sup_factor(lo: int, hi: int, M: int) -> float:

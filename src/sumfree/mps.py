@@ -42,8 +42,10 @@ from .fourier import GridFn, sample_grid, sup_factor
 from .sets import IntegerSet
 
 # Peak bytes of build_phi per grid point: 32 a block for the P_k and Q_k samples
-# the grid phase holds, plus 160 for the rest, which tracemalloc put at 118 or
-# less on the densest intervals each grid admits.  PHI_GRID_CAP: one block.
+# the grid phase holds (the Q phase's rows of u, H[u] and the half spectrum
+# between them peak at 32.1-32.6 a block at 3 to 8 blocks), plus 160 for the
+# rest, which tracemalloc put at 118 or less on the densest intervals each
+# grid admits.  PHI_GRID_CAP: one block.
 BYTES_PER_GRID_POINT = 160
 BYTES_PER_BLOCK_POINT = 32
 PHI_GRID_CAP = MEMORY_BUDGET // (BYTES_PER_GRID_POINT + BYTES_PER_BLOCK_POINT)
@@ -60,14 +62,15 @@ def pairing_constant(b: int) -> float:
 
 def hilbert(samples: np.ndarray) -> np.ndarray:
     """Conjugate-function multiplier -i sgn(n), applied by FFT to samples on
-    the M-point grid.  Real samples take a real FFT and give real samples; the
-    multiplier is real-linear, so complex samples transform part by part."""
+    the M-point grid along the last axis.  Real samples take a real FFT and
+    give real samples; the multiplier is real-linear, so complex samples
+    transform part by part."""
     if np.iscomplexobj(samples):
         return hilbert(samples.real) + 1j * hilbert(samples.imag)
     spec = np.fft.rfft(samples)
-    spec[0] = spec[-1] = 0  # the mean and the Nyquist frequency
+    spec[..., 0] = spec[..., -1] = 0  # the mean and the Nyquist frequency
     spec *= -1j
-    return np.fft.irfft(spec, len(samples))
+    return np.fft.irfft(spec, samples.shape[-1])
 
 
 def block_bounds(M: int, b: int) -> list[tuple[int, int]]:
@@ -118,29 +121,33 @@ def build_pk(blk: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return tau * window / len(blk)
 
 
-def build_qk(blk: np.ndarray, tau: np.ndarray, M: int) -> np.ndarray:
+def build_qk(blk, tau, M: int):
     """Q_k's coefficients at the frequencies 0, -1, ..., -w_k, which hold its
-    whole spectrum, on a grid M that passes check_grid."""
-    u = np.abs(sample_grid(blk, tau / len(blk), M).samples)
-    v = hilbert(u)
-    spec = GridFn(np.exp(-(u - 1j * v))).coefficients()
-    d = np.arange(_width(blk) + 1)
-    return spec[-d % M] * _fejer(d, len(d))
+    whole spectrum, on a grid M that passes check_grid.  Given lists of blocks
+    and their phases, the list of every block's Q_k, read off the rows of one
+    (K, M) transform chain."""
+    rows = isinstance(blk, list)
+    blks, taus = (blk, tau) if rows else ([blk], [tau])
+    u = np.abs(sample_grid(blks, [t / len(b) for b, t in zip(blks, taus)], M).samples)
+    z = 1j * hilbert(u)
+    np.exp(np.negative(np.subtract(u, z, out=z), out=z), out=z)  # exp(-(u - i H[u]))
+    spec = GridFn(z).coefficients(out=z)
+    ds = [np.arange(_width(b) + 1) for b in blks]
+    qks = [row[-d % M] * _fejer(d, len(d)) for row, d in zip(spec, ds)]
+    return qks if rows else qks[0]
 
 
 def _grid_phase(
     blks: list, pks: list, qks: list, M: int
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Sample every P_k and Q_k once; return Phi's samples from the recursion
-    Phi_k = Q_k Phi_{k-1} + P_k, their DFT coefficients, the coefficients'
-    largest distance from the explicit expansion Phi = sum_k (prod_{j>k} Q_j)
-    P_k, and per block max(|P_k|/10 + |Q_k|) on the grid."""
+    """Sample every P_k and Q_k in one (2, K, M) array; return Phi's samples
+    from the recursion Phi_k = Q_k Phi_{k-1} + P_k, their DFT coefficients,
+    the coefficients' largest distance from the explicit expansion Phi =
+    sum_k (prod_{j>k} Q_j) P_k, and per block max(|P_k|/10 + |Q_k|) on the grid."""
     # One array for all the samples: once glibc's malloc has freed a block this
     # large, it keeps later builds' arrays in its heap instead of the kernel's.
-    P, Q = PQ = np.empty((2, len(pks), M), dtype=complex)
     freqs = blks + [-np.arange(len(q)) for q in qks]
-    for row, f, c in zip(PQ.reshape(-1, M), freqs, pks + qks):
-        row[:] = sample_grid(f, c, M).samples
+    P, Q = sample_grid(freqs, pks + qks, M).samples.reshape(2, len(pks), M)
     phi = P[0]
     for k in range(1, len(P)):
         phi = Q[k] * phi + P[k]
@@ -151,7 +158,7 @@ def _grid_phase(
         for j in range(k + 1, len(P)):
             term = term * Q[j]
         explicit += term
-    agreement = float(np.max(np.abs(GridFn(explicit).coefficients() - spec)))
+    agreement = float(np.max(np.abs(GridFn(explicit).coefficients(out=explicit) - spec)))
     pq_sups = [float(np.max(np.abs(p) / 10 + np.abs(q))) for p, q in zip(P, Q)]
     return phi, spec, agreement, pq_sups
 
@@ -201,7 +208,7 @@ def build_phi(B: IntegerSet, weights: np.ndarray, b: int, M: int):
     taus = [tau[lo:hi] for lo, hi in bounds]
     widths = tuple(_width(blk) for blk in blks)
     pks = [build_pk(blk, t) for blk, t in zip(blks, taus)]
-    qks = [build_qk(blk, t, M) for blk, t in zip(blks, taus)]
+    qks = build_qk(blks, taus, M)
     phi, spec, explicit_agreement, pq_sups = _grid_phase(blks, pks, qks, M)
     coeffs = spec[freqs % M]
 

@@ -25,14 +25,15 @@ one side of a sieve identity as sorted (F, numerator) rows, built by
 sieve_lhs and sieve_rhs from the library's private side builders, and
 SieveTable.defect names the witness of two differing sides.
 
-Six references sit at the end: the orbit subset in Fractions (by in_arcs,
+Seven references sit at the end: the orbit subset in Fractions (by in_arcs,
 the open-arc membership eval_exact uses too), extraction over every longest
 sum-free arc a grid search finds, the L1 report with each of G_A, L_A, F_1
 and F_2 swept on its own arcs, the lacunary rows with one backward chain
-per size and np.exp for every e(y), and two oracle searches with every sum
+per size and np.exp for every e(y), two oracle searches with every sum
 bitset rebuilt from its whole subset: the plain branch and bound over every
 remaining element, and the forward-checked one over the still-admitted
-candidates.
+candidates, and the Phi build with each transform on one block's M-array
+at a time, which the batched build must match bit for bit.
 """
 
 from __future__ import annotations
@@ -46,11 +47,12 @@ from itertools import compress
 
 import numpy as np
 
-from sumfree import dilation, sieve
+from sumfree import dilation, mps, sieve
 from sumfree.arcs import OMEGA_1, OMEGA_2, OMEGA_21, ArcSet, is_arc_kl_sumfree
 from sumfree.arith import SieveContext, primes_upto
 from sumfree.dilation import ExtractionCertificate, maximize_count
 from sumfree.errors import InputError
+from sumfree.fourier import sup_factor
 from sumfree.lp import GRID_DEGREE_LIMIT, exp_sum_l1
 from sumfree.sets import IntegerSet, fold_sums, is_kl_sumfree
 
@@ -616,3 +618,89 @@ def max_sumfree_forward_rebuild(A: IntegerSet, k: int, l: int) -> tuple:
 
     dfs((), [e for e in sorted(A.elements, reverse=True) if admits((e,))])
     return best[0], IntegerSet.of(best[1]), explored
+
+
+def _sample_one(freqs: np.ndarray, coeffs: np.ndarray, M: int) -> np.ndarray:
+    """One polynomial's samples on the M-point grid: its own scatter, one
+    inverse FFT and a pass scaling by M."""
+    spec = np.zeros(M, dtype=complex)
+    np.add.at(spec, freqs % M, coeffs)
+    samples = np.fft.ifft(spec)
+    samples *= M
+    return samples
+
+
+def _hilbert_one(samples: np.ndarray) -> np.ndarray:
+    spec = np.fft.rfft(samples)
+    spec[0] = spec[-1] = 0
+    spec *= -1j
+    return np.fft.irfft(spec, len(samples))
+
+
+def build_phi_per_block(B: IntegerSet, weights: np.ndarray, b: int, M: int):
+    """mps.build_phi with every transform on one block's M-array at a time:
+    three samplings a block (P_k, Q_k and the phase sum behind Q_k), a
+    Hilbert transform and a forward FFT for each Q_k, and P_k, Q_k and the
+    per-block sup |P_k|/10 + |Q_k| row by row."""
+    weights = np.asarray(weights, dtype=complex)
+    bounds = mps.block_bounds(B.N, b)
+    neg_span = mps.check_grid([(B.elements[lo], B.elements[hi - 1]) for lo, hi in bounds], M)
+    freqs = np.array(B.elements)
+    mods = np.abs(weights)
+    tau = np.divide(weights.conj(), mods, out=np.ones_like(weights), where=mods != 0)
+    blks = [freqs[lo:hi] for lo, hi in bounds]
+    widths = tuple(max(int(blk[-1] - blk[0]), 1) for blk in blks)
+    pks = [mps.build_pk(blk, tau[lo:hi]) for blk, (lo, hi) in zip(blks, bounds)]
+    qks = []
+    for blk, (lo, hi), w in zip(blks, bounds, widths):
+        u = np.abs(_sample_one(blk, tau[lo:hi] / len(blk), M))
+        v = _hilbert_one(u)
+        spec = np.fft.fft(np.exp(-(u - 1j * v))) / M
+        d = np.arange(w + 1)
+        qks.append(spec[-d % M] * ((len(d) - d) / len(d)))
+
+    P = [_sample_one(blk, p, M) for blk, p in zip(blks, pks)]
+    Q = [_sample_one(-np.arange(len(q)), q, M) for q in qks]
+    phi = P[0]
+    for k in range(1, len(P)):
+        phi = Q[k] * phi + P[k]
+    spec = np.fft.fft(phi) / M
+    explicit = np.zeros(M, dtype=complex)
+    for k in range(len(P)):
+        term = P[k]
+        for j in range(k + 1, len(P)):
+            term = term * Q[j]
+        explicit += term
+    agreement = float(np.max(np.abs(np.fft.fft(explicit) / M - spec)))
+    coeffs = spec[freqs % M]
+
+    per_block = []
+    for k, ((lo, hi), p, q) in enumerate(zip(bounds, pks, qks)):
+        c = coeffs[lo:hi]
+        one_minus_q = q.copy()
+        one_minus_q[0] -= 1
+        per_block.append(
+            {
+                "k": k,
+                "size": hi - lo,
+                "width": widths[k],
+                "l2_one_minus_q": float(np.linalg.norm(one_minus_q)),
+                "l2_bound": 2 / math.sqrt(hi - lo),
+                "support_ok": len(q) <= widths[k] + 1,
+                "closeness_ratio": float(np.max(np.abs(c - p) / np.abs(p))),
+                "coeff_l2": float(np.linalg.norm(c)),
+                "pq_sup": float(np.max(np.abs(P[k]) / 10 + np.abs(Q[k]))),
+            }
+        )
+    cert = mps.PhiCertificate(
+        base=b,
+        grid=M,
+        widths=widths,
+        sup_bound=float(np.max(np.abs(phi))) * sup_factor(-neg_span, max(B), M),
+        per_block=tuple(per_block),
+        pairing_value=complex(np.sum(weights * coeffs)),
+        pairing_target=float(np.sum(mods / np.arange(1, B.N + 1))),
+        pairing_constant=mps.pairing_constant(b),
+        explicit_agreement=agreement,
+    )
+    return phi, cert

@@ -3,9 +3,11 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from reference import build_phi_per_block
 
 from sumfree.cli import RunConfig, run
 from sumfree.errors import InputError, ResourceLimitError
@@ -17,6 +19,7 @@ from sumfree.mps import (
     build_phi,
     build_pk,
     build_qk,
+    check_grid,
     epsilon_of_base,
     hilbert,
     pairing_constant,
@@ -155,14 +158,20 @@ def _counting(calls, name, fn):
 
 
 def test_build_phi_samples_each_block_once(monkeypatch):
-    # P_k, Q_k and the unwindowed phase sum behind Q_k once per block
-    calls = []
-    monkeypatch.setattr("sumfree.mps.sample_grid", _counting(calls, "sample_grid", sample_grid))
-    B = IntegerSet.of(range(1, 51))
-    _, cert = build_phi(B, np.ones(B.N), b=4, M=4096)
-    blocks = len(cert.per_block)
-    assert blocks == 3
-    assert len(calls) == 3 * blocks
+    # every block's P_k, Q_k and the unwindowed phase sum behind Q_k are rows
+    # of one transform chain per phase, so the FFT count is the same at any
+    # number of blocks: one sampling, Hilbert step and forward FFT for the Q
+    # phase, one sampling and two forward FFTs (Phi, explicit) for the grid
+    tallies = []
+    for size, M in [(50, 4096), (8000, 1 << 16)]:
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, _counting(calls, name, getattr(np.fft, name)))
+        B = generate("interval", n=size)
+        _, cert = build_phi(B, np.ones(B.N), b=4, M=M)
+        monkeypatch.undo()
+        tallies.append((len(cert.per_block), Counter(calls)))
+    assert tallies == [(blocks, Counter(fft=3, ifft=2, rfft=1, irfft=1)) for blocks in (3, 7)]
 
 
 def test_phi_profile_samples_only_in_build_phi(monkeypatch):
@@ -191,7 +200,57 @@ def test_sup_bound_covers_fine_grid_max(seed):
     assert fine_max <= cert.sup_bound <= 10
 
 
-@pytest.mark.parametrize("size, base, M", [(10101, 100, 1 << 17), (8000, 4, 1 << 16)])
+def _least_grid(B, base):
+    """The coarsest grid that check_grid admits for B at this base."""
+    blocks = [(B.elements[lo], B.elements[hi - 1]) for lo, hi in block_bounds(B.N, base)]
+    M = 4
+    while True:
+        try:
+            check_grid(blocks, M)
+            return M
+        except InputError:
+            M *= 2
+
+
+def _assert_bitwise_equal(B, w, base, M):
+    samples, cert = build_phi(B, w, base, M)
+    want_samples, want = build_phi_per_block(B, w, base, M)
+    assert np.array_equal(samples, want_samples)
+    assert cert.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_build_phi_bitwise_equals_the_per_block_build(seed):
+    # seed % 7 + 1 blocks, which need base**(blocks - 1) < size <= base**blocks:
+    # sizes up to 3000, but seven blocks take over 4**6 = 4096 even at base 4
+    rng = np.random.default_rng(seed)
+    blocks = seed % 7 + 1
+    top = 100 if blocks < 3 else max(4, int(3000 ** (1 / (blocks - 1))))
+    base = int(rng.integers(4, top + 1))
+    lo = base ** (blocks - 1) + 1 if blocks > 1 else 1
+    size = int(rng.integers(lo, min(base**blocks, max(3000, lo + 900)) + 1))
+    span = size * int(rng.integers(1, 4))
+    B = IntegerSet.of((rng.choice(span, size, replace=False) + 1).tolist())
+    kind = seed % 3
+    w = np.ones(B.N) if kind == 0 else rng.random(B.N) * np.exp(2j * math.pi * rng.random(B.N))
+    if kind == 2:
+        w[rng.random(B.N) < 0.3] = 0
+    M = _least_grid(B, base) << int(rng.integers(0, 2))
+    assert len(block_bounds(B.N, base)) == blocks
+    _assert_bitwise_equal(B, w, base, M)
+
+
+@pytest.mark.parametrize("weights", ["unit", "random"])
+def test_build_phi_bitwise_equals_the_per_block_build_at_the_defaults(weights):
+    B = generate("interval", n=10101)
+    rng = np.random.default_rng(5)
+    w = np.ones(B.N) if weights == "unit" else np.exp(2j * math.pi * rng.random(B.N))
+    _assert_bitwise_equal(B, w, 100, 1 << 17)
+
+
+@pytest.mark.parametrize(
+    "size, base, M", [(10101, 100, 1 << 17), (8000, 4, 1 << 16), (16385, 4, 1 << 17)]
+)
 def test_build_phi_peak_within_bytes_per_grid_point(size, base, M):
     B = generate("interval", n=size)
     w = np.ones(B.N)

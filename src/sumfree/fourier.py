@@ -19,8 +19,8 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class GridFn:
-    """Complex samples at the M equispaced points j/M, M a power of two, along
-    the last axis: one function, or one per row of a (K, M) array."""
+    """Complex samples at the M equispaced points j/M along the last axis, M a
+    power of two: one function, or one a row of a (K, M) array."""
 
     samples: np.ndarray
 
@@ -47,8 +47,8 @@ def sample_grid(freqs, coeffs, M: int) -> GridFn:
     rows = isinstance(freqs, list)
     freqs, coeffs = (freqs, coeffs) if rows else ([freqs], [coeffs])
     spec = np.zeros((len(freqs), M), dtype=complex)
-    row = np.repeat(np.arange(len(freqs)), [len(f) for f in freqs])
-    np.add.at(spec, (row, np.concatenate(freqs) % M), np.concatenate(coeffs))
+    for row, f, c in zip(spec, freqs, coeffs):
+        np.add.at(row, f % M, c)
     np.fft.ifft(spec, norm="forward", out=spec)
     return GridFn(spec if rows else spec[0])
 

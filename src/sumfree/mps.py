@@ -42,10 +42,10 @@ from .fourier import GridFn, sample_grid, sup_factor
 from .sets import IntegerSet
 
 # Peak bytes of build_phi per grid point: 32 a block for the P_k and Q_k samples
-# the grid phase holds (the Q phase's rows of u, H[u] and the half spectrum
-# between them peak at 32.1-32.6 a block at 3 to 8 blocks), plus 160 for the
-# rest, which tracemalloc put at 118 or less on the densest intervals each
-# grid admits.  PHI_GRID_CAP: one block.
+# the grid phase holds, plus 160 for the rest, which tracemalloc put at 105 or
+# less on the densest intervals each grid of 2^7 to 2^17 points admits.  The Q
+# phase's 40 a block (samples, u, half spectrum, H[u]) fit in that up to 19
+# blocks, and MEMORY_BUDGET admits at most 11.  PHI_GRID_CAP: one block.
 BYTES_PER_GRID_POINT = 160
 BYTES_PER_BLOCK_POINT = 32
 PHI_GRID_CAP = MEMORY_BUDGET // (BYTES_PER_GRID_POINT + BYTES_PER_BLOCK_POINT)
@@ -128,8 +128,9 @@ def build_qk(blk, tau, M: int):
     (K, M) transform chain."""
     rows = isinstance(blk, list)
     blks, taus = (blk, tau) if rows else ([blk], [tau])
-    u = np.abs(sample_grid(blks, [t / len(b) for b, t in zip(blks, taus)], M).samples)
-    z = 1j * hilbert(u)
+    z = sample_grid(blks, [t / len(b) for b, t in zip(blks, taus)], M).samples
+    u = np.abs(z)
+    np.multiply(1j, hilbert(u), out=z)
     np.exp(np.negative(np.subtract(u, z, out=z), out=z), out=z)  # exp(-(u - i H[u]))
     spec = GridFn(z).coefficients(out=z)
     ds = [np.arange(_width(b) + 1) for b in blks]
@@ -148,18 +149,20 @@ def _grid_phase(
     # large, it keeps later builds' arrays in its heap instead of the kernel's.
     freqs = blks + [-np.arange(len(q)) for q in qks]
     P, Q = sample_grid(freqs, pks + qks, M).samples.reshape(2, len(pks), M)
+    pq_sups = [float(np.max(np.abs(p) / 10 + np.abs(q))) for p, q in zip(P, Q)]
     phi = P[0]
     for k in range(1, len(P)):
         phi = Q[k] * phi + P[k]
     spec = GridFn(phi).coefficients()
-    explicit = np.zeros(M, dtype=complex)
+    explicit, term = np.zeros(M, dtype=complex), np.empty(M, dtype=complex)
     for k in range(len(P)):
-        term = P[k]
+        term[:] = P[k]
         for j in range(k + 1, len(P)):
-            term = term * Q[j]
+            term *= Q[j]
         explicit += term
-    agreement = float(np.max(np.abs(GridFn(explicit).coefficients(out=explicit) - spec)))
-    pq_sups = [float(np.max(np.abs(p) / 10 + np.abs(q))) for p, q in zip(P, Q)]
+    del term
+    diff = np.subtract(GridFn(explicit).coefficients(out=explicit), spec, out=explicit)
+    agreement = float(np.max(np.abs(diff)))
     return phi, spec, agreement, pq_sups
 
 

@@ -160,7 +160,7 @@ def _grid_phase(
         for j in range(k + 1, len(P)):
             term *= Q[j]
         explicit += term
-    del term
+    del term  # before the agreement's temporaries, which would otherwise set the peak
     diff = np.subtract(GridFn(explicit).coefficients(out=explicit), spec, out=explicit)
     agreement = float(np.max(np.abs(diff)))
     return phi, spec, agreement, pq_sups

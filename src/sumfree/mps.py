@@ -121,21 +121,17 @@ def build_pk(blk: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return tau * window / len(blk)
 
 
-def build_qk(blk, tau, M: int):
-    """Q_k's coefficients at the frequencies 0, -1, ..., -w_k, which hold its
-    whole spectrum, on a grid M that passes check_grid.  Given lists of blocks
-    and their phases, the list of every block's Q_k, read off the rows of one
-    (K, M) transform chain."""
-    rows = isinstance(blk, list)
-    blks, taus = (blk, tau) if rows else ([blk], [tau])
+def build_qk(blks: list, taus: list, M: int) -> list:
+    """Each block's Q_k coefficients at the frequencies 0, -1, ..., -w_k, which
+    hold its whole spectrum, on a grid M that passes check_grid: blks and taus
+    list the blocks and their phases, and one (K, M) transform chain serves all."""
     z = sample_grid(blks, [t / len(b) for b, t in zip(blks, taus)], M).samples
     u = np.abs(z)
     np.multiply(1j, hilbert(u), out=z)
     np.exp(np.negative(np.subtract(u, z, out=z), out=z), out=z)  # exp(-(u - i H[u]))
     spec = GridFn(z).coefficients(out=z)
     ds = [np.arange(_width(b) + 1) for b in blks]
-    qks = [row[-d % M] * _fejer(d, len(d)) for row, d in zip(spec, ds)]
-    return qks if rows else qks[0]
+    return [row[-d % M] * _fejer(d, len(d)) for row, d in zip(spec, ds)]
 
 
 def _grid_phase(

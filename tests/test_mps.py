@@ -97,7 +97,7 @@ def test_qk_support():
     B = IntegerSet.of(range(1, 51))
     lo, hi = block_bounds(B.N, 4)[1]
     blk = np.array(B.elements[lo:hi])
-    qk = build_qk(blk, np.ones(len(blk), dtype=complex), M=2048)
+    qk = build_qk([blk], [np.ones(len(blk), dtype=complex)], M=2048)[0]
     width = max(blk[-1] - blk[0], 1)
     # qk holds the coefficients at the frequencies 0, -1, -2, ...
     assert all(-width <= n <= 0 for n in -np.arange(len(qk)))

@@ -42,7 +42,7 @@ from math import lcm
 import numpy as np
 
 from .arcs import ArcSet, canonical_omega, rational
-from .errors import MEMORY_BUDGET, CertificationError, InputError, ResourceLimitError
+from .errors import MEMORY_BUDGET, CertificationError, InputError, ResourceLimitError, magnitude
 from .sets import IntegerSet, check_kl, is_kl_sumfree, reduced
 
 BYTES_PER_BREAKPOINT = 80
@@ -124,7 +124,7 @@ def _sweep(A: IntegerSet, edges, s: np.ndarray, e: np.ndarray, M: int):
     bound = len(s) + len(edges) * (total * int((e - s).sum()) // M + N * len(s))
     per = 256 + q_max.bit_length() if kind is object else BYTES_PER_BREAKPOINT
     if bound * per > MEMORY_BUDGET:
-        raise ResourceLimitError(f"{bound} breakpoints exceed the {MEMORY_BUDGET}-byte budget")
+        raise ResourceLimitError(f"about {magnitude(bound)} breakpoints exceed the memory budget")
     n = np.array(A.elements, kind)
     a = np.array([c.numerator for c, _ in edges], kind)[:, None, None]
     d = np.array([c.denominator for c, _ in edges], kind)[:, None, None]
@@ -212,7 +212,7 @@ def _bucket_bound(A: IntegerSet, O: ArcSet, M: int, half: bool = False) -> np.nd
     kind = _kind(M * q_max)
     per = 256 + (M * q_max).bit_length() if kind is object else BYTES_PER_BREAKPOINT
     if (M + 1) * BYTES_PER_BUCKET + BOUND_CHUNK * per > MEMORY_BUDGET:
-        raise ResourceLimitError(f"{M} buckets exceed the {MEMORY_BUDGET}-byte budget")
+        raise ResourceLimitError(f"about {magnitude(M)} buckets exceed the memory budget")
     stop = {n: n // 2 + 1 if half else n for n in A}
     j_end = max(stop.values(), default=0)
     U = np.zeros(M + 1, np.int64)
@@ -319,7 +319,7 @@ def _maximize_by_markov(A: IntegerSet, O: ArcSet) -> tuple[Fraction, int]:
     """
     d, split, L, R = _markov_shape(A, O)
     if R * (BYTES_PER_CELL + L * BYTES_PER_CELL_STEP) > MEMORY_BUDGET:
-        raise ResourceLimitError(f"{L} steps of {R} cells exceed the {MEMORY_BUDGET}-byte budget")
+        raise ResourceLimitError(f"about {magnitude(L * R)} cell steps exceed the memory budget")
     cores = sorted({s for s, _ in split})
     # the budget keeps the products (d*s)**2 below 2**62, so _kind picks int64
     size = np.array([d * s for s in cores], _kind((d * cores[-1]) ** 2))
@@ -441,6 +441,7 @@ class ExtractionCertificate:
         types = [type(data[key]) for key in ("count", "k", "l", "sumfree_checked")]
         if types != [int, int, int, bool]:
             raise InputError("certificate count, k and l must be integers, sumfree_checked a bool")
+        check_kl(data["k"], data["l"])
         return ExtractionCertificate(
             x_star=rational(data["x_star"]),
             subset=IntegerSet.of(data["subset"]),
@@ -470,7 +471,7 @@ def extract_certified(A: IntegerSet, k: int, l: int) -> ExtractionCertificate:
     check_kl(k, l)
     arcs = (abs(k - l) + 1) // 2
     if arcs > ARC_CAP:
-        raise ResourceLimitError(f"({k},{l}) needs {arcs} arcs, past the cap of {ARC_CAP}")
+        raise ResourceLimitError(f"about {magnitude(arcs)} arcs, past the cap of {ARC_CAP}")
     best = None
     # The guarantee is per arc, not for their union.  n*x in -O iff n*(-x) in
     # O, so each later arc ties its mirror (see canonical_omega): one per pair.

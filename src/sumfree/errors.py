@@ -31,3 +31,11 @@ class CertificationError(SumfreeError, RuntimeError):
     """A computed certificate failed its re-verification."""
 
     exit_code = 1
+
+
+def magnitude(n: int) -> str:
+    """n >= 1 as '10^e', 10^e <= n < 10^(e+1), without str(n) (refused past 4300 digits)."""
+    e = (n.bit_length() - 1) * 30102999 // 10**8  # 0.30102999 < log10(2)
+    while 10 ** (e + 1) <= n:
+        e += 1
+    return f"10^{e}"

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, magnitude
 from .fourier import grid_norms
 from .sets import IntegerSet
 
@@ -132,7 +132,7 @@ def lacunary_l1_diagnostic(sizes: tuple[int, ...], seed: int = 0) -> dict:
     if min(sizes) < 1:
         raise InputError("the number of exponents must be >= 1")
     if max(sizes) > CHAIN_STEP_CAP:
-        raise ResourceLimitError(f"size {max(sizes)} passes CHAIN_STEP_CAP = {CHAIN_STEP_CAP}")
+        raise ResourceLimitError(f"size about {magnitude(max(sizes))} passes {CHAIN_STEP_CAP = }")
     sampled = {n for n in sizes if 3 ** (n - 1) > GRID_DEGREE_LIMIT}
     chain = _triadic_chain(sampled, seed=seed) if sampled else {}
     rows = []

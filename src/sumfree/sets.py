@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import MEMORY_BUDGET, InputError, ResourceLimitError
+from .errors import MEMORY_BUDGET, InputError, ResourceLimitError, magnitude
 
 # fold_sums holds at most 5 big ints at once (reach, cur, nxt, a shifted cur
 # and the new nxt), and is_kl_sumfree one more, its first fold_sums result
@@ -145,7 +145,7 @@ def check_folds(X: IntegerSet, k: int, l: int) -> None:
     check_kl(k, l)
     bits = max(k, l) * max(X.elements, default=0)
     if LIVE_SUM_BITSETS * bits // 8 > MEMORY_BUDGET:
-        raise ResourceLimitError(f"{bits}-bit sum bitsets exceed the {MEMORY_BUDGET}-byte budget")
+        raise ResourceLimitError(f"about {magnitude(bits)}-bit sum bitsets exceed the budget")
 
 
 def reduced(X: IntegerSet) -> tuple[IntegerSet, int]:

@@ -32,23 +32,24 @@ sqrt3/3 and the Lambda coefficients by i/2, both rational (unit 1).  A
 left-side term c(t)/t * hat(n), c integer, sits at F = scale*t*n*m, and
 1/(t n) = scale*m/F, so its numerator is scale*m*c(t)*kappa(n).  The left
 side is thus one singleton table S[j] = sum_{t | j} c(t) kappa(j/t), an
-integer Dirichlet convolution, scattered onto the frequencies scale*m*j for
-each m in A: the same finite triple sum, regrouped.  The right side is built
-from the rough integers directly.
+integer Dirichlet convolution, dilated onto the frequencies scale*m*j for
+each m in A: the same finite triple sum, regrouped.
 
-One buffer.  verify_identity decides an identity in one (2, X+1) int64
-buffer, row 0 at +F and row 1 at -F: the left side's numerators go in with
-sign +1 and the right side's with sign -1, so the identity holds iff the
-buffer is zero.  Every side is built by np.add.at scatters over all its
-index pairs at once, CHUNK pairs a call: (t, n) with t*n <= J for the
-singleton table (one scatter per kappa, whose parity gives the -j row),
-(m, j) for its dilation onto A, and (m, rough n) for the right side.  The
-smooth t, their Mobius signs and the rough n come from one arithmetic table
-(_table; _arith picks its bound and range per identity), shared by both
-sides.  The table is the only source of the smooth and rough classes.  A
-nonzero buffer holds the difference of the sides, so the witness and the
-defect are read straight off it (_defect): the frequency of largest
-|difference|/|F|.
+Singleton tables, one dilation.  S and the closed form's table R, v(+-n)
+at the rough n, run over 0 <= j <= J = X // (scale * min A), row 0 at +j
+and row 1 at -j.  S is built by np.add.at scatters over the pairs (t, n)
+with t*n <= J, one per kappa, whose parity gives the -j row.  _dilate adds
+w(m)*d*table[:, j] at d*j, d = scale*m, for every multiplier m and nonzero
+column j at once, into one (2, X+1) int64 buffer, row 0 at +F and row 1 at
+-F: S over A with weights 1, R over A with weights -1 or, for g1 and
+final, over B = A sym-diff 3A with weights -eps(m).  The identity holds
+iff the buffer is zero.  Dilation is linear, so where both sides run over
+A (sec2_f, gamma_sieved, lambda1) S - R is dilated once: the buffer holds
+the same integers, and an identity that holds scatters nothing.  Both
+tables read the smooth t, their Mobius signs and the rough n off one
+arithmetic table (_table, the only source of N2 and N1; _arith picks its
+bound and range).  A nonzero buffer is the difference of the sides, and
+_defect reads the witness off it: the F of largest |difference|/|F|.
 
 The t-sum for Lambda runs over odd members of N2 only: even t would
 contribute at even frequencies where gamma vanishes on the left side as
@@ -73,13 +74,14 @@ from .sets import IntegerSet, structure
 
 IDENTITY_IDS = ("sec2_f", "gamma_sieved", "lambda1", "g1", "final")
 
-# Peak bytes per unit of cutoff X of verify_identity: the (2, X+1) buffer
-# (16), the arithmetic table (8) and the singleton table with one kappa's
-# part (24); on a mismatch, the buffer and at most five arrays of 16 over its
-# nonzero entries (96).  Scatters run CHUNK pairs at a time, so the pairs add
-# O(1).  tracemalloc read 34-51 for the five identities at X = 2*10**6 on
-# A = {1, 2, 3}, the same with one numerator bumped, and 96 with every
-# entry of the buffer nonzero.
+# Peak bytes per unit of cutoff X of verify_identity: the singleton tables
+# S and R (16 each) with the arithmetic table (8), then the (2, X+1) buffer
+# (16) in its place and the indices of one table's nonzero columns (8); on a
+# mismatch, both tables are freed, so the buffer and at most five arrays of
+# 16 over its nonzero entries (96).  Scatters run CHUNK pairs at a time, so
+# the pairs add O(1).  tracemalloc read 33-53 for the five identities at
+# X = 2*10**6 on A = {1, 2, 3}, the same with one numerator bumped, 35-54
+# with one kappa residue wrong, and 96 with every entry of the buffer nonzero.
 BYTES_PER_CUTOFF = 128
 SIEVE_CUTOFF_CAP = MEMORY_BUDGET // BYTES_PER_CUTOFF
 CHUNK = 1 << 16  # pairs per scatter call
@@ -179,62 +181,51 @@ def _lhs_terms(identity_id: str, r: np.ndarray):
     ]
 
 
-def _lhs_side(
-    identity_id: str, A: IntegerSet, X: int, r: np.ndarray, out: np.ndarray, sign: int
-) -> None:
-    """Scatter sign times the left side's numerators into out (row 0 at +F,
-    row 1 at -F): per kappa, the singleton table T[j] = sum_{t | j} c(t)
-    kappa(j/t) over all pairs (t, n) with t*n <= J, whose -j row is +-T as
-    kappa is even or odd; then d*S[j] at d*j for all pairs (m, j), d =
-    scale*m and j <= X // d."""
-    J, terms = len(r) - 1, _lhs_terms(identity_id, r)
+def _lhs_table(identity_id: str, r: np.ndarray) -> np.ndarray:
+    """The left side's singleton table S, row 0 at +j and row 1 at -j: per
+    kappa, T[j] = sum_{t | j} c(t) kappa(j/t) over all pairs (t, n) with
+    t*n <= J = len(r) - 1, whose -j row is +-T as kappa is even or odd."""
+    J = len(r) - 1
     S = np.zeros((2, J + 1), np.int64)
-    for ts, cs, kappa in terms:
+    for ts, cs, kappa in _lhs_terms(identity_id, r):
         T = np.zeros(J + 1, np.int64)
         for g, n in _pairs(J // ts):
             np.add.at(T, ts[g] * n, cs[g] * kappa[n % 12])
         S[0] += T
-        if kappa[-1] == kappa[1]:
-            S[1] += T
-        else:
-            S[1] -= T
-    d = _SCALE[identity_id] * np.array(A.elements, np.int64)
-    for g, j in _pairs(X // d):
-        F, w = d[g] * j, sign * d[g]
-        np.add.at(out[0], F, w * S[0, j])
-        np.add.at(out[1], F, w * S[1, j])
+        (np.add if kappa[-1] == kappa[1] else np.subtract)(S[1], T, out=S[1])
+    return S
 
 
-def _rhs_side(
-    identity_id: str, A: IntegerSet, X: int, r: np.ndarray, out: np.ndarray, sign: int
-) -> None:
-    """Scatter sign times the closed-form side's numerators into out:
-    eps(m)*d*v(+-n) at +-d*n for d = scale*m and every rough n <= X // d,
-    all pairs (m, n) at once."""
-    if identity_id in ("g1", "final"):
-        rep = structure(A)
-        ms = np.array(rep.symdiff, np.int64)
-        eps = np.array([rep.epsilon[m] for m in rep.symdiff], np.int64)
-    else:
-        ms = np.array(A.elements, np.int64)
-        eps = np.ones_like(ms)
+def _rhs_table(identity_id: str, r: np.ndarray) -> np.ndarray:
+    """The closed form's singleton table R, laid out as S: v(+-n) at the
+    rough n <= J (and, for lambda1, at 3n), zero elsewhere."""
     ns = np.flatnonzero(r == 1)
     chi = _CHI[ns % 3]
     if identity_id == "lambda1":
-        # eta = 1/2 on N1, -3/2 on 3*N1; -2i eta/n = i * (-4 eta) / (2n)
-        ns = np.sort(np.concatenate([ns, 3 * ns[ns <= (len(r) - 1) // 3]]))
-        vals = np.where(ns % 3 == 0, 6, -2)[None, :].repeat(2, axis=0)
+        # eta = 1/2 on N1, -3/2 on 3*N1 (disjoint, as Q >= 3); -2i eta/n = i * (-4 eta) / (2n)
+        ns = np.concatenate([ns, 3 * ns[ns <= (len(r) - 1) // 3]])
+        vals = np.where(ns % 3 == 0, 6, -2)
     elif identity_id == "g1":  # -i/n on N1
-        vals = np.full((2, len(ns)), -2)
+        vals = -2
     elif identity_id == "final":  # (chi(n) +- 1)/(2n) at +-2nm
         vals = np.stack([chi + 1, 1 - chi])
     else:  # fhat(+-n)
         vals = np.stack([-chi, chi])
-    d = _SCALE[identity_id] * ms
-    for g, k in _pairs(np.searchsorted(ns, X // d, side="right")):
-        i, w = k - 1, sign * eps[g] * d[g]
-        np.add.at(out[0], d[g] * ns[i], w * vals[0, i])
-        np.add.at(out[1], d[g] * ns[i], w * vals[1, i])
+    R = np.zeros((2, len(r)), np.int64)
+    R[:, ns] = vals
+    return R
+
+
+def _dilate(out: np.ndarray, table: np.ndarray, scale: int, ms, w) -> None:
+    """Add w(m)*d*table[:, j] at d*j to out (row 0 at +F, row 1 at -F), d =
+    scale*m, for every multiplier m in ms and every nonzero column j of the
+    singleton table with d*j <= X = out.shape[1] - 1, all pairs at once."""
+    d, w = scale * np.array(ms, np.int64), np.array(w, np.int64)
+    js = np.flatnonzero(table.any(axis=0))
+    for g, k in _pairs(np.searchsorted(js, (out.shape[1] - 1) // d, side="right")):
+        j, wd = js[k - 1], w[g] * d[g]
+        np.add.at(out[0], d[g] * j, wd * table[0, j])
+        np.add.at(out[1], d[g] * j, wd * table[1, j])
 
 
 def _defect(buf: np.ndarray) -> tuple[Fraction, int]:
@@ -257,18 +248,24 @@ def _defect(buf: np.ndarray) -> tuple[Fraction, int]:
 
 
 def verify_identity(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> dict:
-    """Exact equality decision: the left side scattered into one buffer with
-    sign +1 and the right side with sign -1, equal iff the buffer is zero.
-    A nonzero buffer is the difference of the sides, and the defect and its
-    witness are read off it."""
+    """Exact equality decision: S and R dilated into one buffer, R with sign
+    -1, equal iff the buffer is zero; a nonzero buffer is the difference of
+    the sides, and the defect and its witness are read off it."""
     _check(identity_id, X)
     r = _arith(identity_id, A, ctx, X)
-    buf = np.zeros((2, X + 1), np.int64)
-    _lhs_side(identity_id, A, X, r, buf, 1)
-    _rhs_side(identity_id, A, X, r, buf, -1)
+    S, R = _lhs_table(identity_id, r), _rhs_table(identity_id, r)
+    del r
+    buf, scale, ones = np.zeros((2, X + 1), np.int64), _SCALE[identity_id], [1] * A.N
+    if identity_id in ("g1", "final"):  # the closed form runs over B = A sym-diff 3A
+        rep = structure(A)
+        _dilate(buf, S, scale, A.elements, ones)
+        _dilate(buf, R, scale, rep.symdiff, [-rep.epsilon[m] for m in rep.symdiff])
+    else:  # both sides over A with unit weights: dilate S - R once
+        S -= R
+        _dilate(buf, S, scale, A.elements, ones)
+    del S, R
     defect, witness, unit = Fraction(0), None, _UNIT[identity_id]
     if buf.any():
-        del r
         defect, witness = _defect(buf)
     return {
         "identity_id": identity_id,
@@ -297,16 +294,9 @@ def inner_sum_decomposition(n: int, ctx: SieveContext) -> dict:
         if n % p == 0:
             divisors += [(t * p, -mu) for t, mu in divisors]
     total = sum((mu * _h(n // t) for t, mu in divisors), Fraction(0))
+    key = "I1" if n % 3 else "I2" if n % 9 else "I3"
     parts = {"I1": Fraction(0), "I2": Fraction(0), "I3": Fraction(0)}
-    if n % 3 != 0:
-        key = "I1"
-    elif n % 9 != 0:
-        key = "I2"
-    else:
-        key = "I3"
-    parts[key] = total
-    parts["total"] = total
-    return parts
+    return parts | {key: total, "total": total}
 
 
 def l1_lower_report(A: IntegerSet, ctx: SieveContext) -> dict:

@@ -21,9 +21,10 @@ Then the object views of what the library keeps as arrays.  A
 PiecewiseConstantFn holds a whole step function from dilation._sweep, with
 exact values, integral, L1 norm (exact_l1) and maximum; count_function,
 balanced_function and weighted_count_function build it.  A SieveTable holds
-one side of a sieve identity as sorted (F, numerator) rows, built by
-sieve_lhs and sieve_rhs from the library's private side builders, and
-SieveTable.defect names the witness of two differing sides.
+one side of a sieve identity as sorted (F, numerator) rows: sieve_lhs and
+sieve_rhs take the library's singleton tables and dilate each side on its
+own, one multiplier at a time (dilated), and SieveTable.defect names the
+witness of two differing sides.
 
 Seven references sit at the end: the orbit subset in Fractions (by in_arcs,
 the open-arc membership eval_exact uses too), extraction over every longest
@@ -54,7 +55,7 @@ from sumfree.dilation import ExtractionCertificate, maximize_count
 from sumfree.errors import InputError
 from sumfree.fourier import sup_factor
 from sumfree.lp import GRID_DEGREE_LIMIT, exp_sum_l1
-from sumfree.sets import IntegerSet, fold_sums, is_kl_sumfree
+from sumfree.sets import IntegerSet, fold_sums, is_kl_sumfree, structure
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -466,22 +467,37 @@ def _table(identity_id: str, num: np.ndarray) -> SieveTable:
     return SieveTable(0 if identity_id == "final" else -1, sieve._UNIT[identity_id], rows)
 
 
+def dilated(identity_id: str, table: np.ndarray, ms, eps, X: int) -> np.ndarray:
+    """A singleton table dilated the plain way, one multiplier at a time:
+    eps(m)*d*table[:, j] at d*j, d = scale*m, for every j <= X // d, into a
+    dense (2, X+1) table (row 0 at +F, row 1 at -F)."""
+    num = np.zeros((2, X + 1), np.int64)
+    for m, e in zip(ms, eps):
+        d = sieve._SCALE[identity_id] * m
+        j = np.arange(1, X // d + 1)
+        num[:, d * j] += e * d * table[:, j]
+    return num
+
+
 def sieve_lhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> SieveTable:
     """The sieved sum (the 'hard' side of each identity) as a table: the
     singleton table S dilated onto each m in A."""
     sieve._check(identity_id, X)
-    num = np.zeros((2, X + 1), np.int64)
-    sieve._lhs_side(identity_id, A, X, sieve._arith(identity_id, A, ctx, X), num, 1)
-    return _table(identity_id, num)
+    S = sieve._lhs_table(identity_id, sieve._arith(identity_id, A, ctx, X))
+    return _table(identity_id, dilated(identity_id, S, A.elements, [1] * A.N, X))
 
 
 def sieve_rhs(identity_id: str, A: IntegerSet, ctx: SieveContext, X: int) -> SieveTable:
-    """Each identity's closed-form (sieved-out) side as a table: numerators
-    eps(m)*d*v(n) at +-d*n for d = scale*m and rough n."""
+    """Each identity's closed-form (sieved-out) side as a table: the
+    singleton table R dilated onto each m in A, or for g1 and final onto
+    each m in B = A sym-diff 3A with weight eps(m)."""
     sieve._check(identity_id, X)
-    num = np.zeros((2, X + 1), np.int64)
-    sieve._rhs_side(identity_id, A, X, sieve._arith(identity_id, A, ctx, X), num, 1)
-    return _table(identity_id, num)
+    R = sieve._rhs_table(identity_id, sieve._arith(identity_id, A, ctx, X))
+    ms, eps = A.elements, [1] * A.N
+    if identity_id in ("g1", "final"):
+        rep = structure(A)
+        ms, eps = rep.symdiff, [rep.epsilon[m] for m in rep.symdiff]
+    return _table(identity_id, dilated(identity_id, R, ms, eps, X))
 
 
 def orbit_subset_fractions(A: IntegerSet, O: ArcSet, x) -> IntegerSet:

@@ -69,6 +69,26 @@ def test_fft_only_in_the_grid_layer():
                 )
 
 
+def test_one_scatter_path_in_the_sieve():
+    # the sieve scatters (np.<ufunc>.at) in three places only: the arithmetic
+    # table, the left side's singleton table and the one dilation
+    tree = ast.parse((SRC / "sieve.py").read_text())
+    owner = {
+        id(node): fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+    }
+    scatters = [
+        (owner.get(id(node)), node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "at"
+        and ast.unparse(node.value).startswith("np.")
+    ]
+    assert {fn for fn, _ in scatters} == {"_table", "_lhs_table", "_dilate"}, scatters
+
+
 def _defined_names(node) -> list[str]:
     """The names a module-level statement defines: a function, a class, or
     the plain names an assignment binds."""

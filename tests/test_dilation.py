@@ -410,11 +410,14 @@ def _certificate_json(**changes):
         _certificate_json(arc_used=[[1, 0, 1, 2]]),
         [],
         _certificate_json(arc_used=[[1, 3, 5, 3]]),
+        _certificate_json(k=0, l=0),
+        _certificate_json(k=-1, l=1),
+        _certificate_json(k=2, l=2),
     ],
     ids=[
         "missing-key", "zero-denominator", "three-ints", "float-rational", "string-count",
         "int-flag", "bool-element", "non-iterable-subset", "bad-arc", "not-an-object",
-        "arc-past-1",
+        "arc-past-1", "zero-k-and-l", "negative-k", "k-equals-l",
     ],
 )
 def test_malformed_certificate_json_raises_input_error(data):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sumfree.cli import main
-from sumfree.errors import InputError
+from sumfree.errors import InputError, ResourceLimitError, magnitude
 from sumfree.sets import (
     IntegerSet,
     generate,
@@ -203,6 +203,22 @@ def test_is_kl_sumfree_divides_by_the_gcd():
             assert is_kl_sumfree(IntegerSet.of(c * x for x in X), k, l) == want
     assert not is_kl_sumfree(IntegerSet.of(2 * 10**12 * x for x in (1, 2, 3)), 2, 1)
     assert is_kl_sumfree(IntegerSet.of(()), 2, 1)
+
+
+def test_refused_sum_check_prints_a_short_message():
+    # the refused bit count, 2 * 3**9999, has 4771 digits, past Python's
+    # int-to-str limit; the message prints its order of magnitude
+    with pytest.raises(ResourceLimitError) as refusal:
+        is_kl_sumfree(IntegerSet.of(3**j for j in range(10000)), 2, 1)
+    assert "10^4771" in str(refusal.value) and len(str(refusal.value)) < 200
+
+
+def test_magnitude_is_the_order_of_ten():
+    rng = random.Random(17)
+    counts = [1, 9, 10, 11, 99, 100] + [10**e + s for e in range(1, 60) for s in (-1, 0, 1)]
+    counts += [rng.randrange(1, 10 ** rng.randint(1, 4000)) for _ in range(200)]
+    for n in counts:
+        assert magnitude(n) == f"10^{len(str(n)) - 1}", n
 
 
 def test_sumfree_hereditary():

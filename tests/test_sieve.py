@@ -6,11 +6,13 @@ import math
 import random
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import reference
 from reference import (
     ONE,
     UNITS,
@@ -162,17 +164,42 @@ def test_kappa_tables_give_the_series_coefficients():
             assert UNITS["i"].scale(Fraction(int(sieve._KAPPA_L[F % 12]), 2 * F)) == lambda_hat(F)
 
 
-def _bump_side(monkeypatch, builder, deltas):
-    """Patch one private side builder so that its numerator at each signed
-    frequency F moves by deltas[F] (scattered with the builder's sign)."""
-    real = getattr(sieve, builder)
+def _bump_side(monkeypatch, side, deltas):
+    """Move one side's numerator at each signed frequency F by deltas[F];
+    side is "_lhs_side" or "_rhs_side".
 
-    def bumped(identity_id, A, X, r, out, sign):
-        real(identity_id, A, X, r, out, sign)
+    A side is bumped where a dilation scatters it: the reference's dilated
+    adds deltas to the side whose table it dilates, and verify_identity's
+    _dilate adds +-deltas where it dilates the left side's table, which it
+    does exactly once a call, as its buffer holds left minus right.  The
+    left table is told apart by a weak reference to what _lhs_table built.
+    """
+    left = [lambda: None]
+    real_table, real_dilate, real_dilated = sieve._lhs_table, sieve._dilate, reference.dilated
+
+    def bump(num, sign):
         for F, delta in deltas.items():
-            out[int(F < 0), abs(F)] += sign * delta
+            num[int(F < 0), abs(F)] += sign * delta
 
-    monkeypatch.setattr(sieve, builder, bumped)
+    def tagged(identity_id, r):
+        table = real_table(identity_id, r)
+        left[0] = weakref.ref(table)
+        return table
+
+    def dilate(out, table, *args):
+        real_dilate(out, table, *args)
+        if table is left[0]():
+            bump(out, 1 if side == "_lhs_side" else -1)
+
+    def dilated(identity_id, table, *args):
+        num = real_dilated(identity_id, table, *args)
+        if (table is left[0]()) == (side == "_lhs_side"):
+            bump(num, 1)
+        return num
+
+    monkeypatch.setattr(sieve, "_lhs_table", tagged)
+    monkeypatch.setattr(sieve, "_dilate", dilate)
+    monkeypatch.setattr(reference, "dilated", dilated)
 
 
 @pytest.mark.parametrize("identity_id", ["gamma_sieved", "lambda1", "final"])  # sqrt3, i, 1
@@ -218,6 +245,38 @@ def test_one_bumped_numerator_is_the_defect(monkeypatch, identity_id, builder):
         assert r["witness"] == witness == F
         assert defect == Fraction(1 if side is sieve_lhs else -1, 2 * F)
         assert r["defect"] == f"{defect}{lhs.unit}"
+
+
+def test_verify_matches_the_separately_dilated_sides(monkeypatch):
+    # verify dilates S - R once where both sides run over A; its report must
+    # equal SieveTable.defect on the reference's sides, each dilated on its
+    # own, with the true kappa tables and with one kappa residue wrong, which
+    # makes the buffer nonzero
+    rng = random.Random(71)
+    unequal = 0
+    for draw in range(500):
+        A = IntegerSet.of(rng.sample(range(1, 41), rng.randint(1, 6)))
+        ctx = SieveContext(Q=rng.choice((3, 5, 7, 11)), P=rng.choice((2, 5, 11, 101)))
+        X = rng.randint(1, 250)
+        for corrupt in (False, True):
+            with monkeypatch.context() as m:
+                if corrupt:
+                    name = rng.choice(("_KAPPA_F", "_KAPPA_L"))
+                    kappa = getattr(sieve, name).copy()
+                    kappa[rng.randrange(12)] += rng.choice((-2, -1, 1, 2))
+                    m.setattr(sieve, name, kappa)
+                for identity_id in IDENTITY_IDS:
+                    r = verify_identity(identity_id, A, ctx, X)
+                    lhs, rhs = sieve_lhs(identity_id, A, ctx, X), sieve_rhs(identity_id, A, ctx, X)
+                    defect, witness = lhs.defect(rhs)
+                    assert r["equal"] is (witness is None), (draw, identity_id, corrupt)
+                    assert r["witness"] == witness, (draw, identity_id, corrupt)
+                    assert r["defect"] == (f"{defect}{lhs.unit}" if defect else "0")
+                    unequal += witness is not None
+                    assert corrupt or witness is None, (draw, identity_id)
+    # each identity reads one kappa table or both, so a wrong residue shows
+    # in about two fifths of the corrupted reports
+    assert unequal > 800, unequal
 
 
 def test_defect_read_off_the_buffer_matches_the_tables():

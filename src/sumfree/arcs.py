@@ -12,8 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError, magnitude
 from .sets import check_kl
+
+# extraction's time budget, in arcs: each runs one maximize_count, about
+# 0.3 ms on 6 elements and 7-25 ms on 30 random elements below 10**4
+ARC_CAP = 1024
 
 
 def _exact(e) -> Fraction:
@@ -91,8 +95,12 @@ def canonical_omega(k: int, l: int) -> ArcSet:
     (min(k,l)/s, max(k,l)/s) by d = |k - l|, whose arc j is the mirror of arc
     d-1-j under x -> -x: for odd d the middle arc is symmetric about 1/2, and
     no arc contains 0.  (2,1) gives (1/3, 2/3), (2,4) Omega_1 and Omega_2.
+    More than ARC_CAP arcs up to mirrors, (d + 1)//2, raise ResourceLimitError
+    before any is built.
     """
     check_kl(k, l)
+    if (arcs := (abs(k - l) + 1) // 2) > ARC_CAP:
+        raise ResourceLimitError(f"about {magnitude(arcs)} arcs, past the cap of {ARC_CAP}")
     s = k + l
     return pullback(ArcSet.of([(Fraction(min(k, l), s), Fraction(max(k, l), s))]), abs(k - l))
 

@@ -41,7 +41,7 @@ from math import lcm
 
 import numpy as np
 
-from .arcs import ArcSet, canonical_omega, rational
+from .arcs import ARC_CAP, ArcSet, canonical_omega, rational  # ARC_CAP: extraction's budget
 from .errors import MEMORY_BUDGET, CertificationError, InputError, ResourceLimitError, magnitude
 from .sets import IntegerSet, check_kl, is_kl_sumfree, reduced
 
@@ -51,9 +51,6 @@ BYTES_PER_CELL = 256
 BYTES_PER_CELL_STEP = 32
 BOUND_CHUNK = 2**20
 TOP_BUCKETS = 32
-# extraction's time budget, in arcs: each runs one maximize_count, about
-# 0.3 ms on 6 elements and 7-25 ms on 30 random elements below 10**4
-ARC_CAP = 1024
 
 
 def _kind(*products: int):
@@ -467,11 +464,8 @@ class ExtractionCertificate:
 def extract_certified(A: IntegerSet, k: int, l: int) -> ExtractionCertificate:
     """Best certified (k,l)-sum-free subset over the arcs of
     canonical_omega(k, l), the first strict maximum in ascending order.
-    More than ARC_CAP arcs raise ResourceLimitError before the family is built."""
-    check_kl(k, l)
+    canonical_omega refuses more than ARC_CAP arcs before it builds them."""
     arcs = (abs(k - l) + 1) // 2
-    if arcs > ARC_CAP:
-        raise ResourceLimitError(f"about {magnitude(arcs)} arcs, past the cap of {ARC_CAP}")
     best = None
     # The guarantee is per arc, not for their union.  n*x in -O iff n*(-x) in
     # O, so each later arc ties its mirror (see canonical_omega): one per pair.

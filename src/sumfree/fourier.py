@@ -39,18 +39,23 @@ class GridFn:
         return np.fft.fft(self.samples, norm="forward", out=out)
 
 
-def sample_grid(freqs, coeffs, M: int) -> GridFn:
+def sample_grid(freqs, coeffs, M: int, out: np.ndarray | None = None) -> GridFn:
     """Samples of sum_j coeffs[j] e(freqs[j] x) on the M-point grid, via an
     inverse FFT; given lists of such aligned arrays, one (K, M) row each.
     Frequencies fold mod M and equal ones add, so the samples are exact only
-    when M exceeds the spread of the spectrum."""
+    when M exceeds the spread of the spectrum.  out, a complex array of the
+    samples' shape, is zeroed and written instead of a fresh one."""
     rows = isinstance(freqs, list)
     freqs, coeffs = (freqs, coeffs) if rows else ([freqs], [coeffs])
-    spec = np.zeros((len(freqs), M), dtype=complex)
+    if out is None:
+        out = np.zeros((len(freqs), M) if rows else M, dtype=complex)
+    else:
+        out.fill(0)
+    spec = out if rows else out[None]
     for row, f, c in zip(spec, freqs, coeffs):
         np.add.at(row, f % M, c)
     np.fft.ifft(spec, norm="forward", out=spec)
-    return GridFn(spec if rows else spec[0])
+    return GridFn(out)
 
 
 def sup_factor(lo: int, hi: int, M: int) -> float:

@@ -16,6 +16,21 @@ so after an exact projection and the triangular window the support of
 Q_k-hat lies in [-w_k, 0] exactly.  The recursion Phi_k = Q_k Phi_{k-1} +
 P_k then keeps ||Phi||_inf below 10 because u/10 + exp(-u) <= 1 on [0, 1].
 
+A block of one frequency m (B_0 when |B| > b, the only block when |B| = 1)
+needs no transform: Ptilde_k = tau e(mx) with |tau| = 1, so u = 1, H[u] = 0,
+exp(-(u - i H[u])) = 1/e and, with the window [1, 1/2] at offsets 0, 1,
+Q_k = [1/e, 0] (Q_ONE).  A block of 2 or more frequencies, such as the one
+block of all of B when |B| <= b, runs the transform chain.
+
+The build works in one (2, K, M) complex workspace W.  The Q phase samples
+the phase sums of the blocks that run the chain into rows of W[0], keeps u
+and H[u] as real views in W[1], and exponentiates and transforms in place in
+W[0]; its one other large array is the Hilbert step's half spectrum.  The
+grid phase then zeroes W and samples every P_k into W[0] and every Q_k into
+W[1], which the recursion, the explicit expansion and the per-block sups read.
+With no other large array to allocate and free, builds after a process's
+first take few page faults (none in the median at the defaults).
+
 The per-block closeness tolerance and the pairing constant are functions of
 the base:  eps(b) = 4 b^{-1/2} / ((1 - b^{-1/2})(1 - b^{-1})) and c(b) =
 (1 - eps(b)) / (2b).
@@ -41,11 +56,13 @@ from .errors import MEMORY_BUDGET, InputError, ResourceLimitError
 from .fourier import GridFn, sample_grid, sup_factor
 from .sets import IntegerSet
 
-# Peak bytes of build_phi per grid point: 32 a block for the P_k and Q_k samples
-# the grid phase holds, plus 160 for the rest, which tracemalloc put at 105 or
-# less on the densest intervals each grid of 2^7 to 2^17 points admits.  The Q
-# phase's 40 a block (samples, u, half spectrum, H[u]) fit in that up to 19
-# blocks, and MEMORY_BUDGET admits at most 11.  PHI_GRID_CAP: one block.
+# Peak bytes of build_phi per grid point: 32 a block for the (2, K, M) workspace
+# both phases share, plus 160 for the rest, which tracemalloc put at 105 or less
+# on the densest intervals each grid of 2^7 to 2^17 points admits.  The grid
+# phase sets the peak: 168, 299 and 331 in all at 3, 7 and 8 blocks (2^17, 2^16
+# and 2^17 points).  The Q phase adds only its half spectrum to the workspace, 8
+# a block of two or more frequencies (18, 50 and 58 measured there), so about 82
+# at the 11 blocks MEMORY_BUDGET admits.  PHI_GRID_CAP: one block.
 BYTES_PER_GRID_POINT = 160
 BYTES_PER_BLOCK_POINT = 32
 PHI_GRID_CAP = MEMORY_BUDGET // (BYTES_PER_GRID_POINT + BYTES_PER_BLOCK_POINT)
@@ -60,17 +77,17 @@ def pairing_constant(b: int) -> float:
     return (1 - epsilon_of_base(b)) / (2 * b)
 
 
-def hilbert(samples: np.ndarray) -> np.ndarray:
+def hilbert(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Conjugate-function multiplier -i sgn(n), applied by FFT to samples on
     the M-point grid along the last axis.  Real samples take a real FFT and
-    give real samples; the multiplier is real-linear, so complex samples
-    transform part by part."""
+    give real samples, into out if given; the multiplier is real-linear, so
+    complex samples transform part by part."""
     if np.iscomplexobj(samples):
         return hilbert(samples.real) + 1j * hilbert(samples.imag)
     spec = np.fft.rfft(samples)
     spec[..., 0] = spec[..., -1] = 0  # the mean and the Nyquist frequency
     spec *= -1j
-    return np.fft.irfft(spec, samples.shape[-1])
+    return np.fft.irfft(spec, samples.shape[-1], out=out)
 
 
 def block_bounds(M: int, b: int) -> list[tuple[int, int]]:
@@ -103,6 +120,11 @@ def check_grid(blocks: list[tuple[int, int]], M: int) -> int:
     return neg_span
 
 
+# Q_k of a block of one frequency, in closed form (see the module docstring)
+Q_ONE = np.array([math.exp(-1), 0], dtype=complex)
+Q_ONE.flags.writeable = False
+
+
 def _fejer(d: np.ndarray, C: int) -> np.ndarray:
     """Triangular window weights (C - |d|)/C, for offsets |d| < C."""
     return (C - np.abs(d)) / C
@@ -121,30 +143,42 @@ def build_pk(blk: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return tau * window / len(blk)
 
 
-def build_qk(blks: list, taus: list, M: int) -> list:
+def build_qk(blks: list, taus: list, work: np.ndarray) -> list:
     """Each block's Q_k coefficients at the frequencies 0, -1, ..., -w_k, which
-    hold its whole spectrum, on a grid M that passes check_grid: blks and taus
-    list the blocks and their phases, and one (K, M) transform chain serves all."""
-    z = sample_grid(blks, [t / len(b) for b, t in zip(blks, taus)], M).samples
-    u = np.abs(z)
-    np.multiply(1j, hilbert(u), out=z)
+    hold its whole spectrum: blks and taus list the K blocks and their phases,
+    and work is a (2, K, M) complex workspace, M a grid that passes check_grid,
+    whose contents are overwritten.  A block of one frequency takes the closed
+    form Q_ONE; the rest share one transform chain in the rows of work[0],
+    with u and H[u] in work[1]."""
+    M = work.shape[-1]
+    chain = [k for k, blk in enumerate(blks) if len(blk) > 1]
+    R = len(chain)
+    phases = [taus[k] / len(blks[k]) for k in chain]
+    z = sample_grid([blks[k] for k in chain], phases, M, out=work[0, :R]).samples
+    u, h = work[1].view(float).reshape(-1)[: 2 * R * M].reshape(2, R, M)
+    np.abs(z, out=u)
+    np.multiply(1j, hilbert(u, out=h), out=z)
     np.exp(np.negative(np.subtract(u, z, out=z), out=z), out=z)  # exp(-(u - i H[u]))
     spec = GridFn(z).coefficients(out=z)
-    ds = [np.arange(_width(b) + 1) for b in blks]
-    return [row[-d % M] * _fejer(d, len(d)) for row, d in zip(spec, ds)]
+    qks = [Q_ONE] * len(blks)
+    for k, row in zip(chain, spec):
+        d = np.arange(_width(blks[k]) + 1)
+        qks[k] = row[-d % M] * _fejer(d, len(d))
+    return qks
 
 
 def _grid_phase(
-    blks: list, pks: list, qks: list, M: int
+    blks: list, pks: list, qks: list, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Sample every P_k and Q_k in one (2, K, M) array; return Phi's samples
-    from the recursion Phi_k = Q_k Phi_{k-1} + P_k, their DFT coefficients,
-    the coefficients' largest distance from the explicit expansion Phi =
-    sum_k (prod_{j>k} Q_j) P_k, and per block max(|P_k|/10 + |Q_k|) on the grid."""
-    # One array for all the samples: once glibc's malloc has freed a block this
-    # large, it keeps later builds' arrays in its heap instead of the kernel's.
+    """Sample every P_k and Q_k into work, the (2, K, M) workspace; return
+    Phi's samples from the recursion Phi_k = Q_k Phi_{k-1} + P_k, their DFT
+    coefficients, the coefficients' largest distance from the explicit
+    expansion Phi = sum_k (prod_{j>k} Q_j) P_k, and per block
+    max(|P_k|/10 + |Q_k|) on the grid."""
+    K, M = len(pks), work.shape[-1]
     freqs = blks + [-np.arange(len(q)) for q in qks]
-    P, Q = sample_grid(freqs, pks + qks, M).samples.reshape(2, len(pks), M)
+    sample_grid(freqs, pks + qks, M, out=work.reshape(2 * K, M))
+    P, Q = work
     pq_sups = [float(np.max(np.abs(p) / 10 + np.abs(q))) for p, q in zip(P, Q)]
     phi = P[0]
     for k in range(1, len(P)):
@@ -207,8 +241,9 @@ def build_phi(B: IntegerSet, weights: np.ndarray, b: int, M: int):
     taus = [tau[lo:hi] for lo, hi in bounds]
     widths = tuple(_width(blk) for blk in blks)
     pks = [build_pk(blk, t) for blk, t in zip(blks, taus)]
-    qks = build_qk(blks, taus, M)
-    phi, spec, explicit_agreement, pq_sups = _grid_phase(blks, pks, qks, M)
+    work = np.empty((2, len(blks), M), dtype=complex)
+    qks = build_qk(blks, taus, work)
+    phi, spec, explicit_agreement, pq_sups = _grid_phase(blks, pks, qks, work)
     coeffs = spec[freqs % M]
 
     per_block = []

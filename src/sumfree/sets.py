@@ -136,7 +136,12 @@ def fold_sums(values, fold: int) -> int:
 def check_kl(k: int, l: int) -> None:
     """InputError unless 1 <= k != l, the domain of every (k,l) question but one arc's."""
     if k < 1 or l < 1 or k == l:
-        raise InputError(f"(k,l) needs k, l >= 1 and k != l, got ({k},{l})")
+        raise InputError(f"(k,l) needs k, l >= 1 and k != l, got ({_shown(k)},{_shown(l)})")
+
+
+def _shown(v: int) -> str:
+    """v in decimal, or its order of magnitude from 10**18 on (str refuses past 4300 digits)."""
+    return str(v) if abs(v) < 10**18 else "-" * (v < 0) + magnitude(abs(v))
 
 
 def check_folds(X: IntegerSet, k: int, l: int) -> None:

@@ -653,11 +653,23 @@ def _hilbert_one(samples: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, len(samples))
 
 
+def qk_per_block(blk: np.ndarray, tau: np.ndarray, M: int) -> np.ndarray:
+    """One block's Q_k by its own transform chain: the phase sum's samples,
+    u = their modulus, a Hilbert transform, exp(-(u - i H[u])) and a forward
+    FFT, windowed at the frequencies 0, -1, ..., -w_k."""
+    u = np.abs(_sample_one(blk, tau / len(blk), M))
+    v = _hilbert_one(u)
+    spec = np.fft.fft(np.exp(-(u - 1j * v))) / M
+    d = np.arange(max(int(blk[-1] - blk[0]), 1) + 1)
+    return spec[-d % M] * ((len(d) - d) / len(d))
+
+
 def build_phi_per_block(B: IntegerSet, weights: np.ndarray, b: int, M: int):
     """mps.build_phi with every transform on one block's M-array at a time:
     three samplings a block (P_k, Q_k and the phase sum behind Q_k), a
-    Hilbert transform and a forward FFT for each Q_k, and P_k, Q_k and the
-    per-block sup |P_k|/10 + |Q_k| row by row."""
+    Hilbert transform and a forward FFT for each Q_k of a block of two or
+    more frequencies (one frequency takes mps.Q_ONE, the closed form), and
+    P_k, Q_k and the per-block sup |P_k|/10 + |Q_k| row by row."""
     weights = np.asarray(weights, dtype=complex)
     bounds = mps.block_bounds(B.N, b)
     neg_span = mps.check_grid([(B.elements[lo], B.elements[hi - 1]) for lo, hi in bounds], M)
@@ -667,13 +679,10 @@ def build_phi_per_block(B: IntegerSet, weights: np.ndarray, b: int, M: int):
     blks = [freqs[lo:hi] for lo, hi in bounds]
     widths = tuple(max(int(blk[-1] - blk[0]), 1) for blk in blks)
     pks = [mps.build_pk(blk, tau[lo:hi]) for blk, (lo, hi) in zip(blks, bounds)]
-    qks = []
-    for blk, (lo, hi), w in zip(blks, bounds, widths):
-        u = np.abs(_sample_one(blk, tau[lo:hi] / len(blk), M))
-        v = _hilbert_one(u)
-        spec = np.fft.fft(np.exp(-(u - 1j * v))) / M
-        d = np.arange(w + 1)
-        qks.append(spec[-d % M] * ((len(d) - d) / len(d)))
+    qks = [
+        mps.Q_ONE if len(blk) == 1 else qk_per_block(blk, tau[lo:hi], M)
+        for blk, (lo, hi) in zip(blks, bounds)
+    ]
 
     P = [_sample_one(blk, p, M) for blk, p in zip(blks, pks)]
     Q = [_sample_one(-np.arange(len(q)), q, M) for q in qks]

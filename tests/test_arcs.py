@@ -1,11 +1,13 @@
 """Exact arcs on the torus: canonical systems, pullbacks, sum-freeness."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from reference import longest_sumfree_arcs
 from sumfree.arcs import (
+    ARC_CAP,
     ArcSet,
     OMEGA_1,
     OMEGA_2,
@@ -14,8 +16,8 @@ from sumfree.arcs import (
     is_arc_kl_sumfree,
     pullback,
 )
-from sumfree.dilation import orbit_subset
-from sumfree.errors import InputError
+from sumfree.dilation import extract_certified, orbit_subset
+from sumfree.errors import InputError, ResourceLimitError
 from sumfree.sets import IntegerSet, fold_sums
 
 
@@ -49,6 +51,21 @@ def test_canonical_unsupported():
     for k, l in ((0, 0), (0, 1), (1, 0), (3, 3)):
         with pytest.raises(InputError):
             canonical_omega(k, l)
+
+
+def test_canonical_refuses_past_the_arc_cap_before_building():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        canonical_omega(10**5000, 1)
+    assert time.perf_counter() - start < 1
+    # the rule extract_certified prices its arcs by: (|k - l| + 1)//2 > ARC_CAP
+    assert len(canonical_omega(2 * ARC_CAP + 1, 1).arcs) == 2 * ARC_CAP
+    A = IntegerSet.of([1, 2, 3])
+    for k in (2 * ARC_CAP + 2, 2 * ARC_CAP + 3):
+        with pytest.raises(ResourceLimitError):
+            canonical_omega(k, 1)
+        with pytest.raises(ResourceLimitError):
+            extract_certified(A, 1, k)
 
 
 def test_canonical_family_for_every_k_l():

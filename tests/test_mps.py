@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from reference import build_phi_per_block
+from reference import build_phi_per_block, qk_per_block
 
 from sumfree.cli import RunConfig, run
 from sumfree.errors import InputError, ResourceLimitError
@@ -15,6 +15,7 @@ from sumfree.fourier import GridFn, sample_grid
 from sumfree.mps import (
     BYTES_PER_BLOCK_POINT,
     BYTES_PER_GRID_POINT,
+    Q_ONE,
     block_bounds,
     build_phi,
     build_pk,
@@ -97,7 +98,7 @@ def test_qk_support():
     B = IntegerSet.of(range(1, 51))
     lo, hi = block_bounds(B.N, 4)[1]
     blk = np.array(B.elements[lo:hi])
-    qk = build_qk([blk], [np.ones(len(blk), dtype=complex)], M=2048)[0]
+    qk = build_qk([blk], [np.ones(len(blk), dtype=complex)], np.empty((2, 1, 2048), complex))[0]
     width = max(blk[-1] - blk[0], 1)
     # qk holds the coefficients at the frequencies 0, -1, -2, ...
     assert all(-width <= n <= 0 for n in -np.arange(len(qk)))
@@ -246,6 +247,39 @@ def test_build_phi_bitwise_equals_the_per_block_build_at_the_defaults(weights):
     rng = np.random.default_rng(5)
     w = np.ones(B.N) if weights == "unit" else np.exp(2j * math.pi * rng.random(B.N))
     _assert_bitwise_equal(B, w, 100, 1 << 17)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_block_builds_equal_the_per_block_build(seed):
+    # B = {m} is one block of one frequency, so the Q phase has no transform
+    # rows; 2 <= N <= base is one block of all N frequencies, which runs the
+    # transform chain and must not take the one-frequency closed form
+    rng = np.random.default_rng(seed)
+    base = int(rng.integers(4, 101))
+    single = IntegerSet.of([int(rng.integers(1, 10**4))])
+    N = int(rng.integers(2, base + 1))
+    block = IntegerSet.of((rng.choice(3 * N, N, replace=False) + 1).tolist())
+    for B in (single, block):
+        assert block_bounds(B.N, base) == [(0, B.N)]
+        w = rng.random(B.N) * np.exp(2j * math.pi * rng.random(B.N))
+        w[rng.random(B.N) < 0.3] = 0
+        _assert_bitwise_equal(B, w, base, _least_grid(B, base))
+    # the closed form would read 1 - 1/e here, 0.632; the block's own chain 0.48
+    _, cert = build_phi(IntegerSet.of([1, 2]), np.ones(2), 4, 64)
+    assert abs(cert.per_block[0]["l2_one_minus_q"] - (1 - math.exp(-1))) > 0.1
+
+
+def test_one_frequency_q_is_the_closed_form():
+    # the transform chain's Q_k for a block of one frequency m: tau e(mx) has
+    # modulus 1, so u = 1, H[u] = 0 and Q_k = [1/e, 0] up to rounding, for
+    # unimodular tau and for tau = 1, the phase of a zero weight
+    rng = np.random.default_rng(33)
+    for _ in range(240):
+        M = 1 << int(rng.integers(3, 18))
+        m = int(rng.integers(1, 2**40))
+        tau = np.exp(2j * math.pi * rng.random(1)) if rng.random() < 0.7 else np.ones(1, complex)
+        q = qk_per_block(np.array([m]), tau, M)
+        assert np.max(np.abs(q - Q_ONE)) <= 1e-15, (M, m, tau)
 
 
 @pytest.mark.parametrize(

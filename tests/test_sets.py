@@ -12,6 +12,7 @@ from sumfree.cli import main
 from sumfree.errors import InputError, ResourceLimitError, magnitude
 from sumfree.sets import (
     IntegerSet,
+    check_kl,
     generate,
     is_kl_sumfree,
     load_set,
@@ -211,6 +212,17 @@ def test_refused_sum_check_prints_a_short_message():
     with pytest.raises(ResourceLimitError) as refusal:
         is_kl_sumfree(IntegerSet.of(3**j for j in range(10000)), 2, 1)
     assert "10^4771" in str(refusal.value) and len(str(refusal.value)) < 200
+
+
+def test_check_kl_prints_huge_k_and_l_as_magnitudes():
+    # str() of an int over 4300 digits raises ValueError, so the message
+    # prints such a k or l as its order of magnitude
+    for k, l in ((10**5000, 10**5000), (0, 10**5000), (-(10**5000), 2)):
+        with pytest.raises(InputError) as refusal:
+            check_kl(k, l)
+        assert "10^5000" in str(refusal.value) and len(str(refusal.value)) < 100
+    with pytest.raises(InputError, match=r"got \(3,3\)"):
+        check_kl(3, 3)
 
 
 def test_magnitude_is_the_order_of_ten():

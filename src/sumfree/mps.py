@@ -80,10 +80,10 @@ def pairing_constant(b: int) -> float:
 def hilbert(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Conjugate-function multiplier -i sgn(n), applied by FFT to samples on
     the M-point grid along the last axis.  Real samples take a real FFT and
-    give real samples, into out if given; the multiplier is real-linear, so
-    complex samples transform part by part."""
+    give real samples; the multiplier is real-linear, so complex samples
+    transform part by part.  The result goes into out if given."""
     if np.iscomplexobj(samples):
-        return hilbert(samples.real) + 1j * hilbert(samples.imag)
+        return np.add(hilbert(samples.real), 1j * hilbert(samples.imag), out=out)
     spec = np.fft.rfft(samples)
     spec[..., 0] = spec[..., -1] = 0  # the mean and the Nyquist frequency
     spec *= -1j

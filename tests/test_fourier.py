@@ -194,3 +194,14 @@ def test_sample_grid_folds_frequencies_mod_M():
     M = 64
     folded = sample_grid(np.array([1, 1 + M]), np.array([1.0, 2.0]), M).samples
     assert np.allclose(folded, sample_grid(np.array([1]), np.array([3.0]), M).samples, atol=1e-12)
+
+
+def test_sample_grid_zeroes_and_fills_out():
+    M = 64
+    freqs, coeffs = [np.array([1, -3]), np.array([5])], [np.array([1.0, 2j]), np.array([0.5])]
+    out = np.full((2, M), 7 + 7j)
+    assert sample_grid(freqs, coeffs, M, out=out).samples is out
+    assert np.array_equal(out, sample_grid(freqs, coeffs, M).samples)
+    one = np.full(M, 7 + 7j)
+    sample_grid(freqs[0], coeffs[0], M, out=one)
+    assert np.array_equal(one, sample_grid(freqs[0], coeffs[0], M).samples)

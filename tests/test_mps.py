@@ -60,6 +60,14 @@ def test_hilbert_real_fft_matches_complex_multiplier(seed):
     assert np.allclose(h, np.fft.ifft(np.fft.fft(x) * mult), rtol=0, atol=1e-12)
 
 
+def test_hilbert_writes_into_out():
+    rng = np.random.default_rng(3)
+    for x in (rng.standard_normal((2, 64)), rng.standard_normal(64) + 1j * rng.standard_normal(64)):
+        out = np.empty_like(x)
+        assert hilbert(x, out=out) is out
+        assert np.array_equal(out, hilbert(x))
+
+
 def test_constants():
     eps = epsilon_of_base(100)
     assert eps == pytest.approx(0.4489, abs=5e-4)
